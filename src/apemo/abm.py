@@ -13,7 +13,8 @@ matching turns regardless of how they allocate compute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,14 +132,14 @@ def _synthetic_digest(
     tokens: list[str] = []
     if n_task > 0:
         idx = rng.integers(0, len(task_tokens), size=n_task)
-        tokens.extend(task_tokens[i] for i in idx)
-    tokens.extend(f"t{turn}w{int(rng.integers(0, 10**6))}" for _ in range(n_fresh))
+        tokens.extend(task_tokens[i] for i in idx.tolist())
+    # one vector draw yields the same values and end state as n_fresh scalar draws
+    tokens.extend(f"t{turn}w{w}" for w in rng.integers(0, 10**6, size=n_fresh).tolist())
     if n_fill > 0:
         idx = rng.integers(0, len(STALL_TOKENS), size=n_fill)
-        tokens.extend(STALL_TOKENS[i] for i in idx)
-    digest = TextDigest.from_tokens(tokens, order)
-    # token_count reflects the synthetic output length exactly
-    return replace(digest, token_count=length)
+        tokens.extend(STALL_TOKENS[i] for i in idx.tolist())
+    # n_task + n_fresh + n_fill == length, so token_count is the synthetic output length
+    return TextDigest.from_tokens(tokens, order)
 
 
 def abm_step(
@@ -169,6 +170,12 @@ def abm_step(
     return quality, digest, allocated_tokens
 
 
+@lru_cache(maxsize=64)
+def _task_tokens(task: str) -> tuple[str, ...]:
+    """Task wording the digest samples from, tokenized once per task string."""
+    return tuple(tokenize(task))
+
+
 class AbmExecutor:
     """Deterministic simulator bound to a config, seed, and optional trap."""
 
@@ -197,7 +204,7 @@ class AbmExecutor:
             uplift_half=self.cfg.uplift_half,
             rng=rng,
             digest_tokens=self.cfg.digest_tokens,
-            task_tokens=tuple(tokenize(ctx.task)),
+            task_tokens=_task_tokens(ctx.task),
             ngram_order=self.ngram_order,
             apply_trap_impulse=(ctx.attempt == 0),
         )

@@ -13,7 +13,7 @@ import json
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -130,7 +130,8 @@ class RunRecord:
         return (self.model_id, self.seed, self.policy, self.horizon)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        # every field is flat, so a shallow copy serializes exactly like asdict
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["quality_by_turn"] = list(self.quality_by_turn)
         d["frustration_by_turn"] = list(self.frustration_by_turn)
         return d

@@ -69,8 +69,6 @@ POLICY_TRAITS: dict[PolicyKind, PolicyTraits] = {
     ),
 }
 
-TEMPORAL_POLICIES = frozenset(p for p, t in POLICY_TRAITS.items() if t.monitors)
-
 
 class RepairReason(str, Enum):
     NEGATIVE_PEAK = "negative_peak"
@@ -335,6 +333,8 @@ def run_trajectory(
     negative peak and re-execute once with banked tokens, and on the final
     two turns spend any remaining reserve on ending re-executions. Executor
     failures record a zero-quality turn and mark the trajectory as fallback.
+    An attempt is charged at most its allocation, whatever the executor
+    reports, so a misreporting executor cannot overdraw the cap.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -385,10 +385,11 @@ def run_trajectory(
             critique=_critique_note(reason, state.outcome.quality),
         )
         retry, ok = attempt_turn(retry_ctx, decision.granted_tokens)
-        ledger.refund_repair(decision.granted_tokens - retry.tokens_used)
+        used = min(retry.tokens_used, decision.granted_tokens)
+        ledger.refund_repair(decision.granted_tokens - used)
         if not ok:
             return True
-        state.tokens_spent += retry.tokens_used
+        state.tokens_spent += used
         state.repaired = True
         if retry.quality > state.outcome.quality:
             state.outcome = retry
@@ -408,18 +409,20 @@ def run_trajectory(
             history=tuple(kept_texts),
         )
         outcome, ok = attempt_turn(ctx, alloc)
-        ledger.charge_policy(outcome.tokens_used)
+        used = min(outcome.tokens_used, alloc)
+        ledger.charge_policy(used)
         state = _TurnState(
             outcome=outcome,
-            tokens_spent=outcome.tokens_used,
+            tokens_spent=used,
             repaired=False,
             trapped=outcome.trapped,
         )
 
+        score: Optional[float] = None
         if ok and (traits.detect_quality or traits.detect_frustration):
-            score_now = score_signal(state.outcome.digest)
+            score = score_signal(state.outcome.digest)
             trigger = detect_negative_peak(
-                q_history + [state.outcome.quality], s_history + [score_now], detection
+                q_history + [state.outcome.quality], s_history + [score], detection
             )
             if trigger is not None and repairs_used < cfg.max_repairs:
                 base = turn_base_budget(policy, budget_cap, horizon, cfg)
@@ -435,7 +438,10 @@ def run_trajectory(
                 if want > 0:
                     try_repair(state, ctx, RepairReason.ENDING_STABILIZATION, want)
 
-        score = score_signal(state.outcome.digest)
+        # the score depends only on the kept digest and the prior turns, so the
+        # detection score stands unless a repair replaced the outcome
+        if score is None or state.outcome is not outcome:
+            score = score_signal(state.outcome.digest)
         q_history.append(state.outcome.quality)
         s_history.append(score)
         prev_score = score
@@ -502,8 +508,9 @@ def _reflection_pass(
         retry = executor.execute_turn(ctx, alloc, seed)
     except ExecutorError:
         return
-    ledger.charge_policy(retry.tokens_used)
-    updated = replace(last, tokens_spent=last.tokens_spent + retry.tokens_used)
+    used = min(retry.tokens_used, alloc)
+    ledger.charge_policy(used)
+    updated = replace(last, tokens_spent=last.tokens_spent + used)
     if retry.quality > last.quality:
         updated = replace(
             updated, quality=retry.quality, output_digest=retry.digest

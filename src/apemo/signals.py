@@ -30,9 +30,7 @@ def ngram_set(tokens: Sequence[str], order: int) -> frozenset[str]:
     """Distinct n-grams of the given order, joined with single spaces."""
     if order < 1:
         raise ValueError(f"ngram order must be >= 1, got {order}")
-    return frozenset(
-        " ".join(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
-    )
+    return frozenset(map(" ".join, zip(*(tokens[i:] for i in range(order)))))
 
 
 @dataclass(frozen=True)
@@ -127,10 +125,8 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     """Set Jaccard similarity; two empty sets count as identical (1.0)."""
     if not a and not b:
         return 1.0
-    union = len(a | b)
-    if union == 0:
-        return 1.0
-    return len(a & b) / union
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)
 
 
 def repetition_similarity(current: TextDigest, history: Sequence[TextDigest]) -> float:

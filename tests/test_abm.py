@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from apemo import abm
 from apemo.abm import (
     AbmConfig,
     AbmState,
@@ -202,3 +203,42 @@ def test_config_validation():
 def test_step_rejects_negative_tokens():
     with pytest.raises(ValueError):
         abm_step(make_state(0.5), -1, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 17, 30])
+def test_vector_draw_matches_scalar_draws(n):
+    # the digest draws fresh tokens in one call; the stream must match per-token draws
+    vec = np.random.default_rng((9, 4, 2, 0))
+    sca = np.random.default_rng((9, 4, 2, 0))
+    assert vec.integers(0, 10**6, size=n).tolist() == [int(sca.integers(0, 10**6)) for _ in range(n)]
+    assert int(vec.integers(0, 10**6)) == int(sca.integers(0, 10**6))
+    assert vec.normal() == sca.normal()
+
+
+def test_digest_token_count_is_output_length():
+    # without noise the first draw is the length jitter: length = 32 + integers(0, 5)
+    for seed in range(20):
+        length = 32 + int(np.random.default_rng((seed, 1)).integers(0, 5))
+        for latent in (0.0, 0.3, 0.7, 1.0):
+            _, digest, _ = abm_step(make_state(latent, seed=(seed, 1)), 0, 2)
+            assert digest.token_count == length
+
+
+def test_task_tokenized_once_per_task(monkeypatch):
+    calls = []
+    real = abm.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(abm, "tokenize", counting)
+    abm._task_tokens.cache_clear()
+    for seed in (2, 3):
+        executor = make_abm_executor(AbmConfig(), seed=seed)
+        for turn in range(1, 5):
+            ctx = TurnContext(task="plan the route", turn=turn, horizon=4)
+            executor.execute_turn(ctx, 100, seed=seed)
+        executor.execute_turn(TurnContext(task="verify the budget", turn=1, horizon=4), 100, seed=seed)
+    abm._task_tokens.cache_clear()
+    assert calls == ["plan the route", "verify the budget"]

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from apemo import scheduler
 from apemo.abm import AbmConfig, TrapSpec, make_abm_executor
 from apemo.executor import ExecutorError, TurnContext, TurnOutcome
 from apemo.scheduler import (
+    POLICY_TRAITS,
     BudgetLedger,
     DetectionConfig,
     PolicyKind,
@@ -324,3 +327,49 @@ def test_budget_safety_fuzz():
         assert traj.cost.total <= cap
         spent = sum(t.tokens_spent for t in traj.turns)
         assert spent == traj.cost.policy_cost + traj.cost.repair_cost
+
+
+class OverReportingExecutor:
+    """Simulator that claims more tokens than each attempt was allocated."""
+
+    def __init__(self, inner, extra):
+        self.inner = inner
+        self.extra = extra
+
+    def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
+        out = self.inner.execute_turn(ctx, allocated_tokens, seed)
+        return replace(out, tokens_used=allocated_tokens + self.extra)
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_over_reported_tokens_never_overdraw(policy):
+    cfg = SchedulerConfig()
+    cap = 680
+    repaired = 0
+    for seed in range(1, 6):
+        inner = make_abm_executor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
+        traj = run_trajectory(policy, OverReportingExecutor(inner, 50), 8, cap, seed, cfg)
+        assert traj.cost.total <= cap
+        assert sum(t.tokens_spent for t in traj.turns) == (
+            traj.cost.policy_cost + traj.cost.repair_cost
+        )
+        repaired += sum(t.repaired for t in traj.turns)
+    if POLICY_TRAITS[policy].skims:
+        # the clamp on repair and ending retries was exercised, not just the first attempt
+        assert repaired > 0
+
+
+def test_detection_score_reused_when_no_repair(monkeypatch):
+    # one proxy evaluation per monitored turn unless a repair replaces the outcome
+    calls = []
+    real = scheduler.compute_proxies
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(scheduler, "compute_proxies", counting)
+    cfg = no_overhead_cfg(max_repairs=0, ending_threshold=0.0)
+    traj = run_trajectory(PolicyKind.APEMO, make_abm_executor(AbmConfig(), 3), 8, 4000, 3, cfg)
+    assert not any(t.repaired for t in traj.turns)
+    assert len(calls) == 8

@@ -173,3 +173,31 @@ def test_digest_round_trip():
 
 def test_jaccard_empty_sets_identical():
     assert jaccard(frozenset(), frozenset()) == 1.0
+
+
+def _ngram_reference(tokens, order):
+    return frozenset(" ".join(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+
+
+def test_ngram_set_matches_slice_join_reference():
+    rng = random.Random(7)
+    vocab = ["a", "b", "c", "plan", "route", "x y"]
+    for order in range(1, 5):
+        assert ngram_set([], order) == frozenset()
+        for n in range(0, 12):
+            tokens = [rng.choice(vocab) for _ in range(n)]
+            assert ngram_set(tokens, order) == _ngram_reference(tokens, order)
+            assert ngram_set(tuple(tokens), order) == _ngram_reference(tokens, order)
+    assert ngram_set(["a", "b"], 3) == frozenset()
+
+
+def test_jaccard_matches_union_definition():
+    rng = random.Random(11)
+    for _ in range(300):
+        a = frozenset(rng.sample(range(20), rng.randint(0, 10)))
+        b = frozenset(rng.sample(range(20), rng.randint(0, 10)))
+        expected = 1.0 if not (a | b) else len(a & b) / len(a | b)
+        assert jaccard(a, b) == expected
+    assert jaccard(frozenset(), frozenset()) == 1.0
+    assert jaccard(frozenset({"a b"}), frozenset()) == 0.0
+    assert jaccard(frozenset(), frozenset({"a b"})) == 0.0
