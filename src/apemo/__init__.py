@@ -42,7 +42,6 @@ from .trajectory import (
     Trajectory,
     TurnRecord,
     average_frustration,
-    coordination_cost,
     objective_value,
     peak_end_quality,
     reuse_per_cost,

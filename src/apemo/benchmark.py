@@ -10,6 +10,8 @@ the persisted store without re-executing completed cells.
 from __future__ import annotations
 
 import json
+import logging
+import os
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +37,8 @@ from .trajectory import (
     reuse_per_cost,
     reuse_probability,
 )
+
+log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -259,13 +263,41 @@ class RunStore:
         self._lock = threading.Lock()
         self._records: dict[RunKey, RunRecord] = {}
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = RunRecord.from_dict(json.loads(line))
+            self._load()
+
+    def _load(self) -> None:
+        """Read every record, then leave the file ending on a newline.
+
+        A final line with no newline that does not parse is the tail of an
+        interrupted append: it is dropped with a warning and cut from the
+        file. A malformed line that does end in a newline still raises.
+        """
+        offset = 0
+        torn_at = None
+        complete = True
+        with self.path.open("rb") as fh:
+            for line in fh:
+                complete = line.endswith(b"\n")
+                if line.strip():
+                    try:
+                        data = json.loads(line.decode("utf-8"))
+                    except ValueError:
+                        if complete:
+                            raise
+                        torn_at = offset
+                        break
+                    record = RunRecord.from_dict(data)
                     self._records[record.run_key] = record
+                offset += len(line)
+        if torn_at is not None:
+            log.warning(
+                "%s: dropping a torn final line (%d bytes) left by an interrupted append",
+                self.path, self.path.stat().st_size - torn_at,
+            )
+            os.truncate(self.path, torn_at)
+        elif not complete:
+            with self.path.open("ab") as fh:
+                fh.write(b"\n")
 
     def __contains__(self, key: RunKey) -> bool:
         return key in self._records

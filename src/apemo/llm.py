@@ -4,8 +4,10 @@ Speaks the local server's JSON chat dialect: request
 {model, messages[], options{temperature, top_p, num_predict, seed}},
 response {message{content}, prompt_eval_count, eval_count}. Budget
 accounting counts server-reported completion tokens (eval_count), which
-the per-request num_predict cap bounds by the scheduler's allocation;
-prompt tokens are recorded for reference but are not budgeted.
+the per-request num_predict cap bounds by the scheduler's allocation; a
+reply whose eval_count exceeds num_predict, or with a negative count, is a
+protocol error. Prompt tokens are recorded for reference but are not
+budgeted.
 
 Supports single-role turns, a plan-then-execute split, and a
 planner-executor-critic flow whose per-role token shares come from a
@@ -119,11 +121,11 @@ def chat_complete(
             if attempt < endpoint.max_retries:
                 time.sleep(endpoint.backoff_base * (2**attempt))
             continue
-        return _parse_chat_response(resp, url)
+        return _parse_chat_response(resp, url, cap)
     raise TransportError(f"request to {url} failed after {endpoint.max_retries + 1} attempts: {last_exc}")
 
 
-def _parse_chat_response(resp: requests.Response, url: str) -> ChatResult:
+def _parse_chat_response(resp: requests.Response, url: str, cap: int) -> ChatResult:
     if resp.status_code != 200:
         raise ProtocolError(f"unexpected status {resp.status_code} from {url}")
     try:
@@ -136,6 +138,14 @@ def _parse_chat_response(resp: requests.Response, url: str) -> ChatResult:
         completion_tokens = int(body["eval_count"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed chat response from {url}: {exc}") from exc
+    if prompt_tokens < 0 or completion_tokens < 0:
+        raise ProtocolError(
+            f"negative token counts from {url}: prompt_eval_count={prompt_tokens}, "
+            f"eval_count={completion_tokens}"
+        )
+    if completion_tokens > cap:
+        # a server that ignores num_predict would overdraw the turn allocation
+        raise ProtocolError(f"eval_count {completion_tokens} above num_predict {cap} from {url}")
     return ChatResult(text=text, prompt_tokens=prompt_tokens, completion_tokens=completion_tokens)
 
 

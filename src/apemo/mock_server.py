@@ -82,22 +82,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(payload)
             return
 
-        text = owner.script(body, index)
-        cap = int(body.get("options", {}).get("num_predict", 10**9))
-        words = text.split()
-        if len(words) > cap:
-            words = words[:cap]
-        reply = " ".join(words)
-        prompt_tokens = sum(len(m.get("content", "").split()) for m in body.get("messages", []))
-        payload = json.dumps(
-            {
-                "model": body.get("model", ""),
-                "message": {"role": "assistant", "content": reply},
-                "done": True,
-                "prompt_eval_count": prompt_tokens,
-                "eval_count": len(words),
-            }
-        ).encode("utf-8")
+        payload = json.dumps(owner.reply(body, index)).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -133,6 +118,22 @@ class MockModelServer:
         with self._lock:
             self.transcript.append(body)
             return len(self.transcript) - 1
+
+    def reply(self, body: dict, index: int) -> dict:
+        """Response body: the script's text cut to num_predict whitespace tokens."""
+        text = self.script(body, index)
+        cap = int(body.get("options", {}).get("num_predict", 10**9))
+        words = text.split()
+        if len(words) > cap:
+            words = words[:cap]
+        prompt_tokens = sum(len(m.get("content", "").split()) for m in body.get("messages", []))
+        return {
+            "model": body.get("model", ""),
+            "message": {"role": "assistant", "content": " ".join(words)},
+            "done": True,
+            "prompt_eval_count": prompt_tokens,
+            "eval_count": len(words),
+        }
 
     def behavior_for(self, index: int) -> str:
         if index in self.fail_requests:

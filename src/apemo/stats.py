@@ -117,40 +117,67 @@ def metric_deltas(pairing: Pairing, metric: str) -> list[float]:
     return deltas
 
 
+# Largest resample-index matrix drawn at once (elements); bounds draw memory.
+_DRAW_ELEMENTS = 10_000_000
+# Resample rows gathered per step; bounds the gathered copy of a sample row.
+_GATHER_ROWS = 2048
+
+
 def bootstrap_ci(
-    samples: Sequence[float],
+    samples: Sequence[float] | Sequence[Sequence[float]],
     resamples: int = 10_000,
     coverage: float = 0.95,
     seed: int = 0,
-) -> tuple[float, float]:
+) -> tuple[float, float] | list[tuple[float, float]]:
     """Percentile bootstrap interval of the mean, deterministic per seed.
 
-    Resample indices are drawn in fixed-size chunks from a single seeded
-    generator, so the interval is identical regardless of parallelism.
+    ``samples`` is one vector ``(n,)`` or a stack of equal-length rows
+    ``(k, n)``. Resample indices are drawn in fixed-size chunks from a single
+    seeded generator, and every row is gathered from the same draw, so each
+    row's interval equals the one a 1-D call on that row returns, bit for
+    bit, and neither depends on parallelism. A vector gives ``(low, high)``;
+    a stack gives one ``(low, high)`` per row.
     """
-    if len(samples) == 0:
+    arr = np.asarray(samples, dtype=float)  # ragged rows raise ValueError here
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"bootstrap_ci takes a vector or a stack of rows, got shape {arr.shape}")
+    if arr.size == 0:
         raise ValueError("bootstrap_ci needs at least one sample")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
     if not 0.0 < coverage < 1.0:
         raise ValueError(f"coverage must be in (0, 1), got {coverage}")
-    arr = np.asarray(samples, dtype=float)
-    n = arr.shape[0]
-    if np.all(arr == arr[0]):
-        # resampling a constant is the constant; skip the FP summation noise
-        return float(arr[0]), float(arr[0])
-    rng = np.random.default_rng(seed)
-    chunk = max(1, min(resamples, 10_000_000 // max(n, 1)))
-    means = np.empty(resamples, dtype=float)
-    done = 0
-    while done < resamples:
-        take = min(chunk, resamples - done)
-        idx = rng.integers(0, n, size=(take, n))
-        means[done : done + take] = arr[idx].mean(axis=1)
-        done += take
-    alpha = (1.0 - coverage) / 2.0
-    low, high = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(low), float(high)
+    rows = arr.reshape(-1, arr.shape[-1])
+    n = rows.shape[1]
+    intervals: list = [None] * len(rows)
+    live = []
+    for i, row in enumerate(rows):
+        if np.all(row == row[0]):
+            # resampling a constant is the constant; skip the FP summation noise
+            intervals[i] = (float(row[0]), float(row[0]))
+        else:
+            live.append(i)
+    if live:
+        rng = np.random.default_rng(seed)
+        chunk = max(1, min(resamples, _DRAW_ELEMENTS // n))
+        means = np.empty((len(live), resamples), dtype=float)
+        done = 0
+        while done < resamples:
+            take = min(chunk, resamples - done)
+            idx = rng.integers(0, n, size=(take, n))
+            for j, i in enumerate(live):
+                # a per-row gather; one rows[:, idx] gather is not bit-identical
+                row = rows[i]
+                for lo in range(0, take, _GATHER_ROWS):
+                    hi = min(lo + _GATHER_ROWS, take)
+                    means[j, done + lo : done + hi] = row[idx[lo:hi]].mean(axis=1)
+            done += take
+        alpha = (1.0 - coverage) / 2.0
+        for j, i in enumerate(live):
+            # per row: a quantile over the whole matrix copies all of it at once
+            low, high = np.quantile(means[j], [alpha, 1.0 - alpha])
+            intervals[i] = (float(low), float(high))
+    return intervals[0] if arr.ndim == 1 else intervals
 
 
 @dataclass(frozen=True)
@@ -239,9 +266,10 @@ def block_report(
         orphan_keys.extend(
             f"{r.policy}:{r.model_id}/seed={r.seed}/T={r.horizon}" for r in pairing.orphans
         )
-        for metric in metrics:
-            deltas = metric_deltas(pairing, metric)
-            low, high = bootstrap_ci(deltas, resamples=resamples, seed=stats_seed)
+        all_deltas = [metric_deltas(pairing, metric) for metric in metrics]
+        # one resample draw per comparison, shared by every metric row
+        cis = bootstrap_ci(all_deltas, resamples=resamples, seed=stats_seed) if metrics else []
+        for metric, deltas, (low, high) in zip(metrics, all_deltas, cis):
             test = sign_test(deltas)
             rows.append(
                 DeltaReport(

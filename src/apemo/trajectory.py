@@ -3,8 +3,7 @@
 A trajectory is an ordered sequence of agent turns evaluated as a whole.
 Retrospective quality weighs the single best turn and the mean of the
 final two turns rather than the per-turn average; frustration is carried
-as a per-turn series exposed both as a mean (the reported metric) and a
-sum (the burden term in the scalar objective).
+as a per-turn series and reported as its mean.
 """
 
 from __future__ import annotations
@@ -64,13 +63,6 @@ class CostBreakdown:
     @property
     def total(self) -> int:
         return self.policy_cost + self.repair_cost + self.overhead_cost
-
-    def combine(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            policy_cost=self.policy_cost + other.policy_cost,
-            repair_cost=self.repair_cost + other.repair_cost,
-            overhead_cost=self.overhead_cost + other.overhead_cost,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -220,19 +212,6 @@ def average_frustration(traj: Trajectory) -> float:
     if not series:
         raise ValueError("cannot average an empty trajectory")
     return sum(series) / len(series)
-
-
-def total_frustration(traj: Trajectory) -> float:
-    """Summed frustration burden over the trajectory."""
-    series = traj.frustrations()
-    if not series:
-        raise ValueError("cannot sum an empty trajectory")
-    return sum(series)
-
-
-def coordination_cost(breakdown: CostBreakdown) -> int:
-    """Total realized coordination cost across all three channels."""
-    return breakdown.total
 
 
 def reuse_probability(

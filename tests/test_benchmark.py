@@ -229,3 +229,42 @@ def test_record_round_trip():
     records = run_block(sim_block(seeds=(1,), policies=(PolicyKind.APEMO,)), RuntimeSettings())
     r = records[0]
     assert RunRecord.from_dict(json.loads(json.dumps(r.to_dict()))) == r
+
+
+def test_store_drops_torn_final_line(tmp_path, caplog):
+    path = tmp_path / "t.runs.jsonl"
+    records = run_block(sim_block(seeds=(1, 2, 3)), RuntimeSettings(), store=RunStore(path))
+    intact = path.read_bytes()
+    path.write_bytes(intact[:-40])  # an append cut off 40 bytes before its end
+    with caplog.at_level("WARNING", logger="apemo.benchmark"):
+        store = RunStore(path)
+    assert "torn final line" in caplog.text
+    kept = records[:-1]
+    assert [r.to_dict() for r in store.records()] == [r.to_dict() for r in kept]
+    assert path.read_bytes().endswith(b"\n")
+    assert path.read_bytes() == intact[: intact.rindex(b"\n", 0, len(intact) - 1) + 1]
+
+    store.append(records[-1])
+    reopened = RunStore(path)
+    assert [r.to_dict() for r in reopened.records()] == [r.to_dict() for r in records]
+    assert path.read_bytes() == intact
+
+
+def test_store_completes_an_unterminated_final_record(tmp_path):
+    path = tmp_path / "u.runs.jsonl"
+    records = run_block(sim_block(seeds=(1, 2)), RuntimeSettings(), store=RunStore(path))
+    intact = path.read_bytes()
+    path.write_bytes(intact[:-1])  # the record is whole, only its newline is missing
+    store = RunStore(path)
+    assert [r.to_dict() for r in store.records()] == [r.to_dict() for r in records]
+    assert path.read_bytes() == intact
+
+
+def test_store_still_rejects_malformed_complete_line(tmp_path):
+    path = tmp_path / "m.runs.jsonl"
+    run_block(sim_block(seeds=(1,)), RuntimeSettings(), store=RunStore(path))
+    intact = path.read_bytes()
+    path.write_bytes(intact[:-40] + b"\n" + intact)
+    with pytest.raises(json.JSONDecodeError):
+        RunStore(path)
+    assert path.read_bytes() == intact[:-40] + b"\n" + intact  # nothing cut

@@ -21,6 +21,7 @@ from apemo.llm import (
     split_allocation,
 )
 from apemo.mock_server import MockModelServer
+from apemo.scheduler import PolicyKind, SchedulerConfig, run_trajectory
 
 DECODING = DecodingParams(temperature=0.2, top_p=0.9)
 
@@ -192,3 +193,51 @@ def test_executor_trap_injection_corrupts_prompt_once():
         first, retry = server.transcript
         assert "loop" in first["messages"][-1]["content"].lower()
         assert "loop" not in retry["messages"][-1]["content"].lower()
+
+
+class OverReportingServer(MockModelServer):
+    """Reports `num_predict + 5` completion tokens on the chosen requests."""
+
+    def __init__(self, over_requests, **kwargs):
+        super().__init__(**kwargs)
+        self.over_requests = set(over_requests)
+
+    def reply(self, body: dict, index: int) -> dict:
+        payload = super().reply(body, index)
+        if index in self.over_requests:
+            payload["eval_count"] = body["options"]["num_predict"] + 5
+        return payload
+
+
+def test_chat_complete_rejects_eval_count_above_cap():
+    with OverReportingServer({0}) as server:
+        with pytest.raises(ProtocolError, match="above num_predict"):
+            chat_complete(endpoint_for(server), [{"role": "user", "content": "x"}], DECODING, 10)
+
+
+def test_chat_complete_rejects_negative_counts():
+    class NegativeServer(MockModelServer):
+        def reply(self, body, index):
+            payload = super().reply(body, index)
+            payload["prompt_eval_count" if index == 0 else "eval_count"] = -1
+            return payload
+
+    with NegativeServer() as server:
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="negative"):
+                chat_complete(endpoint_for(server), [{"role": "user", "content": "x"}],
+                              DECODING, 10)
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.UNIFORM, PolicyKind.APEMO])
+def test_over_reported_turn_falls_back_within_cap(policy):
+    budget_cap = 400
+    with OverReportingServer({1}) as server:
+        executor = LlmExecutor(endpoint_for(server))
+        traj = run_trajectory(policy, executor, 4, budget_cap, seed=3,
+                              cfg=SchedulerConfig(task="plan the route"))
+    assert traj.fallback
+    assert traj.cost.total <= budget_cap
+    assert traj.turns[1].quality == 0.0  # the over-reported call kept no answer
+    if policy is PolicyKind.UNIFORM:
+        assert traj.turns[1].tokens_spent == 0

@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from apemo import stats
 from apemo.abm import AbmConfig
 from apemo.benchmark import BlockConfig, RuntimeSettings, run_block
 from apemo.scheduler import PolicyKind
@@ -116,6 +117,69 @@ def test_bootstrap_validation():
         bootstrap_ci([1.0], coverage=1.0)
 
 
+def reference_bootstrap_ci(samples, resamples=10_000, coverage=0.95, seed=0,
+                           draw_elements=10_000_000):
+    """The one-vector loop the stacked bootstrap must reproduce bit for bit."""
+    arr = np.asarray(samples, dtype=float)
+    n = arr.shape[0]
+    if np.all(arr == arr[0]):
+        return float(arr[0]), float(arr[0])
+    rng = np.random.default_rng(seed)
+    chunk = max(1, min(resamples, draw_elements // max(n, 1)))
+    means = np.empty(resamples, dtype=float)
+    done = 0
+    while done < resamples:
+        take = min(chunk, resamples - done)
+        idx = rng.integers(0, n, size=(take, n))
+        means[done : done + take] = arr[idx].mean(axis=1)
+        done += take
+    alpha = (1.0 - coverage) / 2.0
+    low, high = np.quantile(means, [alpha, 1.0 - alpha])
+    return float(low), float(high)
+
+
+def stacked_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(5, n)) * np.array([[1e-3], [1.0], [30.0], [1.0], [0.2]])
+    rows[1] = np.round(rows[1], 2)
+    rows[2] = 0.125  # a constant row in the middle of the stack
+    return rows.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 7, 30])
+@pytest.mark.parametrize("resamples", [4097, 10_000])
+def test_bootstrap_stack_rows_equal_one_vector_calls(n, resamples):
+    rows = stacked_rows(n, seed=n)
+    got = bootstrap_ci(rows, resamples=resamples, seed=1234)
+    assert isinstance(got, list) and len(got) == len(rows)
+    for row, interval in zip(rows, got):
+        expected = reference_bootstrap_ci(row, resamples=resamples, seed=1234)
+        assert interval == expected  # exact, not approx
+        assert bootstrap_ci(row, resamples=resamples, seed=1234) == expected
+    assert got[2] == (0.125, 0.125)
+
+
+def test_bootstrap_stack_multi_chunk_path(monkeypatch):
+    # 50 elements per draw gives n=7 a 7-resample chunk: 143 draws for 1001 resamples
+    monkeypatch.setattr(stats, "_DRAW_ELEMENTS", 50)
+    monkeypatch.setattr(stats, "_GATHER_ROWS", 3)
+    rows = stacked_rows(7, seed=3)
+    got = bootstrap_ci(rows, resamples=1001, seed=9)
+    for row, interval in zip(rows, got):
+        assert interval == reference_bootstrap_ci(row, resamples=1001, seed=9, draw_elements=50)
+
+
+def test_bootstrap_stack_rejects_ragged_and_empty_rows():
+    with pytest.raises(ValueError):
+        bootstrap_ci([[0.1, 0.2, 0.3], [0.1, 0.2]], resamples=100)
+    with pytest.raises(ValueError):
+        bootstrap_ci([[], []], resamples=100)
+    with pytest.raises(ValueError):
+        bootstrap_ci(np.empty((0, 4)), resamples=100)
+    with pytest.raises(ValueError):
+        bootstrap_ci(np.ones((2, 2, 2)), resamples=100)
+
+
 # ----------------------------------------------------------------- sign test
 
 
@@ -202,6 +266,30 @@ def test_block_report_rows_and_ci_ordering():
     assert not report.directional_only
     table = format_block_table(report)
     assert "task_peak_end" in table and "mean_quality" in table
+
+
+def test_block_report_draws_once_per_baseline(monkeypatch):
+    records = records_for(
+        [PolicyKind.APEMO, PolicyKind.TASK_PEAK_END, PolicyKind.UNIFORM], seeds=range(1, 7)
+    )
+    metrics = ["mean_quality", "total_cost", "avg_frustration"]
+    calls = []
+
+    def counting(samples, **kwargs):
+        calls.append(len(samples))
+        return bootstrap_ci(samples, **kwargs)
+
+    monkeypatch.setattr(stats, "bootstrap_ci", counting)
+    report = block_report(records, ["task_peak_end", "uniform"], metrics,
+                          resamples=1000, stats_seed=4)
+    assert calls == [len(metrics), len(metrics)]
+    for row in report.rows:
+        pairing = pair_runs(
+            [r for r in records if r.policy == "apemo"],
+            [r for r in records if r.policy == row.baseline],
+        )
+        deltas = metric_deltas(pairing, row.metric)
+        assert (row.ci_low, row.ci_high) == bootstrap_ci(deltas, resamples=1000, seed=4)
 
 
 def test_block_report_gate_annotation():

@@ -14,12 +14,10 @@ from apemo.trajectory import (
     Trajectory,
     TurnRecord,
     average_frustration,
-    coordination_cost,
     objective_value,
     peak_end_quality,
     reuse_per_cost,
     reuse_probability,
-    total_frustration,
 )
 
 
@@ -110,24 +108,6 @@ def test_average_frustration_values():
     assert average_frustration(make_traj([0.5] * 3, [0.0, 0.0, 0.0])) == 0.0
     assert average_frustration(make_traj([0.5] * 3, [0.2, 0.4, 0.6])) == pytest.approx(0.4)
     assert average_frustration(make_traj([0.5], [1.0])) == 1.0
-
-
-def test_total_frustration_is_sum():
-    assert total_frustration(make_traj([0.5] * 3, [0.2, 0.4, 0.6])) == pytest.approx(1.2)
-
-
-def test_coordination_cost_examples():
-    assert coordination_cost(CostBreakdown(0, 0, 0)) == 0
-    assert coordination_cost(CostBreakdown(1200, 300, 80)) == 1580
-    assert coordination_cost(CostBreakdown(5000, 0, 0)) == 5000
-
-
-def test_coordination_cost_additive():
-    rng = random.Random(7)
-    for _ in range(200):
-        a = CostBreakdown(rng.randrange(1000), rng.randrange(1000), rng.randrange(1000))
-        b = CostBreakdown(rng.randrange(1000), rng.randrange(1000), rng.randrange(1000))
-        assert coordination_cost(a.combine(b)) == coordination_cost(a) + coordination_cost(b)
 
 
 def test_cost_breakdown_rejects_negative():
