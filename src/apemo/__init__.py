@@ -1,7 +1,7 @@
 """Budget-scheduled multi-turn agent trajectories: policies, simulator,
 model-server executor, benchmark blocks, statistics, and frontier analysis."""
 
-from .abm import AbmConfig, TrapSpec, abm_step, make_abm_executor
+from .abm import AbmConfig, AbmExecutor, TrapSpec, abm_step
 from .benchmark import (
     BlockConfig,
     ReuseParams,

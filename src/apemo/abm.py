@@ -222,12 +222,3 @@ class AbmExecutor:
             trapped=trapped,
         )
 
-
-def make_abm_executor(
-    cfg: AbmConfig,
-    seed: int,
-    trap: TrapSpec | None = None,
-    ngram_order: int = 2,
-) -> AbmExecutor:
-    """Build a simulator executor implementing the scheduler's turn contract."""
-    return AbmExecutor(cfg, seed, trap=trap, ngram_order=ngram_order)

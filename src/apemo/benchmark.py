@@ -15,13 +15,13 @@ import os
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .abm import AbmConfig, TrapSpec, make_abm_executor
+from .abm import AbmConfig, AbmExecutor, TrapSpec
 from .executor import Executor
-from .llm import DecodingParams, LlmExecutor, ModelEndpoint, ping
+from .llm import DEFAULT_ROLE_SPLIT, DecodingParams, LlmExecutor, ModelEndpoint, ping
 from .scheduler import (
     POLICY_TRAITS,
     PolicyKind,
@@ -327,7 +327,7 @@ class RuntimeSettings:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     endpoint: Optional[ModelEndpoint] = None
     decoding: DecodingParams = field(default_factory=DecodingParams)
-    role_split: tuple[float, float, float] = (0.25, 0.6, 0.15)
+    role_split: tuple[float, float, float] = DEFAULT_ROLE_SPLIT
     critic_grading: bool = False
 
 
@@ -337,18 +337,11 @@ def _make_executor(
 ) -> Executor:
     order = settings.scheduler.signal.ngram_order
     if block.executor == "abm":
-        return make_abm_executor(block.abm, exec_seed, trap=block.trap, ngram_order=order)
+        return AbmExecutor(block.abm, exec_seed, trap=block.trap, ngram_order=order)
     if settings.endpoint is None:
         raise ValueError(f"block {block.name!r} needs an LLM endpoint configuration")
-    endpoint = ModelEndpoint(
-        base_url=settings.endpoint.base_url,
-        model_id=model_id,
-        timeout=settings.endpoint.timeout,
-        max_retries=settings.endpoint.max_retries,
-        backoff_base=settings.endpoint.backoff_base,
-    )
     return LlmExecutor(
-        endpoint,
+        replace(settings.endpoint, model_id=model_id),
         topology=POLICY_TRAITS[policy].topology,
         decoding=settings.decoding,
         role_split=settings.role_split,
@@ -369,16 +362,7 @@ def run_cell(
     trajectories = []
     for episode in range(block.episodes):
         task = TASKS[episode % len(TASKS)]
-        cfg = SchedulerConfig(
-            task=task,
-            signal=settings.scheduler.signal,
-            detection=settings.scheduler.detection,
-            skim_fraction=settings.scheduler.skim_fraction,
-            monitor_overhead=settings.scheduler.monitor_overhead,
-            max_repairs=settings.scheduler.max_repairs,
-            repair_factor=settings.scheduler.repair_factor,
-            ending_threshold=settings.scheduler.ending_threshold,
-        )
+        cfg = replace(settings.scheduler, task=task)
         exec_seed = derive_seed(model_id, seed, episode)
         executor = _make_executor(block, settings, model_id, exec_seed, policy)
         trajectories.append(

@@ -1,9 +1,12 @@
 """Configuration: one YAML file defines weights, knobs, endpoints, and blocks.
 
-Defaults are complete, so every command runs without a file; a file only
-overrides what it names. Unknown keys are rejected with their path so
-typos fail loudly. The server URL may come from the APEMO_SERVER_URL
-environment variable, but an explicit endpoint.base_url in the file wins.
+The dataclasses are the schema. Each YAML section builds one dataclass, its
+keys are the field names (under weights they drop the "_weight" suffix) and
+its defaults are the field defaults, so every command runs without a file;
+a file only overrides what it names. Unknown keys and bad values are
+rejected with their key path so typos fail loudly. The server URL may come
+from the APEMO_SERVER_URL environment variable, but an explicit
+endpoint.base_url in the file wins.
 """
 
 from __future__ import annotations
@@ -11,16 +14,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from enum import Enum
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from types import UnionType
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .abm import AbmConfig, TrapSpec
+from .abm import AbmConfig
 from .benchmark import BlockConfig, ReuseParams, RuntimeSettings, SCHEMA_VERSION
 from .llm import DecodingParams, ModelEndpoint
-from .scheduler import DetectionConfig, PolicyKind, SchedulerConfig
+from .scheduler import DetectionConfig, SchedulerConfig
 from .signals import SignalConfig
 from .trajectory import ObjectiveWeights
 
@@ -30,39 +37,6 @@ ENV_SERVER_URL = "APEMO_SERVER_URL"
 class ConfigError(ValueError):
     """A configuration file failed validation; the message names the key path."""
 
-
-DEFAULTS: dict[str, Any] = {
-    "schema_version": SCHEMA_VERSION,
-    "stats_seed": 1234,
-    "output_dir": "runs",
-    "workers": 1,
-    "resamples": 10_000,
-    "weights": {
-        "quality": 1.0, "reuse": 1.0, "frustration": 1.0, "cost": 1.0,
-        "peak": 0.5, "end": 0.5,
-    },
-    "signal": {"proxy_weights": [0.4, 0.4, 0.2], "ngram_order": 2, "smoothing": 0.3},
-    "detection": {
-        "quality_floor": 0.5, "drop_threshold": 0.2, "frustration_threshold": 0.7,
-    },
-    "scheduler": {
-        "skim_fraction": 0.2, "monitor_overhead": 15, "max_repairs": 2,
-        "repair_factor": 1.5, "ending_threshold": 0.75,
-    },
-    "reuse": {"quality_gain": 4.0, "frustration_gain": 4.0, "bias": -2.0},
-    "abm": {
-        "initial_quality": 0.6, "drift_rate": -0.02, "noise_sd": 0.05,
-        "uplift_gain": 0.25, "uplift_half": 800.0, "digest_tokens": 32,
-    },
-    "endpoint": {
-        "base_url": "http://127.0.0.1:11434", "model_id": "llama3.2:1b",
-        "timeout": 30.0, "max_retries": 2, "backoff_base": 0.25,
-    },
-    "decoding": {"temperature": 0.2, "top_p": 0.9},
-    "role_split": [0.25, 0.6, 0.15],
-    "critic_grading": False,
-    "blocks": {},
-}
 
 # Simulation blocks cover the standard grid shapes (models x seeds gives
 # per-policy run counts of 20 / 21 / 20 / 16); LLM blocks need a server.
@@ -149,20 +123,31 @@ DEFAULT_BLOCKS: dict[str, dict[str, Any]] = {
 }
 
 
+
+
 @dataclass(frozen=True)
 class AppConfig:
-    """Fully resolved configuration: runtime settings plus block definitions."""
+    """Fully resolved configuration: runtime settings plus block definitions.
 
-    stats_seed: int
-    output_dir: str
-    workers: int
-    resamples: int
+    The fields with a plain default are top-level config keys.
+    """
+
     settings: RuntimeSettings
     abm: AbmConfig
     blocks: dict[str, BlockConfig]
+    source_path: Optional[str]
+    raw: dict
+    stats_seed: int = 1234
+    output_dir: str = "runs"
+    workers: int = 1
+    resamples: int = 10_000
     schema_version: int = SCHEMA_VERSION
-    source_path: Optional[str] = None
-    raw: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.schema_version != SCHEMA_VERSION:
+            raise ValueError(
+                f"schema_version {self.schema_version} unsupported; expected {SCHEMA_VERSION}"
+            )
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -170,10 +155,120 @@ class AppConfig:
         ).hexdigest()[:16]
 
 
+# YAML section -> the dataclass it builds. A field named after a section
+# holds that section's object, so sections nest by name (the scheduler's
+# signal and detection, the runtime settings' weights ... decoding).
+_SECTIONS: dict[str, type] = {
+    "weights": ObjectiveWeights,
+    "signal": SignalConfig,
+    "detection": DetectionConfig,
+    "scheduler": SchedulerConfig,
+    "reuse": ReuseParams,
+    "abm": AbmConfig,
+    "endpoint": ModelEndpoint,
+    "decoding": DecodingParams,
+}
+
+
+@lru_cache(maxsize=None)
+def _keys(cls: type) -> dict[str, tuple[Any, Any]]:
+    """YAML key -> (field, resolved type) for each init field of cls."""
+    hints = get_type_hints(cls)
+    suffix = "_weight" if cls is ObjectiveWeights else ""
+    return {f.name.removesuffix(suffix): (f, hints[f.name]) for f in fields(cls) if f.init}
+
+
+def _defaults(cls: type) -> dict[str, Any]:
+    """Key -> default of each field of cls that a top-level key or a section sets.
+
+    Fields without a plain default are filled by the loader, and so is a field
+    named after a section. SchedulerConfig.task is set per episode by run_cell.
+    """
+    return {
+        key: f.default
+        for key, (f, _) in _keys(cls).items()
+        if f.default is not MISSING and f.name not in _SECTIONS
+        and not (cls is SchedulerConfig and f.name == "task")
+    }
+
+
+DEFAULTS: dict[str, Any] = {
+    **_defaults(AppConfig),
+    **_defaults(RuntimeSettings),
+    **{name: _defaults(cls) for name, cls in _SECTIONS.items()},
+    "blocks": {},
+}
+
+
+def _join(path: str, key: Any) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+@lru_cache(maxsize=None)
+def _kind(typ: Any) -> tuple[bool, Any, tuple]:
+    """(optional?, the type inside Optional, the item types of a tuple) of a field type."""
+    optional = get_origin(typ) in (Union, UnionType)
+    if optional:
+        typ = next(arg for arg in get_args(typ) if arg is not type(None))
+    return optional, typ, get_args(typ) if get_origin(typ) is tuple else ()
+
+
+def _coerce(value: Any, typ: Any, path: str) -> Any:
+    """Convert one YAML value to a field type; a YAML boolean fills only a bool."""
+    if type(value) is typ:  # already right: the common case, kept cheap
+        return value
+    optional, typ, items = _kind(typ)
+    if optional and value is None:
+        return None
+    if items:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        if Ellipsis not in items and len(value) != len(items):
+            raise ConfigError(f"{path} must have exactly {len(items)} items, got {len(value)}")
+        return tuple(_coerce(v, items[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if is_dataclass(typ):
+        return _build(typ, value, path)
+    if isinstance(value, bool) is not (typ is bool):
+        raise ConfigError(f"{path} must be {'true or false' if typ is bool else typ.__name__}, "
+                          f"got {value!r}")
+    if typ is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    try:
+        return typ(value)
+    except (TypeError, ValueError) as exc:
+        if issubclass(typ, Enum):
+            valid = ", ".join(member.value for member in typ)
+            raise ConfigError(f"{path}: unknown value {value!r}; valid: {valid}") from exc
+        raise ConfigError(f"{path} must be {typ.__name__}, got {value!r}") from exc
+
+
+def _build(cls: type, raw: Any, path: str, /, base: Any = None, **given: Any) -> Any:
+    """Build cls from a mapping of its keys; the given fields come from the caller.
+
+    With a base, the keys override the base's fields. Unknown or missing keys,
+    bad values and any ValueError from __post_init__ are reported under path.
+    """
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{path} must be a mapping")
+    keys = _keys(cls)
+    unknown = [k for k in raw if k not in keys or keys[k][0].name in given]
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(map(str, unknown))}")
+    for key, (f, _) in keys.items():
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and base is None and key not in raw and f.name not in given:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    values = {keys[k][0].name: _coerce(v, keys[k][1], _join(path, k)) for k, v in raw.items()}
+    try:
+        return replace(base, **values) if base is not None else cls(**given, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+
+
 def _merge(base: dict, override: Mapping, path: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
-        here = f"{path}.{key}" if path else key
+        here = _join(path, key)
         if key not in base:
             raise ConfigError(f"unknown config key: {here}")
         if isinstance(base[key], dict) and key != "blocks":
@@ -185,101 +280,39 @@ def _merge(base: dict, override: Mapping, path: str = "") -> dict:
     return out
 
 
-def _parse_seeds(raw: Any, path: str) -> tuple[int, ...]:
-    if isinstance(raw, Mapping):
-        unknown = set(raw) - {"count", "start"}
-        if unknown:
-            raise ConfigError(f"{path}: unknown seed keys {sorted(unknown)}")
-        count = int(raw.get("count", 0))
-        start = int(raw.get("start", 1))
-        if count < 1:
-            raise ConfigError(f"{path}: seed count must be >= 1")
-        return tuple(range(start, start + count))
-    if isinstance(raw, (list, tuple)):
-        if not raw:
-            raise ConfigError(f"{path}: seeds list must be non-empty")
-        return tuple(int(s) for s in raw)
-    raise ConfigError(f"{path}: seeds must be a list or {{count, start}}")
-
-
-def _parse_policy(name: str, path: str) -> PolicyKind:
-    try:
-        return PolicyKind(name)
-    except ValueError as exc:
-        valid = ", ".join(p.value for p in PolicyKind)
-        raise ConfigError(f"{path}: unknown policy {name!r}; valid: {valid}") from exc
-
-
-_BLOCK_KEYS = {
-    "executor", "models", "horizon", "episodes", "budget_cap", "policies",
-    "seeds", "trap", "abm", "strict",
-}
-
-
-def _parse_block(name: str, raw: Mapping, base_abm: AbmConfig) -> BlockConfig:
-    path = f"blocks.{name}"
-    unknown = set(raw) - _BLOCK_KEYS
+def _seed_range(raw: Mapping, path: str) -> list[int]:
+    """Expand the {count, start} shorthand into a list of seeds."""
+    unknown = set(raw) - {"count", "start"}
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    for required in ("executor", "models", "horizon", "episodes", "budget_cap", "policies", "seeds"):
-        if required not in raw:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-    trap = None
-    if raw.get("trap") is not None:
-        trap_raw = raw["trap"]
-        unknown = set(trap_raw) - {"trap_turn", "severity", "recovery_rate"}
-        if unknown:
-            raise ConfigError(f"{path}.trap: unknown keys {sorted(unknown)}")
-        trap = TrapSpec(
-            trap_turn=int(trap_raw["trap_turn"]),
-            severity=float(trap_raw["severity"]),
-            recovery_rate=float(trap_raw.get("recovery_rate", 0.3)),
-        )
-    abm_cfg = base_abm
-    if raw.get("abm"):
-        merged = {**_abm_dict(base_abm), **dict(raw["abm"])}
-        unknown = set(merged) - set(_abm_dict(base_abm))
-        if unknown:
-            raise ConfigError(f"{path}.abm: unknown keys {sorted(unknown)}")
-        abm_cfg = _build_abm(merged)
-    try:
-        return BlockConfig(
-            name=name,
-            executor=str(raw["executor"]),
-            models=tuple(str(m) for m in raw["models"]),
-            horizon=int(raw["horizon"]),
-            episodes=int(raw["episodes"]),
-            budget_cap=int(raw["budget_cap"]),
-            policies=tuple(_parse_policy(p, f"{path}.policies") for p in raw["policies"]),
-            seeds=_parse_seeds(raw["seeds"], f"{path}.seeds"),
-            trap=trap,
-            abm=abm_cfg,
-            strict=bool(raw.get("strict", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: unknown seed keys {sorted(unknown)}")
+    count = _coerce(raw.get("count", 0), int, f"{path}.count")
+    start = _coerce(raw.get("start", 1), int, f"{path}.start")
+    if count < 1:
+        raise ConfigError(f"{path}: seed count must be >= 1")
+    return list(range(start, start + count))
 
 
-def _abm_dict(cfg: AbmConfig) -> dict:
-    return {
-        "initial_quality": cfg.initial_quality,
-        "drift_rate": cfg.drift_rate,
-        "noise_sd": cfg.noise_sd,
-        "uplift_gain": cfg.uplift_gain,
-        "uplift_half": cfg.uplift_half,
-        "digest_tokens": cfg.digest_tokens,
-    }
+def _parse_block(name: str, raw: Any, base_abm: AbmConfig) -> BlockConfig:
+    """A block's abm mapping overrides the global abm section."""
+    path = f"blocks.{name}"
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{path} must be a mapping")
+    spec = dict(raw)
+    overrides = spec.pop("abm", None)
+    abm = _build(AbmConfig, overrides, f"{path}.abm", base=base_abm) if overrides else base_abm
+    if isinstance(spec.get("seeds"), Mapping):
+        spec["seeds"] = _seed_range(spec["seeds"], f"{path}.seeds")
+    return _build(BlockConfig, spec, path, name=name, abm=abm)
 
 
-def _build_abm(raw: Mapping) -> AbmConfig:
-    return AbmConfig(
-        initial_quality=float(raw["initial_quality"]),
-        drift_rate=float(raw["drift_rate"]),
-        noise_sd=float(raw["noise_sd"]),
-        uplift_gain=float(raw["uplift_gain"]),
-        uplift_half=float(raw["uplift_half"]),
-        digest_tokens=int(raw["digest_tokens"]),
-    )
+def _nested(cls: type, built: Mapping[str, Any]) -> dict[str, Any]:
+    """The fields of cls named after an already built section."""
+    return {f.name: built[f.name] for f in fields(cls) if f.name in built}
+
+
+def _top(cls: type, merged: Mapping[str, Any]) -> dict[str, Any]:
+    """The top-level keys that set fields of cls."""
+    return {key: merged[key] for key in _defaults(cls)}
 
 
 def load_config(path: Optional[str] = None, include_default_blocks: bool = True) -> AppConfig:
@@ -300,99 +333,20 @@ def load_config(path: Optional[str] = None, include_default_blocks: bool = True)
         file_sets_url = isinstance(raw.get("endpoint"), Mapping) and "base_url" in raw["endpoint"]
         file_blocks = raw.get("blocks") or {}
         merged = _merge(merged, {k: v for k, v in raw.items() if k != "blocks"})
-        blocks_merged = dict(merged["blocks"])
         if not isinstance(file_blocks, Mapping):
             raise ConfigError("blocks must be a mapping of name -> block definition")
-        for name, spec in file_blocks.items():
-            blocks_merged[name] = spec
-        merged["blocks"] = blocks_merged
+        merged["blocks"] = {**merged["blocks"], **file_blocks}
 
     env_url = os.environ.get(ENV_SERVER_URL)
     if env_url and not file_sets_url:
-        merged = dict(merged)
         merged["endpoint"] = {**merged["endpoint"], "base_url": env_url}
 
-    if int(merged["schema_version"]) != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version {merged['schema_version']} unsupported; expected {SCHEMA_VERSION}"
-        )
+    built: dict[str, Any] = {}
+    for name, cls in _SECTIONS.items():
+        built[name] = _build(cls, merged[name], name, **_nested(cls, built))
+    settings = _build(RuntimeSettings, _top(RuntimeSettings, merged), "",
+                      **_nested(RuntimeSettings, built))
+    blocks = {name: _parse_block(name, spec, built["abm"]) for name, spec in merged["blocks"].items()}
+    return _build(AppConfig, _top(AppConfig, merged), "", settings=settings, blocks=blocks,
+                  source_path=path, raw=merged, **_nested(AppConfig, built))
 
-    try:
-        weights = ObjectiveWeights(
-            quality_weight=float(merged["weights"]["quality"]),
-            reuse_weight=float(merged["weights"]["reuse"]),
-            frustration_weight=float(merged["weights"]["frustration"]),
-            cost_weight=float(merged["weights"]["cost"]),
-            peak_weight=float(merged["weights"]["peak"]),
-            end_weight=float(merged["weights"]["end"]),
-        )
-        signal = SignalConfig(
-            proxy_weights=tuple(float(w) for w in merged["signal"]["proxy_weights"]),
-            ngram_order=int(merged["signal"]["ngram_order"]),
-            smoothing=float(merged["signal"]["smoothing"]),
-        )
-        detection = DetectionConfig(
-            quality_floor=float(merged["detection"]["quality_floor"]),
-            drop_threshold=float(merged["detection"]["drop_threshold"]),
-            frustration_threshold=float(merged["detection"]["frustration_threshold"]),
-        )
-        sched = merged["scheduler"]
-        scheduler_cfg = SchedulerConfig(
-            signal=signal,
-            detection=detection,
-            skim_fraction=float(sched["skim_fraction"]),
-            monitor_overhead=int(sched["monitor_overhead"]),
-            max_repairs=int(sched["max_repairs"]),
-            repair_factor=float(sched["repair_factor"]),
-            ending_threshold=float(sched["ending_threshold"]),
-        )
-        reuse = ReuseParams(
-            quality_gain=float(merged["reuse"]["quality_gain"]),
-            frustration_gain=float(merged["reuse"]["frustration_gain"]),
-            bias=float(merged["reuse"]["bias"]),
-        )
-        abm = _build_abm(merged["abm"])
-        endpoint = ModelEndpoint(
-            base_url=str(merged["endpoint"]["base_url"]),
-            model_id=str(merged["endpoint"]["model_id"]),
-            timeout=float(merged["endpoint"]["timeout"]),
-            max_retries=int(merged["endpoint"]["max_retries"]),
-            backoff_base=float(merged["endpoint"]["backoff_base"]),
-        )
-        decoding = DecodingParams(
-            temperature=float(merged["decoding"]["temperature"]),
-            top_p=float(merged["decoding"]["top_p"]),
-        )
-        role_split = tuple(float(r) for r in merged["role_split"])
-        if len(role_split) != 3:
-            raise ConfigError("role_split must have exactly 3 ratios")
-        blocks = {
-            name: _parse_block(name, spec, abm)
-            for name, spec in merged["blocks"].items()
-        }
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid configuration value: {exc}") from exc
-
-    settings = RuntimeSettings(
-        weights=weights,
-        reuse=reuse,
-        scheduler=scheduler_cfg,
-        endpoint=endpoint,
-        decoding=decoding,
-        role_split=role_split,  # type: ignore[arg-type]
-        critic_grading=bool(merged["critic_grading"]),
-    )
-    serializable = {k: v for k, v in merged.items()}
-    return AppConfig(
-        stats_seed=int(merged["stats_seed"]),
-        output_dir=str(merged["output_dir"]),
-        workers=int(merged["workers"]),
-        resamples=int(merged["resamples"]),
-        settings=settings,
-        abm=abm,
-        blocks=blocks,
-        source_path=path,
-        raw=serializable,
-    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import requests
@@ -46,13 +46,12 @@ class DecodingParams:
 
     temperature: float = 0.2
     top_p: float = 0.9
-    max_tokens: Optional[int] = None  # static upper bound on top of per-turn caps
 
 
 @dataclass(frozen=True)
 class ModelEndpoint:
-    base_url: str
-    model_id: str
+    base_url: str = "http://127.0.0.1:11434"
+    model_id: str = "llama3.2:1b"
     timeout: float = 30.0
     max_retries: int = 2
     backoff_base: float = 0.25
@@ -66,10 +65,9 @@ class ModelEndpoint:
 
 @dataclass(frozen=True)
 class RoleSpec:
-    """One role in a turn topology: prompt template plus decoding."""
+    """One role in a turn topology and its decoding."""
 
     role: str  # single | planner | executor_role | critic
-    prompt_template: str
     decoding: DecodingParams = field(default_factory=DecodingParams)
 
 
@@ -90,13 +88,10 @@ def chat_complete(
     """One request/response round trip, completion capped at token_cap."""
     if token_cap < 1:
         raise ValueError(f"token_cap must be >= 1, got {token_cap}")
-    cap = token_cap
-    if decoding.max_tokens is not None:
-        cap = min(cap, decoding.max_tokens)
     options: dict = {
         "temperature": decoding.temperature,
         "top_p": decoding.top_p,
-        "num_predict": cap,
+        "num_predict": token_cap,
     }
     if seed is not None:
         options["seed"] = seed
@@ -121,7 +116,7 @@ def chat_complete(
             if attempt < endpoint.max_retries:
                 time.sleep(endpoint.backoff_base * (2**attempt))
             continue
-        return _parse_chat_response(resp, url, cap)
+        return _parse_chat_response(resp, url, token_cap)
     raise TransportError(f"request to {url} failed after {endpoint.max_retries + 1} attempts: {last_exc}")
 
 
@@ -302,9 +297,9 @@ def build_turn_messages(ctx: TurnContext, role: str, trapped: bool) -> list[dict
 
 def default_flow_roles(decoding: DecodingParams) -> tuple[RoleSpec, RoleSpec, RoleSpec]:
     return (
-        RoleSpec(role="planner", prompt_template="plan", decoding=decoding),
-        RoleSpec(role="executor_role", prompt_template="execute", decoding=decoding),
-        RoleSpec(role="critic", prompt_template="grade", decoding=decoding),
+        RoleSpec(role="planner", decoding=decoding),
+        RoleSpec(role="executor_role", decoding=decoding),
+        RoleSpec(role="critic", decoding=decoding),
     )
 
 
@@ -329,7 +324,6 @@ def run_flow_turn(
         raise ValueError(f"{len(roles)} roles but {len(split)} split ratios")
     shares = split_allocation(allocated_tokens, split)
 
-    plan_text = ""
     answer = ""
     grade: Optional[float] = None
     prompt_total = 0
@@ -345,31 +339,13 @@ def run_flow_turn(
         prompt_total += result.prompt_tokens
         completion_total += result.completion_tokens
         if role == "planner":
-            plan_text = result.text
-            work_ctx = TurnContext(
-                task=ctx.task,
-                turn=ctx.turn,
-                horizon=ctx.horizon,
-                attempt=ctx.attempt,
-                phase=ctx.phase,
-                prior_quality=ctx.prior_quality,
-                critique=ctx.critique,
-                history=ctx.history + ((f"plan: {plan_text}",) if plan_text else ()),
-            )
+            plan = (f"plan: {result.text}",) if result.text else ()
+            work_ctx = replace(ctx, history=ctx.history + plan)
         elif role == "critic":
             grade = parse_grade(result.text)
         else:
             answer = result.text
-            work_ctx = TurnContext(
-                task=ctx.task,
-                turn=ctx.turn,
-                horizon=ctx.horizon,
-                attempt=ctx.attempt,
-                phase=ctx.phase,
-                prior_quality=ctx.prior_quality,
-                critique=ctx.critique,
-                history=ctx.history + (answer,),
-            )
+            work_ctx = replace(ctx, history=ctx.history + (answer,))
 
     quality = grade if grade is not None else heuristic_quality(ctx.task, answer)
     return TurnOutcome(

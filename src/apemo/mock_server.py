@@ -21,6 +21,9 @@ from typing import Callable, Optional
 
 ScriptFn = Callable[[dict, int], str]
 
+# How often serve_forever checks for shutdown; stop() waits up to this long.
+_POLL_INTERVAL_S = 0.05
+
 
 def default_script(body: dict, index: int) -> str:
     """Produce a plausible reply from the last user message.
@@ -145,7 +148,11 @@ class MockModelServer:
     def start(self) -> "MockModelServer":
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
         self._httpd.owner = self  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": _POLL_INTERVAL_S},
+            daemon=True,
+        )
         self._thread.start()
         return self
 

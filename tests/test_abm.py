@@ -8,11 +8,11 @@ import pytest
 from apemo import abm
 from apemo.abm import (
     AbmConfig,
+    AbmExecutor,
     AbmState,
     TrapSpec,
     abm_step,
     compute_uplift,
-    make_abm_executor,
     trap_shift,
 )
 from apemo.executor import TurnContext
@@ -73,7 +73,7 @@ def test_trap_shift_geometric_recovery():
 def test_closed_form_fixed_point_under_constant_allocation():
     # drift 0, noise 0: q_{t+1} = min(1, q_t + uplift(a)); reaches 1 and stays
     cfg = AbmConfig(initial_quality=0.6, drift_rate=0.0, noise_sd=0.0)
-    executor = make_abm_executor(cfg, seed=3)
+    executor = AbmExecutor(cfg, seed=3)
     alloc = 1000
     expected = 0.6
     qualities = []
@@ -93,7 +93,7 @@ def test_same_seed_replays_identically():
     trap = TrapSpec(3, 0.5)
     outs = []
     for _ in range(2):
-        executor = make_abm_executor(cfg, seed=11, trap=trap)
+        executor = AbmExecutor(cfg, seed=11, trap=trap)
         prior = None
         seq = []
         for turn in range(1, 7):
@@ -108,8 +108,8 @@ def test_same_seed_replays_identically():
 def test_different_seeds_differ():
     cfg = AbmConfig()
     ctx = TurnContext(task="plan the route", turn=1, horizon=4, prior_quality=0.6)
-    a = make_abm_executor(cfg, seed=1).execute_turn(ctx, 300, seed=1)
-    b = make_abm_executor(cfg, seed=2).execute_turn(ctx, 300, seed=2)
+    a = AbmExecutor(cfg, seed=1).execute_turn(ctx, 300, seed=1)
+    b = AbmExecutor(cfg, seed=2).execute_turn(ctx, 300, seed=2)
     assert a.quality != b.quality or a.digest != b.digest
 
 
@@ -117,15 +117,15 @@ def test_digest_is_allocation_independent():
     # same seed and state, different allocations: identical digest, different quality
     cfg = AbmConfig()
     ctx = TurnContext(task="plan the route", turn=1, horizon=4, prior_quality=0.6)
-    a = make_abm_executor(cfg, seed=5).execute_turn(ctx, 100, seed=5)
-    b = make_abm_executor(cfg, seed=5).execute_turn(ctx, 1500, seed=5)
+    a = AbmExecutor(cfg, seed=5).execute_turn(ctx, 100, seed=5)
+    b = AbmExecutor(cfg, seed=5).execute_turn(ctx, 1500, seed=5)
     assert a.digest == b.digest
     assert b.quality > a.quality
 
 
 def test_trapped_flag_only_on_first_attempt_at_trap_turn():
     cfg = AbmConfig()
-    executor = make_abm_executor(cfg, seed=4, trap=TrapSpec(2, 0.3))
+    executor = AbmExecutor(cfg, seed=4, trap=TrapSpec(2, 0.3))
     first = executor.execute_turn(
         TurnContext(task="t", turn=2, horizon=4, prior_quality=0.6), 100, seed=4
     )
@@ -235,7 +235,7 @@ def test_task_tokenized_once_per_task(monkeypatch):
     monkeypatch.setattr(abm, "tokenize", counting)
     abm._task_tokens.cache_clear()
     for seed in (2, 3):
-        executor = make_abm_executor(AbmConfig(), seed=seed)
+        executor = AbmExecutor(AbmConfig(), seed=seed)
         for turn in range(1, 5):
             ctx = TurnContext(task="plan the route", turn=turn, horizon=4)
             executor.execute_turn(ctx, 100, seed=seed)

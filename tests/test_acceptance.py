@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apemo.abm import AbmConfig, TrapSpec, make_abm_executor
+from apemo.abm import AbmConfig, AbmExecutor, TrapSpec
 from apemo.benchmark import (
     BlockConfig,
     RunRecord,
@@ -81,7 +81,7 @@ def test_criterion_01_budget_safety_fuzz():
             noise_sd=rng.uniform(0.0, 0.25),
             digest_tokens=12,
         )
-        executor = make_abm_executor(abm, trial, trap=trap)
+        executor = AbmExecutor(abm, trial, trap=trap)
         traj = run_trajectory(policy, executor, horizon, cap, trial, cfg)
         if traj.cost.total > cap:
             violations += 1
@@ -128,8 +128,8 @@ def test_criterion_03_policy_reduction():
     abm = AbmConfig()
     mismatches = 0
     for seed in range(100):
-        a = run_trajectory(PolicyKind.APEMO, make_abm_executor(abm, seed), 8, 1600, seed, cfg)
-        u = run_trajectory(PolicyKind.UNIFORM, make_abm_executor(abm, seed), 8, 1600, seed, cfg)
+        a = run_trajectory(PolicyKind.APEMO, AbmExecutor(abm, seed), 8, 1600, seed, cfg)
+        u = run_trajectory(PolicyKind.UNIFORM, AbmExecutor(abm, seed), 8, 1600, seed, cfg)
         da, du = a.to_dict(), u.to_dict()
         da.pop("policy")
         du.pop("policy")
@@ -180,9 +180,9 @@ def test_criterion_05_horizon_ordering():
     def gain(horizon: int) -> float:
         gains = []
         for seed in range(1, 51):
-            a = run_trajectory(PolicyKind.APEMO, make_abm_executor(abm, seed),
+            a = run_trajectory(PolicyKind.APEMO, AbmExecutor(abm, seed),
                                horizon, 680, seed, cfg)
-            u = run_trajectory(PolicyKind.UNIFORM, make_abm_executor(abm, seed),
+            u = run_trajectory(PolicyKind.UNIFORM, AbmExecutor(abm, seed),
                                horizon, 680, seed, cfg)
             gains.append(sum(a.qualities()) / horizon - sum(u.qualities()) / horizon)
         return float(np.mean(gains))

@@ -1,0 +1,207 @@
+"""Config schema: accepted keys, resolved values, config hashes, input errors."""
+
+from __future__ import annotations
+
+import pytest
+import yaml
+
+from apemo.abm import AbmConfig, TrapSpec
+from apemo.benchmark import BlockConfig, ReuseParams, RuntimeSettings
+from apemo.config import ConfigError, load_config
+from apemo.llm import DecodingParams, ModelEndpoint
+from apemo.scheduler import DetectionConfig, PolicyKind, SchedulerConfig
+from apemo.signals import SignalConfig
+from apemo.trajectory import ObjectiveWeights
+
+from test_cli import TINY_CONFIG
+
+
+@pytest.fixture(autouse=True)
+def _no_env_url(monkeypatch):
+    monkeypatch.delenv("APEMO_SERVER_URL", raising=False)
+
+
+def _write(tmp_path, data) -> str:
+    path = tmp_path / "config.yaml"
+    text = data if isinstance(data, str) else yaml.safe_dump(data)
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_config_hashes_are_pinned(tmp_path):
+    assert load_config(None).config_hash() == "86b46372d2ddd99e"
+    assert load_config(None, include_default_blocks=False).config_hash() == "86572048f23fdafc"
+    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "c2d67806b37c5e8d"
+
+
+def test_defaults_equal_dataclass_defaults():
+    cfg = load_config(None, include_default_blocks=False)
+    assert cfg.settings == RuntimeSettings(
+        endpoint=ModelEndpoint("http://127.0.0.1:11434", "llama3.2:1b")
+    )
+    assert cfg.abm == AbmConfig()
+    assert cfg.blocks == {}
+    assert (cfg.stats_seed, cfg.output_dir, cfg.workers, cfg.resamples) == (1234, "runs", 1, 10_000)
+
+
+def _key_paths(tree: dict, prefix: str = "") -> set[str]:
+    paths = set()
+    for key, value in tree.items():
+        here = f"{prefix}{key}"
+        if isinstance(value, dict) and key != "blocks":
+            paths |= _key_paths(value, here + ".")
+        else:
+            paths.add(here)
+    return paths
+
+
+ACCEPTED_KEY_PATHS = {
+    "schema_version", "stats_seed", "output_dir", "workers", "resamples",
+    "role_split", "critic_grading", "blocks",
+    "weights.quality", "weights.reuse", "weights.frustration", "weights.cost",
+    "weights.peak", "weights.end",
+    "signal.proxy_weights", "signal.ngram_order", "signal.smoothing",
+    "detection.quality_floor", "detection.drop_threshold", "detection.frustration_threshold",
+    "scheduler.skim_fraction", "scheduler.monitor_overhead", "scheduler.max_repairs",
+    "scheduler.repair_factor", "scheduler.ending_threshold",
+    "reuse.quality_gain", "reuse.frustration_gain", "reuse.bias",
+    "abm.initial_quality", "abm.drift_rate", "abm.noise_sd", "abm.uplift_gain",
+    "abm.uplift_half", "abm.digest_tokens",
+    "endpoint.base_url", "endpoint.model_id", "endpoint.timeout", "endpoint.max_retries",
+    "endpoint.backoff_base",
+    "decoding.temperature", "decoding.top_p",
+}
+
+
+def test_resolved_key_set_is_pinned():
+    assert _key_paths(load_config(None).raw) == ACCEPTED_KEY_PATHS
+
+
+EVERY_KEY = {
+    "schema_version": 1,
+    "stats_seed": 99,
+    "output_dir": "out_x",
+    "workers": 3,
+    "resamples": 2000,
+    "weights": {"quality": 2.0, "reuse": 3.0, "frustration": 4.0, "cost": 5.0,
+                "peak": 0.7, "end": 0.3},
+    "signal": {"proxy_weights": [0.5, 0.3, 0.2], "ngram_order": 3, "smoothing": 0.1},
+    "detection": {"quality_floor": 0.4, "drop_threshold": 0.15, "frustration_threshold": 0.8},
+    "scheduler": {"skim_fraction": 0.3, "monitor_overhead": 10, "max_repairs": 3,
+                  "repair_factor": 2.0, "ending_threshold": 0.6},
+    "reuse": {"quality_gain": 3.0, "frustration_gain": 5.0, "bias": -1.0},
+    "abm": {"initial_quality": 0.7, "drift_rate": -0.01, "noise_sd": 0.08,
+            "uplift_gain": 0.3, "uplift_half": 600.0, "digest_tokens": 24},
+    "endpoint": {"base_url": "http://host:1", "model_id": "m", "timeout": 5.0,
+                 "max_retries": 4, "backoff_base": 0.5},
+    "decoding": {"temperature": 0.7, "top_p": 0.8},
+    "role_split": [0.3, 0.5, 0.2],
+    "critic_grading": True,
+    "blocks": {
+        "b": {
+            "executor": "llm",
+            "models": ["x", "y"],
+            "horizon": 6,
+            "episodes": 3,
+            "budget_cap": 900,
+            "policies": ["uniform", "apemo"],
+            "seeds": [4, 5],
+            "trap": {"trap_turn": 3, "severity": 0.5, "recovery_rate": 0.2},
+            "abm": {"initial_quality": 0.5, "drift_rate": -0.03, "noise_sd": 0.09,
+                    "uplift_gain": 0.2, "uplift_half": 700.0, "digest_tokens": 16},
+            "strict": True,
+        }
+    },
+}
+
+
+def test_every_key_lands_on_its_field(tmp_path):
+    cfg = load_config(_write(tmp_path, EVERY_KEY), include_default_blocks=False)
+    assert (cfg.stats_seed, cfg.output_dir, cfg.workers, cfg.resamples) == (99, "out_x", 3, 2000)
+    assert cfg.settings == RuntimeSettings(
+        weights=ObjectiveWeights(quality_weight=2.0, reuse_weight=3.0, frustration_weight=4.0,
+                                 cost_weight=5.0, peak_weight=0.7, end_weight=0.3),
+        reuse=ReuseParams(quality_gain=3.0, frustration_gain=5.0, bias=-1.0),
+        scheduler=SchedulerConfig(
+            signal=SignalConfig(proxy_weights=(0.5, 0.3, 0.2), ngram_order=3, smoothing=0.1),
+            detection=DetectionConfig(quality_floor=0.4, drop_threshold=0.15,
+                                      frustration_threshold=0.8),
+            skim_fraction=0.3, monitor_overhead=10, max_repairs=3, repair_factor=2.0,
+            ending_threshold=0.6,
+        ),
+        endpoint=ModelEndpoint(base_url="http://host:1", model_id="m", timeout=5.0,
+                               max_retries=4, backoff_base=0.5),
+        decoding=DecodingParams(temperature=0.7, top_p=0.8),
+        role_split=(0.3, 0.5, 0.2),
+        critic_grading=True,
+    )
+    assert cfg.abm == AbmConfig(initial_quality=0.7, drift_rate=-0.01, noise_sd=0.08,
+                                uplift_gain=0.3, uplift_half=600.0, digest_tokens=24)
+    assert cfg.blocks == {
+        "b": BlockConfig(
+            name="b", executor="llm", models=("x", "y"), horizon=6, episodes=3,
+            budget_cap=900, policies=(PolicyKind.UNIFORM, PolicyKind.APEMO), seeds=(4, 5),
+            trap=TrapSpec(trap_turn=3, severity=0.5, recovery_rate=0.2),
+            abm=AbmConfig(initial_quality=0.5, drift_rate=-0.03, noise_sd=0.09,
+                          uplift_gain=0.2, uplift_half=700.0, digest_tokens=16),
+            strict=True,
+        )
+    }
+
+
+def test_block_abm_overrides_start_from_the_global_abm(tmp_path):
+    cfg = load_config(_write(tmp_path, {
+        "abm": {"drift_rate": -0.05, "digest_tokens": 20},
+        "blocks": {"b": {**EVERY_KEY["blocks"]["b"], "abm": {"noise_sd": 0.2}}},
+    }), include_default_blocks=False)
+    assert cfg.blocks["b"].abm == AbmConfig(drift_rate=-0.05, digest_tokens=20, noise_sd=0.2)
+
+
+@pytest.mark.parametrize("text, path", [
+    ("decoding: {max_tokens: 10}\n", "decoding.max_tokens"),
+    ("scheduler: {task: plan}\n", "scheduler.task"),
+    ("scheduler: {signal: {}}\n", "scheduler.signal"),
+    ("weights: {quality_weight: 2.0}\n", "weights.quality_weight"),
+    ("settings: {}\n", "settings"),
+    ("source_path: x.yaml\n", "source_path"),
+])
+def test_non_keys_rejected_with_path(tmp_path, text, path):
+    with pytest.raises(ConfigError, match=f"unknown config key: {path}"):
+        load_config(_write(tmp_path, text))
+
+
+def _block(**extra) -> dict:
+    spec = {"executor": "abm", "models": ["m"], "horizon": 8, "episodes": 1,
+            "budget_cap": 100, "policies": ["apemo"], "seeds": [1]}
+    return {"blocks": {"b": {**spec, **extra}}}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"critic_grading": "false"}, "critic_grading must be true or false, got 'false'"),
+    (_block(strict="no"), "blocks.b.strict must be true or false, got 'no'"),
+    (_block(horizon=2.9), "blocks.b.horizon must be an integer, got 2.9"),
+    (_block(horizon=True), "blocks.b.horizon must be int, got True"),
+    ({"scheduler": {"max_repairs": 1.5}}, "scheduler.max_repairs must be an integer, got 1.5"),
+    (_block(trap={"severity": 0.4}), "blocks.b.trap: missing required key 'trap_turn'"),
+    ({"blocks": {"b": 5}}, "blocks.b must be a mapping"),
+    ({"scheduler": {"skim_fraction": 1.5}}, "scheduler: skim_fraction must be in [0, 1), got 1.5"),
+    (_block(name="x"), "blocks.b: unknown keys ['name']"),
+    (_block(abm={"noise": 0.1}), "blocks.b.abm: unknown keys ['noise']"),
+    (_block(trap={"trap_turn": 3, "severity": 0.4, "turn": 2}), "blocks.b.trap: unknown keys ['turn']"),
+    (_block(policies=["zigzag"]), "blocks.b.policies[0]: unknown value 'zigzag'"),
+    (_block(seeds={"count": 0}), "blocks.b.seeds: seed count must be >= 1"),
+    ({"role_split": [0.5, 0.5]}, "role_split must have exactly 3 items, got 2"),
+    ({"schema_version": 2}, "schema_version 2 unsupported; expected 1"),
+])
+def test_bad_values_rejected_with_path(tmp_path, data, message):
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, data), include_default_blocks=False)
+    assert str(info.value).startswith(message)
+
+
+def test_integral_floats_and_yaml_booleans_accepted(tmp_path):
+    cfg = load_config(_write(tmp_path, {"critic_grading": True, **_block(horizon=6.0, strict=False)}),
+                      include_default_blocks=False)
+    assert cfg.settings.critic_grading is True
+    assert cfg.blocks["b"].horizon == 6 and isinstance(cfg.blocks["b"].horizon, int)
+    assert cfg.blocks["b"].strict is False

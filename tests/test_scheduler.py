@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from apemo import scheduler
-from apemo.abm import AbmConfig, TrapSpec, make_abm_executor
+from apemo.abm import AbmConfig, AbmExecutor, TrapSpec
 from apemo.executor import ExecutorError, TurnContext, TurnOutcome
 from apemo.scheduler import (
     POLICY_TRAITS,
@@ -152,7 +152,7 @@ def test_ledger_never_exceeds_cap():
 
 def test_single_turn_trajectory():
     cfg = no_overhead_cfg()
-    executor = make_abm_executor(AbmConfig(), seed=1)
+    executor = AbmExecutor(AbmConfig(), seed=1)
     traj = run_trajectory(PolicyKind.UNIFORM, executor, 1, 1000, 1, cfg)
     assert traj.horizon == 1
     assert traj.cost.total <= 1000
@@ -162,7 +162,7 @@ def test_single_turn_trajectory():
 def test_scripted_trap_repaired_and_endpoint_recovers():
     cfg = SchedulerConfig()
     trap = TrapSpec(4, 0.4)
-    executor = make_abm_executor(AbmConfig(), seed=9, trap=trap)
+    executor = AbmExecutor(AbmConfig(), seed=9, trap=trap)
     traj = run_trajectory(PolicyKind.APEMO, executor, 8, 1600, 9, cfg)
     assert traj.turns[3].trapped
     assert traj.turns[3].repaired or traj.turns[4].repaired
@@ -173,8 +173,8 @@ def test_turn1_digest_identical_across_policies_same_seed():
     # temporal policies must not alter the generator, only allocation
     cfg = SchedulerConfig()
     for seed in range(20):
-        a = run_trajectory(PolicyKind.APEMO, make_abm_executor(AbmConfig(), seed), 8, 1600, seed, cfg)
-        u = run_trajectory(PolicyKind.UNIFORM, make_abm_executor(AbmConfig(), seed), 8, 1600, seed, cfg)
+        a = run_trajectory(PolicyKind.APEMO, AbmExecutor(AbmConfig(), seed), 8, 1600, seed, cfg)
+        u = run_trajectory(PolicyKind.UNIFORM, AbmExecutor(AbmConfig(), seed), 8, 1600, seed, cfg)
         assert a.turns[0].output_digest == u.turns[0].output_digest
 
 
@@ -183,7 +183,7 @@ def test_non_temporal_policies_never_repair():
     trap = TrapSpec(3, 0.5)
     for policy in (PolicyKind.UNIFORM, PolicyKind.FLOW_PLAIN, PolicyKind.PLAN_EXECUTE):
         for seed in range(10):
-            executor = make_abm_executor(AbmConfig(), seed, trap=trap)
+            executor = AbmExecutor(AbmConfig(), seed, trap=trap)
             traj = run_trajectory(policy, executor, 6, 1200, seed, cfg)
             assert not any(t.repaired for t in traj.turns)
             assert traj.cost.repair_cost == 0
@@ -193,7 +193,7 @@ def test_repair_count_bounded():
     cfg = SchedulerConfig(max_repairs=2)
     trap = TrapSpec(3, 0.6)
     for seed in range(30):
-        executor = make_abm_executor(AbmConfig(noise_sd=0.15), seed, trap=trap)
+        executor = AbmExecutor(AbmConfig(noise_sd=0.15), seed, trap=trap)
         traj = run_trajectory(PolicyKind.APEMO, executor, 8, 1600, seed, cfg)
         assert sum(1 for t in traj.turns if t.repaired) <= 2 + 2
 
@@ -206,8 +206,8 @@ def test_reduction_to_uniform_bit_identical():
         monitor_overhead=0,
     )
     for seed in range(25):
-        a = run_trajectory(PolicyKind.APEMO, make_abm_executor(AbmConfig(), seed), 8, 1600, seed, cfg)
-        u = run_trajectory(PolicyKind.UNIFORM, make_abm_executor(AbmConfig(), seed), 8, 1600, seed, cfg)
+        a = run_trajectory(PolicyKind.APEMO, AbmExecutor(AbmConfig(), seed), 8, 1600, seed, cfg)
+        u = run_trajectory(PolicyKind.UNIFORM, AbmExecutor(AbmConfig(), seed), 8, 1600, seed, cfg)
         da, du = a.to_dict(), u.to_dict()
         da.pop("policy")
         du.pop("policy")
@@ -221,7 +221,7 @@ def test_thresholds_unreachable_gives_uniform_plus_reserve():
         ending_threshold=0.0,  # endings never re-executed either
     )
     seed = 3
-    traj = run_trajectory(PolicyKind.APEMO, make_abm_executor(AbmConfig(), seed), 8, 8000, seed, cfg)
+    traj = run_trajectory(PolicyKind.APEMO, AbmExecutor(AbmConfig(), seed), 8, 8000, seed, cfg)
     assert [t.tokens_spent for t in traj.turns] == [800] * 6 + [1000, 1000]
     assert traj.cost.repair_cost == 0
 
@@ -231,7 +231,7 @@ def test_determinism_same_inputs_same_serialization():
     trap = TrapSpec(4, 0.4)
     runs = []
     for _ in range(2):
-        executor = make_abm_executor(AbmConfig(), 17, trap=trap)
+        executor = AbmExecutor(AbmConfig(), 17, trap=trap)
         runs.append(run_trajectory(PolicyKind.APEMO, executor, 8, 1600, 17, cfg).to_json())
     assert runs[0] == runs[1]
 
@@ -239,7 +239,7 @@ def test_determinism_same_inputs_same_serialization():
 def test_budget_cap_precondition():
     cfg = SchedulerConfig()
     with pytest.raises(ValueError):
-        run_trajectory(PolicyKind.UNIFORM, make_abm_executor(AbmConfig(), 1), 8, 7, 1, cfg)
+        run_trajectory(PolicyKind.UNIFORM, AbmExecutor(AbmConfig(), 1), 8, 7, 1, cfg)
 
 
 def test_policy_serialized_names_exact():
@@ -254,10 +254,10 @@ def test_reflection_pass_charges_policy_cost_not_repair():
     cfg = no_overhead_cfg()
     for seed in range(10):
         base = run_trajectory(
-            PolicyKind.PLAN_EXECUTE, make_abm_executor(AbmConfig(), seed), 4, 1000, seed, cfg
+            PolicyKind.PLAN_EXECUTE, AbmExecutor(AbmConfig(), seed), 4, 1000, seed, cfg
         )
         reflected = run_trajectory(
-            PolicyKind.PLAN_EXECUTE_REFLECT, make_abm_executor(AbmConfig(), seed), 4, 1000, seed, cfg
+            PolicyKind.PLAN_EXECUTE_REFLECT, AbmExecutor(AbmConfig(), seed), 4, 1000, seed, cfg
         )
         assert reflected.cost.repair_cost == 0
         assert not any(t.repaired for t in reflected.turns)
@@ -322,7 +322,7 @@ def test_budget_safety_fuzz():
             drift_rate=rng.uniform(-0.08, 0.04),
             noise_sd=rng.uniform(0.0, 0.25),
         )
-        executor = make_abm_executor(abm, trial, trap=trap)
+        executor = AbmExecutor(abm, trial, trap=trap)
         traj = run_trajectory(policy, executor, horizon, cap, trial, cfg)
         assert traj.cost.total <= cap
         spent = sum(t.tokens_spent for t in traj.turns)
@@ -347,7 +347,7 @@ def test_over_reported_tokens_never_overdraw(policy):
     cap = 680
     repaired = 0
     for seed in range(1, 6):
-        inner = make_abm_executor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
+        inner = AbmExecutor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
         traj = run_trajectory(policy, OverReportingExecutor(inner, 50), 8, cap, seed, cfg)
         assert traj.cost.total <= cap
         assert sum(t.tokens_spent for t in traj.turns) == (
@@ -370,6 +370,6 @@ def test_detection_score_reused_when_no_repair(monkeypatch):
 
     monkeypatch.setattr(scheduler, "compute_proxies", counting)
     cfg = no_overhead_cfg(max_repairs=0, ending_threshold=0.0)
-    traj = run_trajectory(PolicyKind.APEMO, make_abm_executor(AbmConfig(), 3), 8, 4000, 3, cfg)
+    traj = run_trajectory(PolicyKind.APEMO, AbmExecutor(AbmConfig(), 3), 8, 4000, 3, cfg)
     assert not any(t.repaired for t in traj.turns)
     assert len(calls) == 8
