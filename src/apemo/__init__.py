@@ -18,7 +18,6 @@ from .llm import (
     DecodingParams,
     LlmExecutor,
     ModelEndpoint,
-    RoleSpec,
     chat_complete,
     run_flow_turn,
     score_quality,

@@ -3,7 +3,7 @@
 The latent quality process is a clamped random walk: per-turn drift,
 Gaussian noise, a saturating compute uplift, and an optional one-shot
 trap impulse followed by geometric passive recovery. Synthetic output
-digests are generated so that repetition and drift statistics rise as
+tokens are generated so that repetition and drift statistics rise as
 the latent level falls, giving the affect proxies real signal.
 
 Every draw derives from (executor seed, trajectory seed, turn, attempt),
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .executor import TurnContext, TurnOutcome
-from .signals import TextDigest, tokenize
+from .signals import tokenize
 
 STALL_TOKENS = ("again", "loop", "redo", "stuck", "same", "retry")
 
@@ -65,22 +65,6 @@ class AbmConfig:
             raise ValueError(f"digest_tokens must be >= 8, got {self.digest_tokens}")
 
 
-@dataclass
-class AbmState:
-    """Per-step simulator state: latent level, process parameters, RNG."""
-
-    latent_quality: float
-    drift_rate: float
-    noise_sd: float
-    uplift_gain: float
-    uplift_half: float
-    rng: np.random.Generator
-    digest_tokens: int = 32
-    task_tokens: tuple[str, ...] = ()
-    ngram_order: int = 2
-    apply_trap_impulse: bool = True
-
-
 def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
@@ -110,15 +94,14 @@ def trap_shift(trap: TrapSpec | None, turn: int, apply_impulse: bool = True) -> 
     return 0.0
 
 
-def _synthetic_digest(
+def _synthetic_tokens(
     raw_level: float,
     turn: int,
     rng: np.random.Generator,
     base_tokens: int,
     task_tokens: tuple[str, ...],
-    order: int,
-) -> TextDigest:
-    """Generate a digest whose repetition/drift statistics degrade with raw_level.
+) -> tuple[str, ...]:
+    """Generate output tokens whose repetition/drift statistics degrade with raw_level.
 
     Low raw levels produce mostly stall filler (high cross-turn n-gram
     overlap); high levels produce task tokens plus fresh content.
@@ -138,87 +121,72 @@ def _synthetic_digest(
     if n_fill > 0:
         idx = rng.integers(0, len(STALL_TOKENS), size=n_fill)
         tokens.extend(STALL_TOKENS[i] for i in idx.tolist())
-    # n_task + n_fresh + n_fill == length, so token_count is the synthetic output length
-    return TextDigest.from_tokens(tokens, order)
+    # n_task + n_fresh + n_fill == length, the synthetic output length
+    return tuple(tokens)
 
 
 def abm_step(
-    state: AbmState,
+    cfg: AbmConfig,
+    rng: np.random.Generator,
+    latent: float,
     allocated_tokens: int,
     turn: int,
+    task_tokens: tuple[str, ...],
     trap: TrapSpec | None = None,
-) -> tuple[float, TextDigest, int]:
-    """Advance the latent process one turn and emit (quality, digest, tokens_used).
+    apply_trap_impulse: bool = True,
+) -> tuple[float, tuple[str, ...]]:
+    """Advance the latent process one turn and emit (quality, output tokens).
 
     quality = clamp(latent + drift + noise + uplift(tokens) + trap shift).
-    The digest is generated from the pre-uplift level, so it depends only on
-    the seed and environment, never on the allocation.
+    The tokens are generated from the pre-uplift level, so they depend only
+    on the seed and environment, never on the allocation.
     """
     if allocated_tokens < 0:
         raise ValueError(f"allocated_tokens must be >= 0, got {allocated_tokens}")
-    noise = float(state.rng.normal(0.0, state.noise_sd)) if state.noise_sd > 0 else 0.0
-    raw = _clamp01(
-        state.latent_quality
-        + state.drift_rate
-        + noise
-        + trap_shift(trap, turn, state.apply_trap_impulse)
-    )
-    quality = _clamp01(raw + compute_uplift(state.uplift_gain, state.uplift_half, allocated_tokens))
-    digest = _synthetic_digest(
-        raw, turn, state.rng, state.digest_tokens, state.task_tokens, state.ngram_order
-    )
-    return quality, digest, allocated_tokens
+    noise = float(rng.normal(0.0, cfg.noise_sd)) if cfg.noise_sd > 0 else 0.0
+    raw = _clamp01(latent + cfg.drift_rate + noise + trap_shift(trap, turn, apply_trap_impulse))
+    quality = _clamp01(raw + compute_uplift(cfg.uplift_gain, cfg.uplift_half, allocated_tokens))
+    tokens = _synthetic_tokens(raw, turn, rng, cfg.digest_tokens, task_tokens)
+    return quality, tokens
 
 
 @lru_cache(maxsize=64)
 def _task_tokens(task: str) -> tuple[str, ...]:
-    """Task wording the digest samples from, tokenized once per task string."""
+    """Task wording the synthetic output samples from, tokenized once per task string."""
     return tuple(tokenize(task))
 
 
 class AbmExecutor:
     """Deterministic simulator bound to a config, seed, and optional trap."""
 
-    def __init__(
-        self,
-        cfg: AbmConfig,
-        seed: int,
-        trap: TrapSpec | None = None,
-        ngram_order: int = 2,
-    ):
+    def __init__(self, cfg: AbmConfig, seed: int, trap: TrapSpec | None = None):
         self.cfg = cfg
         self.seed = seed
         self.trap = trap
-        self.ngram_order = ngram_order
 
     def execute_turn(
         self, ctx: TurnContext, allocated_tokens: int, seed: int
     ) -> TurnOutcome:
         rng = np.random.default_rng((self.seed, seed, ctx.turn, ctx.attempt))
         prior = ctx.prior_quality if ctx.prior_quality is not None else self.cfg.initial_quality
-        state = AbmState(
-            latent_quality=prior,
-            drift_rate=self.cfg.drift_rate,
-            noise_sd=self.cfg.noise_sd,
-            uplift_gain=self.cfg.uplift_gain,
-            uplift_half=self.cfg.uplift_half,
-            rng=rng,
-            digest_tokens=self.cfg.digest_tokens,
-            task_tokens=_task_tokens(ctx.task),
-            ngram_order=self.ngram_order,
+        quality, tokens = abm_step(
+            self.cfg,
+            rng,
+            prior,
+            allocated_tokens,
+            ctx.turn,
+            _task_tokens(ctx.task),
+            self.trap,
             apply_trap_impulse=(ctx.attempt == 0),
         )
-        quality, digest, used = abm_step(state, allocated_tokens, ctx.turn, self.trap)
         trapped = (
             self.trap is not None
             and ctx.turn == self.trap.trap_turn
             and ctx.attempt == 0
         )
         return TurnOutcome(
-            digest=digest,
-            tokens_used=used,
+            tokens=tokens,
+            tokens_used=allocated_tokens,
             quality=quality,
-            text="",
             trapped=trapped,
         )
-

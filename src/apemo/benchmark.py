@@ -15,6 +15,7 @@ import os
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -335,9 +336,8 @@ def _make_executor(
     block: BlockConfig, settings: RuntimeSettings, model_id: str, exec_seed: int,
     policy: PolicyKind,
 ) -> Executor:
-    order = settings.scheduler.signal.ngram_order
     if block.executor == "abm":
-        return AbmExecutor(block.abm, exec_seed, trap=block.trap, ngram_order=order)
+        return AbmExecutor(block.abm, exec_seed, trap=block.trap)
     if settings.endpoint is None:
         raise ValueError(f"block {block.name!r} needs an LLM endpoint configuration")
     return LlmExecutor(
@@ -347,7 +347,6 @@ def _make_executor(
         role_split=settings.role_split,
         trap=block.trap,
         critic_grading=settings.critic_grading,
-        ngram_order=order,
     )
 
 
@@ -421,22 +420,14 @@ def run_block(
         model, seed, policy = cell
         return run_cell(block, settings, model, seed, policy)
 
-    if workers <= 1:
-        finished = map(execute, pending)
-        for record in finished:
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        for record in pool.map(execute, pending) if pool else map(execute, pending):
             if store is not None:
                 store.append(record)
             results[record.run_key] = record
             if on_record:
                 on_record(record, False)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(execute, pending):
-                if store is not None:
-                    store.append(record)
-                results[record.run_key] = record
-                if on_record:
-                    on_record(record, False)
 
     ordered = [
         results[(model, seed, policy.value, block.horizon)]

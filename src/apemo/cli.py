@@ -18,24 +18,13 @@ from .benchmark import RunRecord, RunStore, SCHEMA_VERSION, no_fallback_rate, ru
 from .config import AppConfig, ConfigError, load_config
 from .frontier import format_frontier_table, frontier_csv, frontier_table, viability
 from .llm import TransportError
-from .stats import block_report, format_block_table
+from .stats import REPORT_METRICS, TRAP_METRICS, block_report, format_block_table
 from .tasks import TASKS_VERSION
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_EMPTY = 4
-
-REPORT_METRICS = (
-    "mean_quality",
-    "peak_end_quality",
-    "endpoint_quality",
-    "reuse_probability",
-    "reuse_per_cost",
-    "avg_frustration",
-    "total_cost",
-)
-TRAP_METRICS = ("trap_quality_drop", "trap_quality_rebound2", "trap_frustration_drop2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> AppConfig:
-    return load_config(args.config)
-
-
 def _write_manifest(cfg: AppConfig, out_dir: Path, workers: int) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -101,7 +86,7 @@ def _write_manifest(cfg: AppConfig, out_dir: Path, workers: int) -> None:
 
 
 def _run_block_command(args: argparse.Namespace, executor_kind: str) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     block = cfg.blocks.get(args.block)
     if block is None:
         available = ", ".join(sorted(cfg.blocks))
@@ -151,7 +136,7 @@ def _load_records(records_dir: Path) -> dict[str, list[RunRecord]]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     records_dir = Path(args.records or args.out or cfg.output_dir)
     blocks = _load_records(records_dir)
     if not blocks:
@@ -232,7 +217,8 @@ def _emit_frontier(
         print(f"frontier: skipped {note}")
     if not points:
         return
-    print(format_frontier_table(points))
+    table = format_frontier_table(points)
+    print(table)
     (report_dir / "frontier.csv").write_text(frontier_csv(points), encoding="utf-8")
     with (report_dir / "frontier.jsonl").open("w", encoding="utf-8") as fh:
         for p in points:
@@ -252,11 +238,11 @@ def _emit_frontier(
                 )
                 + "\n"
             )
-    (report_dir / "frontier.txt").write_text(format_frontier_table(points), encoding="utf-8")
+    (report_dir / "frontier.txt").write_text(table, encoding="utf-8")
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     records_dir = Path(args.records or args.out or cfg.output_dir)
     blocks = _load_records(records_dir)
     if not blocks:

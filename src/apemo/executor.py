@@ -3,15 +3,14 @@
 An executor is a pure function of (context, allocated tokens, seed): the
 scheduler owns all cross-turn state and passes the kept history forward
 through the context. This keeps replays exact and lets many trajectories
-run concurrently without shared mutable state.
+run concurrently without shared mutable state. Executors return the
+output's tokens; the scheduler reads the behavioral proxies from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Protocol
-
-from .signals import TextDigest
 
 
 class ExecutorError(RuntimeError):
@@ -40,9 +39,12 @@ class TurnContext:
 
 @dataclass(frozen=True)
 class TurnOutcome:
-    """Result of one execution attempt."""
+    """Result of one execution attempt.
 
-    digest: TextDigest
+    tokens is the output split the way signals.tokenize splits text.
+    """
+
+    tokens: tuple[str, ...]
     tokens_used: int
     quality: float
     text: str = ""
@@ -62,8 +64,6 @@ class Executor(Protocol):
     ) -> TurnOutcome: ...
 
 
-def fallback_outcome(order: int = 2) -> TurnOutcome:
+def fallback_outcome() -> TurnOutcome:
     """Zero-quality placeholder recorded when an executor fails a turn."""
-    return TurnOutcome(
-        digest=TextDigest.empty(order), tokens_used=0, quality=0.0, text=""
-    )
+    return TurnOutcome(tokens=(), tokens_used=0, quality=0.0)

@@ -19,14 +19,14 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import requests
 
 from .abm import TrapSpec
-from .executor import ExecutorError, TurnContext, TurnOutcome
-from .signals import TextDigest, tokenize
+from .executor import ExecutorError, TurnContext, TurnOutcome, fallback_outcome
+from .signals import tokenize
 
 
 class TransportError(ExecutorError):
@@ -61,14 +61,6 @@ class ModelEndpoint:
             raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-
-
-@dataclass(frozen=True)
-class RoleSpec:
-    """One role in a turn topology and its decoding."""
-
-    role: str  # single | planner | executor_role | critic
-    decoding: DecodingParams = field(default_factory=DecodingParams)
 
 
 @dataclass(frozen=True)
@@ -247,6 +239,7 @@ def split_allocation(total: int, ratios: Sequence[float]) -> list[int]:
     return shares
 
 
+FLOW_ROLES = ("planner", "executor", "critic")
 DEFAULT_ROLE_SPLIT = (0.25, 0.6, 0.15)
 
 _TRAP_NOTE = (
@@ -295,33 +288,22 @@ def build_turn_messages(ctx: TurnContext, role: str, trapped: bool) -> list[dict
     ]
 
 
-def default_flow_roles(decoding: DecodingParams) -> tuple[RoleSpec, RoleSpec, RoleSpec]:
-    return (
-        RoleSpec(role="planner", decoding=decoding),
-        RoleSpec(role="executor_role", decoding=decoding),
-        RoleSpec(role="critic", decoding=decoding),
-    )
-
-
 def run_flow_turn(
-    roles: Sequence[RoleSpec],
     endpoint: ModelEndpoint,
+    decoding: DecodingParams,
     ctx: TurnContext,
     allocated_tokens: int,
     seed: Optional[int],
     split: Sequence[float] = DEFAULT_ROLE_SPLIT,
     trapped: bool = False,
-    ngram_order: int = 2,
 ) -> TurnOutcome:
-    """Run one planner-executor-critic turn; a single role degenerates to one call.
+    """Run one planner-executor-critic turn, every role with the same decoding.
 
-    The allocation is ratio-split across roles; role order and prompts never
-    depend on the split. Zero-share roles are skipped.
+    The allocation is ratio-split across FLOW_ROLES; role order and prompts
+    never depend on the split. Zero-share roles are skipped.
     """
-    if len(roles) == 1:
-        split = (1.0,)
-    if len(split) != len(roles):
-        raise ValueError(f"{len(roles)} roles but {len(split)} split ratios")
+    if len(split) != len(FLOW_ROLES):
+        raise ValueError(f"{len(FLOW_ROLES)} roles but {len(split)} split ratios")
     shares = split_allocation(allocated_tokens, split)
 
     answer = ""
@@ -330,12 +312,11 @@ def run_flow_turn(
     completion_total = 0
     work_ctx = ctx
 
-    for spec, share in zip(roles, shares):
+    for role, share in zip(FLOW_ROLES, shares):
         if share < 1:
             continue
-        role = "executor" if spec.role == "executor_role" else spec.role
         messages = build_turn_messages(work_ctx, role, trapped and role != "critic")
-        result = chat_complete(endpoint, messages, spec.decoding, share, seed=seed)
+        result = chat_complete(endpoint, messages, decoding, share, seed=seed)
         prompt_total += result.prompt_tokens
         completion_total += result.completion_tokens
         if role == "planner":
@@ -349,7 +330,7 @@ def run_flow_turn(
 
     quality = grade if grade is not None else heuristic_quality(ctx.task, answer)
     return TurnOutcome(
-        digest=TextDigest.from_text(answer, ngram_order),
+        tokens=tuple(tokenize(answer)),
         tokens_used=completion_total,
         quality=min(max(quality, 0.0), 1.0),
         text=answer,
@@ -369,7 +350,6 @@ class LlmExecutor:
         role_split: Sequence[float] = DEFAULT_ROLE_SPLIT,
         trap: TrapSpec | None = None,
         critic_grading: bool = False,
-        ngram_order: int = 2,
     ):
         if topology not in ("single", "plan_execute", "flow"):
             raise ValueError(f"unknown topology {topology!r}")
@@ -379,7 +359,6 @@ class LlmExecutor:
         self.role_split = tuple(role_split)
         self.trap = trap
         self.critic_grading = critic_grading
-        self.ngram_order = ngram_order
 
     def _seed_for(self, seed: int, ctx: TurnContext) -> int:
         return (seed * 1000003 + ctx.turn * 101 + ctx.attempt) % (2**31)
@@ -389,12 +368,7 @@ class LlmExecutor:
     ) -> TurnOutcome:
         if allocated_tokens < 1:
             # exhausted budget: the turn runs at minimum precision (no call)
-            return TurnOutcome(
-                digest=TextDigest.empty(self.ngram_order),
-                tokens_used=0,
-                quality=0.0,
-                text="",
-            )
+            return fallback_outcome()
         trapped = (
             self.trap is not None
             and ctx.turn == self.trap.trap_turn
@@ -403,14 +377,13 @@ class LlmExecutor:
         call_seed = self._seed_for(seed, ctx)
         if self.topology == "flow":
             return run_flow_turn(
-                default_flow_roles(self.decoding),
                 self.endpoint,
+                self.decoding,
                 ctx,
                 allocated_tokens,
                 call_seed,
                 split=self.role_split,
                 trapped=trapped,
-                ngram_order=self.ngram_order,
             )
         if self.topology == "plan_execute" and ctx.turn == 1 and ctx.attempt == 0:
             role = "planner"
@@ -427,7 +400,7 @@ class LlmExecutor:
             decoding=self.decoding,
         )
         return TurnOutcome(
-            digest=TextDigest.from_text(result.text, self.ngram_order),
+            tokens=tuple(tokenize(result.text)),
             tokens_used=result.completion_tokens,
             quality=min(max(quality, 0.0), 1.0),
             text=result.text,

@@ -334,7 +334,10 @@ def run_trajectory(
     two turns spend any remaining reserve on ending re-executions. Executor
     failures record a zero-quality turn and mark the trajectory as fallback.
     An attempt is charged at most its allocation, whatever the executor
-    reports, so a misreporting executor cannot overdraw the cap.
+    reports, so a misreporting executor cannot overdraw the cap. Signals
+    are read from digests built here from the executor's output tokens at
+    cfg.signal.ngram_order; a repair attempt that is not kept is never
+    digested.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -344,7 +347,8 @@ def run_trajectory(
     traits = POLICY_TRAITS[policy]
     detection = effective_detection(traits, cfg.detection)
     ledger = BudgetLedger(cap=budget_cap)
-    task_digest = TextDigest.from_text(cfg.task, cfg.signal.ngram_order)
+    order = cfg.signal.ngram_order
+    task_digest = TextDigest.from_text(cfg.task, order)
 
     turns: list[TurnRecord] = []
     kept_texts: list[str] = []
@@ -362,7 +366,7 @@ def run_trajectory(
             return executor.execute_turn(ctx, alloc, seed), True
         except ExecutorError:
             fallback = True
-            return fallback_outcome(cfg.signal.ngram_order), False
+            return fallback_outcome(), False
 
     def score_signal(digest: TextDigest) -> float:
         proxies = compute_proxies(digest, digest_history, task_digest, length_history)
@@ -420,7 +424,8 @@ def run_trajectory(
 
         score: Optional[float] = None
         if ok and (traits.detect_quality or traits.detect_frustration):
-            score = score_signal(state.outcome.digest)
+            digest = TextDigest.from_tokens(outcome.tokens, order)
+            score = score_signal(digest)
             trigger = detect_negative_peak(
                 q_history + [state.outcome.quality], s_history + [score], detection
             )
@@ -438,16 +443,17 @@ def run_trajectory(
                 if want > 0:
                     try_repair(state, ctx, RepairReason.ENDING_STABILIZATION, want)
 
-        # the score depends only on the kept digest and the prior turns, so the
-        # detection score stands unless a repair replaced the outcome
+        # the score depends only on the kept output and the prior turns, so the
+        # detection digest and score stand unless a repair replaced the outcome
         if score is None or state.outcome is not outcome:
-            score = score_signal(state.outcome.digest)
+            digest = TextDigest.from_tokens(state.outcome.tokens, order)
+            score = score_signal(digest)
         q_history.append(state.outcome.quality)
         s_history.append(score)
         prev_score = score
         kept_texts.append(state.outcome.text)
-        digest_history.append(state.outcome.digest)
-        length_history.append(state.outcome.digest.token_count)
+        digest_history.append(digest)
+        length_history.append(digest.token_count)
         turns.append(
             TurnRecord(
                 index=turn,
@@ -456,7 +462,6 @@ def run_trajectory(
                 tokens_spent=state.tokens_spent,
                 repaired=state.repaired,
                 trapped=state.trapped,
-                output_digest=state.outcome.digest,
             )
         )
 
@@ -512,9 +517,7 @@ def _reflection_pass(
     ledger.charge_policy(used)
     updated = replace(last, tokens_spent=last.tokens_spent + used)
     if retry.quality > last.quality:
-        updated = replace(
-            updated, quality=retry.quality, output_digest=retry.digest
-        )
+        updated = replace(updated, quality=retry.quality)
         kept_texts[-1] = retry.text
         q_history[-1] = retry.quality
     turns[-1] = updated

@@ -40,41 +40,17 @@ class TextDigest:
     token_count: int
     tokens: frozenset[str]
     ngrams: frozenset[str]
-    ngram_order: int = 2
 
     @classmethod
-    def from_text(cls, text: str, order: int = 2) -> "TextDigest":
-        toks = tokenize(text)
-        return cls.from_tokens(toks, order)
+    def from_text(cls, text: str, order: int) -> "TextDigest":
+        return cls.from_tokens(tokenize(text), order)
 
     @classmethod
-    def from_tokens(cls, tokens: Sequence[str], order: int = 2) -> "TextDigest":
+    def from_tokens(cls, tokens: Sequence[str], order: int) -> "TextDigest":
         return cls(
             token_count=len(tokens),
             tokens=frozenset(tokens),
             ngrams=ngram_set(tokens, order),
-            ngram_order=order,
-        )
-
-    @classmethod
-    def empty(cls, order: int = 2) -> "TextDigest":
-        return cls(token_count=0, tokens=frozenset(), ngrams=frozenset(), ngram_order=order)
-
-    def to_dict(self) -> dict:
-        return {
-            "token_count": self.token_count,
-            "tokens": sorted(self.tokens),
-            "ngrams": sorted(self.ngrams),
-            "ngram_order": self.ngram_order,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TextDigest":
-        return cls(
-            token_count=int(d["token_count"]),
-            tokens=frozenset(d["tokens"]),
-            ngrams=frozenset(d["ngrams"]),
-            ngram_order=int(d["ngram_order"]),
         )
 
 

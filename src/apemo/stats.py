@@ -15,7 +15,7 @@ import numpy as np
 
 from .benchmark import RunRecord, no_fallback_rate
 
-PAIR_METRICS = (
+REPORT_METRICS = (
     "mean_quality",
     "peak_end_quality",
     "endpoint_quality",
@@ -23,10 +23,9 @@ PAIR_METRICS = (
     "reuse_per_cost",
     "avg_frustration",
     "total_cost",
-    "trap_quality_drop",
-    "trap_quality_rebound2",
-    "trap_frustration_drop2",
 )
+TRAP_METRICS = ("trap_quality_drop", "trap_quality_rebound2", "trap_frustration_drop2")
+PAIR_METRICS = REPORT_METRICS + TRAP_METRICS
 
 
 @dataclass(frozen=True)
@@ -225,18 +224,6 @@ class BlockReport:
     @property
     def directional_only(self) -> bool:
         return self.gate < 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "target": self.target,
-            "gate": self.gate,
-            "stats_seed": self.stats_seed,
-            "directional_only": self.directional_only,
-            "strict": self.strict,
-            "orphan_keys": list(self.orphan_keys),
-            "rows": [r.to_dict() for r in self.rows],
-        }
 
 
 def block_report(

@@ -8,11 +8,8 @@ as a per-turn series and reported as its mean.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-
-from .signals import TextDigest
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -64,13 +61,6 @@ class CostBreakdown:
     def total(self) -> int:
         return self.policy_cost + self.repair_cost + self.overhead_cost
 
-    def to_dict(self) -> dict:
-        return {
-            "policy_cost": self.policy_cost,
-            "repair_cost": self.repair_cost,
-            "overhead_cost": self.overhead_cost,
-        }
-
 
 @dataclass(frozen=True)
 class TurnRecord:
@@ -82,7 +72,6 @@ class TurnRecord:
     tokens_spent: int
     repaired: bool = False
     trapped: bool = False
-    output_digest: TextDigest = field(default_factory=TextDigest.empty)
 
     def __post_init__(self) -> None:
         if self.index < 1:
@@ -91,29 +80,6 @@ class TurnRecord:
         _check_unit("frustration", self.frustration)
         if self.tokens_spent < 0:
             raise ValueError(f"tokens_spent must be >= 0, got {self.tokens_spent}")
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "quality": self.quality,
-            "frustration": self.frustration,
-            "tokens_spent": self.tokens_spent,
-            "repaired": self.repaired,
-            "trapped": self.trapped,
-            "output_digest": self.output_digest.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TurnRecord":
-        return cls(
-            index=int(d["index"]),
-            quality=float(d["quality"]),
-            frustration=float(d["frustration"]),
-            tokens_spent=int(d["tokens_spent"]),
-            repaired=bool(d["repaired"]),
-            trapped=bool(d["trapped"]),
-            output_digest=TextDigest.from_dict(d["output_digest"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -159,34 +125,6 @@ class Trajectory:
 
     def frustrations(self) -> list[float]:
         return [t.frustration for t in self.turns]
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "model_id": self.model_id,
-            "seed": self.seed,
-            "episode_id": self.episode_id,
-            "budget_cap": self.budget_cap,
-            "fallback": self.fallback,
-            "cost": self.cost.to_dict(),
-            "turns": [t.to_dict() for t in self.turns],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Trajectory":
-        return cls(
-            turns=tuple(TurnRecord.from_dict(t) for t in d["turns"]),
-            policy=d["policy"],
-            model_id=d["model_id"],
-            seed=int(d["seed"]),
-            episode_id=int(d["episode_id"]),
-            budget_cap=int(d["budget_cap"]),
-            cost=CostBreakdown(**d["cost"]),
-            fallback=bool(d["fallback"]),
-        )
 
 
 def peak_end_quality(traj: Trajectory, weights: ObjectiveWeights) -> float:

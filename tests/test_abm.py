@@ -9,45 +9,37 @@ from apemo import abm
 from apemo.abm import (
     AbmConfig,
     AbmExecutor,
-    AbmState,
     TrapSpec,
     abm_step,
     compute_uplift,
     trap_shift,
 )
 from apemo.executor import TurnContext
-from apemo.signals import repetition_similarity
+from apemo.signals import TextDigest, repetition_similarity
+
+QUIET = AbmConfig(drift_rate=0.0, noise_sd=0.0)
+TASK = tuple("plan the route and estimate cost".split())
 
 
-def make_state(latent, *, drift=0.0, noise=0.0, gain=0.25, half=800.0, seed=(0, 1)):
-    return AbmState(
-        latent_quality=latent,
-        drift_rate=drift,
-        noise_sd=noise,
-        uplift_gain=gain,
-        uplift_half=half,
-        rng=np.random.default_rng(seed),
-        task_tokens=tuple("plan the route and estimate cost".split()),
-    )
+def step(latent, tokens, turn, *, trap=None, seed=(0, 1)):
+    return abm_step(QUIET, np.random.default_rng(seed), latent, tokens, turn, TASK, trap)
 
 
 def test_identity_dynamics_without_inputs():
     # zero tokens, zero drift, zero noise, no trap: quality unchanged
-    q, _, used = abm_step(make_state(0.55), 0, 1)
+    q, _ = step(0.55, 0, 1)
     assert q == pytest.approx(0.55)
-    assert used == 0
 
 
 def test_trap_impulse_direct_evaluation():
     # latent 0.8, severity 0.4, no noise: quality = 0.4 + uplift(tokens)
-    state = make_state(0.8)
-    q, _, _ = abm_step(state, 500, 4, trap=TrapSpec(4, 0.4))
+    q, _ = step(0.8, 500, 4, trap=TrapSpec(4, 0.4))
     assert q == pytest.approx(0.4 + compute_uplift(0.25, 800.0, 500))
 
 
 def test_uplift_monotone_in_tokens():
-    qa, _, _ = abm_step(make_state(0.5), 2000, 1)
-    qb, _, _ = abm_step(make_state(0.5), 500, 1)
+    qa, _ = step(0.5, 2000, 1)
+    qb, _ = step(0.5, 500, 1)
     assert qa >= qb
 
 
@@ -99,7 +91,7 @@ def test_same_seed_replays_identically():
         for turn in range(1, 7):
             ctx = TurnContext(task="plan the route", turn=turn, horizon=6, prior_quality=prior)
             out = executor.execute_turn(ctx, 300, seed=11)
-            seq.append((out.quality, out.digest))
+            seq.append((out.quality, out.tokens))
             prior = out.quality
         outs.append(seq)
     assert outs[0] == outs[1]
@@ -110,16 +102,16 @@ def test_different_seeds_differ():
     ctx = TurnContext(task="plan the route", turn=1, horizon=4, prior_quality=0.6)
     a = AbmExecutor(cfg, seed=1).execute_turn(ctx, 300, seed=1)
     b = AbmExecutor(cfg, seed=2).execute_turn(ctx, 300, seed=2)
-    assert a.quality != b.quality or a.digest != b.digest
+    assert a.quality != b.quality or a.tokens != b.tokens
 
 
 def test_digest_is_allocation_independent():
-    # same seed and state, different allocations: identical digest, different quality
+    # same seed and state, different allocations: identical tokens, different quality
     cfg = AbmConfig()
     ctx = TurnContext(task="plan the route", turn=1, horizon=4, prior_quality=0.6)
     a = AbmExecutor(cfg, seed=5).execute_turn(ctx, 100, seed=5)
     b = AbmExecutor(cfg, seed=5).execute_turn(ctx, 1500, seed=5)
-    assert a.digest == b.digest
+    assert a.tokens == b.tokens
     assert b.quality > a.quality
 
 
@@ -149,17 +141,14 @@ def test_repetition_tracks_degradation_over_seeded_steps():
     # rank correlation between repetition similarity and (1 - latent) > 0.5
     rng = np.random.default_rng(42)
     task = tuple("plan the route and estimate total cost".split())
+    cfg = AbmConfig(drift_rate=0.0, noise_sd=0.0, uplift_gain=0.0)
     latent = 0.9
     history = []
     reps, inv_latent = [], []
     for t in range(1, 1001):
         latent = float(np.clip(latent + rng.normal(0, 0.12), 0.02, 0.98))
-        state = AbmState(
-            latent_quality=latent, drift_rate=0.0, noise_sd=0.0,
-            uplift_gain=0.0, uplift_half=800.0,
-            rng=np.random.default_rng((1, t)), task_tokens=task,
-        )
-        _, digest, _ = abm_step(state, 100, t)
+        _, tokens = abm_step(cfg, np.random.default_rng((1, t)), latent, 100, t, task)
+        digest = TextDigest.from_tokens(tokens, 2)
         if history:
             reps.append(repetition_similarity(digest, history[-5:]))
             inv_latent.append(1.0 - latent)
@@ -172,16 +161,13 @@ def test_repetition_tracks_degradation_over_seeded_steps():
 def test_trap_reduces_quality_by_at_least_half_severity():
     # with noise_sd <= 0.05 the drop at the trap turn is >= severity / 2
     task = tuple("plan the route".split())
+    cfg = AbmConfig(drift_rate=-0.02, noise_sd=0.05)
     severity = 0.4
     for seed in range(150):
-        pre = AbmState(latent_quality=0.8, drift_rate=-0.02, noise_sd=0.05,
-                       uplift_gain=0.25, uplift_half=800.0,
-                       rng=np.random.default_rng((seed, 3)), task_tokens=task)
-        q_pre, _, _ = abm_step(pre, 200, 3)
-        hit = AbmState(latent_quality=q_pre, drift_rate=-0.02, noise_sd=0.05,
-                       uplift_gain=0.25, uplift_half=800.0,
-                       rng=np.random.default_rng((seed, 4)), task_tokens=task)
-        q_trap, _, _ = abm_step(hit, 200, 4, trap=TrapSpec(4, severity))
+        q_pre, _ = abm_step(cfg, np.random.default_rng((seed, 3)), 0.8, 200, 3, task)
+        q_trap, _ = abm_step(
+            cfg, np.random.default_rng((seed, 4)), q_pre, 200, 4, task, TrapSpec(4, severity)
+        )
         assert q_pre - q_trap >= severity / 2
 
 
@@ -202,12 +188,12 @@ def test_config_validation():
 
 def test_step_rejects_negative_tokens():
     with pytest.raises(ValueError):
-        abm_step(make_state(0.5), -1, 1)
+        step(0.5, -1, 1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 17, 30])
 def test_vector_draw_matches_scalar_draws(n):
-    # the digest draws fresh tokens in one call; the stream must match per-token draws
+    # the generator draws fresh tokens in one call; the stream must match per-token draws
     vec = np.random.default_rng((9, 4, 2, 0))
     sca = np.random.default_rng((9, 4, 2, 0))
     assert vec.integers(0, 10**6, size=n).tolist() == [int(sca.integers(0, 10**6)) for _ in range(n)]
@@ -220,8 +206,8 @@ def test_digest_token_count_is_output_length():
     for seed in range(20):
         length = 32 + int(np.random.default_rng((seed, 1)).integers(0, 5))
         for latent in (0.0, 0.3, 0.7, 1.0):
-            _, digest, _ = abm_step(make_state(latent, seed=(seed, 1)), 0, 2)
-            assert digest.token_count == length
+            _, tokens = step(latent, 0, 2, seed=(seed, 1))
+            assert TextDigest.from_tokens(tokens, 2).token_count == length
 
 
 def test_task_tokenized_once_per_task(monkeypatch):

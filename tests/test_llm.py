@@ -12,7 +12,6 @@ from apemo.llm import (
     ProtocolError,
     TransportError,
     chat_complete,
-    default_flow_roles,
     heuristic_quality,
     parse_grade,
     ping,
@@ -142,24 +141,13 @@ def test_split_allocation_leftover_to_largest_share():
 def test_run_flow_turn_role_sequence_and_usage():
     with MockModelServer() as server:
         ctx = TurnContext(task="plan the route and estimate cost", turn=1, horizon=4)
-        out = run_flow_turn(
-            default_flow_roles(DECODING), endpoint_for(server), ctx, 1000, seed=5
-        )
+        out = run_flow_turn(endpoint_for(server), DECODING, ctx, 1000, seed=5)
         assert len(server.transcript) == 3  # planner, executor, critic
         caps = [b["options"]["num_predict"] for b in server.transcript]
         assert caps == [250, 600, 150]
         assert out.quality == pytest.approx(0.8)  # mock critic grades 8/10
         reported = sum(min(cap, 10**9) for cap in caps)  # upper bound only
         assert 0 < out.tokens_used <= reported
-
-
-def test_run_flow_turn_single_role_degenerates():
-    with MockModelServer() as server:
-        ctx = TurnContext(task="plan the route", turn=1, horizon=2)
-        roles = default_flow_roles(DECODING)[1:2]
-        run_flow_turn(roles, endpoint_for(server), ctx, 400, seed=1)
-        assert len(server.transcript) == 1
-        assert server.transcript[0]["options"]["num_predict"] == 400
 
 
 def test_flow_transport_error_propagates_for_fallback():
@@ -169,7 +157,7 @@ def test_flow_transport_error_propagates_for_fallback():
     )
     ctx = TurnContext(task="plan", turn=1, horizon=2)
     with pytest.raises(ExecutorError):
-        run_flow_turn(default_flow_roles(DECODING), endpoint, ctx, 300, seed=1)
+        run_flow_turn(endpoint, DECODING, ctx, 300, seed=1)
 
 
 def test_executor_zero_allocation_runs_without_call():

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from apemo.signals import TextDigest
 from apemo.trajectory import (
     CostBreakdown,
     ObjectiveWeights,
@@ -218,21 +217,3 @@ def test_turn_record_validation():
         TurnRecord(index=1, quality=1.5, frustration=0.0, tokens_spent=1)
     with pytest.raises(ValueError):
         TurnRecord(index=1, quality=0.5, frustration=0.0, tokens_spent=-1)
-
-
-def test_trajectory_serialization_round_trip():
-    traj = make_traj([0.4, 0.6, 0.8], [0.1, 0.2, 0.3])
-    turns = tuple(
-        TurnRecord(
-            index=t.index, quality=t.quality, frustration=t.frustration,
-            tokens_spent=t.tokens_spent, repaired=t.repaired, trapped=t.trapped,
-            output_digest=TextDigest.from_text(f"answer {t.index} for the plan"),
-        )
-        for t in traj.turns
-    )
-    traj = Trajectory(turns=turns, policy=traj.policy, model_id=traj.model_id,
-                      seed=traj.seed, episode_id=traj.episode_id,
-                      budget_cap=traj.budget_cap, cost=traj.cost)
-    again = Trajectory.from_dict(traj.to_dict())
-    assert again == traj
-    assert again.to_json() == traj.to_json()
