@@ -192,15 +192,23 @@ def heuristic_quality(task: str, answer: str) -> float:
     return 0.5 * coverage + 0.3 * completeness + 0.2 * non_repetition
 
 
-def score_quality(
+CRITIC_TOKENS = 16
+
+
+def grade_answer(
     task: str,
     answer: str,
     critic: Optional[ModelEndpoint] = None,
     decoding: DecodingParams = DecodingParams(),
-) -> float:
-    """Score an answer in [0, 1]; critic grading falls back to the heuristic."""
+) -> tuple[float, int]:
+    """Score an answer in [0, 1] and return it with the critic's completion tokens.
+
+    Critic grading makes one call capped at CRITIC_TOKENS and falls back to
+    the heuristic when the call fails or its grade does not parse.
+    """
     if not answer.strip():
-        return 0.0
+        return 0.0, 0
+    grade, critic_tokens = None, 0
     if critic is not None:
         try:
             reply = chat_complete(
@@ -216,14 +224,22 @@ def score_quality(
                     },
                 ],
                 decoding,
-                token_cap=16,
+                token_cap=CRITIC_TOKENS,
             )
-            grade = parse_grade(reply.text)
-            if grade is not None:
-                return grade
+            grade, critic_tokens = parse_grade(reply.text), reply.completion_tokens
         except ExecutorError:
             pass
-    return heuristic_quality(task, answer)
+    return (grade if grade is not None else heuristic_quality(task, answer)), critic_tokens
+
+
+def score_quality(
+    task: str,
+    answer: str,
+    critic: Optional[ModelEndpoint] = None,
+    decoding: DecodingParams = DecodingParams(),
+) -> float:
+    """Score an answer in [0, 1]; critic grading falls back to the heuristic."""
+    return grade_answer(task, answer, critic, decoding)[0]
 
 
 def split_allocation(total: int, ratios: Sequence[float]) -> list[int]:
@@ -390,18 +406,21 @@ class LlmExecutor:
         else:
             role = "single"
         messages = build_turn_messages(ctx, role, trapped)
+        # the critic's call is reserved out of the allocation and charged with it
+        critic = self.critic_grading and allocated_tokens > CRITIC_TOKENS
         result = chat_complete(
-            self.endpoint, messages, self.decoding, allocated_tokens, seed=call_seed
+            self.endpoint,
+            messages,
+            self.decoding,
+            allocated_tokens - CRITIC_TOKENS if critic else allocated_tokens,
+            seed=call_seed,
         )
-        quality = score_quality(
-            ctx.task,
-            result.text,
-            critic=self.endpoint if self.critic_grading else None,
-            decoding=self.decoding,
+        quality, critic_tokens = grade_answer(
+            ctx.task, result.text, self.endpoint if critic else None, self.decoding
         )
         return TurnOutcome(
             tokens=tuple(tokenize(result.text)),
-            tokens_used=result.completion_tokens,
+            tokens_used=result.completion_tokens + critic_tokens,
             quality=min(max(quality, 0.0), 1.0),
             text=result.text,
             prompt_tokens=result.prompt_tokens,

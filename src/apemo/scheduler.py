@@ -287,16 +287,8 @@ def effective_detection(traits: PolicyTraits, cfg: DetectionConfig) -> Detection
     )
 
 
-def role_for_turn(traits: PolicyTraits, turn: int) -> str:
-    if traits.topology == "plan_execute":
-        return "planner" if turn == 1 else "executor"
-    if traits.topology == "flow":
-        return "flow"
-    return "single"
-
-
-def _critique_note(reason: RepairReason, quality: float) -> str:
-    if reason is RepairReason.NEGATIVE_PEAK:
+def _critique_note(phase: str, quality: float) -> str:
+    if phase == "repair":
         return (
             f"The previous attempt scored {quality:.2f} and drifted off course. "
             "Re-answer the task directly, avoid repeating yourself, and finish cleanly."
@@ -305,16 +297,6 @@ def _critique_note(reason: RepairReason, quality: float) -> str:
         f"The closing answer scored {quality:.2f}. Produce a stronger final answer: "
         "complete, on-task, and clearly concluded."
     )
-
-
-@dataclass
-class _TurnState:
-    """Mutable bookkeeping for the turn currently being executed."""
-
-    outcome: TurnOutcome
-    tokens_spent: int
-    repaired: bool
-    trapped: bool
 
 
 def run_trajectory(
@@ -331,13 +313,15 @@ def run_trajectory(
 
     Per turn: allocate, execute, score affect signals, optionally detect a
     negative peak and re-execute once with banked tokens, and on the final
-    two turns spend any remaining reserve on ending re-executions. Executor
-    failures record a zero-quality turn and mark the trajectory as fallback.
-    An attempt is charged at most its allocation, whatever the executor
-    reports, so a misreporting executor cannot overdraw the cap. Signals
-    are read from digests built here from the executor's output tokens at
-    cfg.signal.ngram_order; a repair attempt that is not kept is never
-    digested.
+    two turns spend any remaining reserve on ending re-executions; the
+    reflect policy re-executes the final turn once more, charged to policy
+    cost. Every attempt takes one path: it is charged at most its
+    allocation, whatever the executor reports, so a misreporting executor
+    cannot overdraw the cap, and a retry is kept only if strictly better.
+    An ExecutorError records a zero-quality attempt and marks the trajectory
+    as fallback; any other exception propagates. Signals are read once per
+    turn from the digest of the kept output, built here from its tokens at
+    cfg.signal.ngram_order; an attempt that is not kept is never digested.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -347,6 +331,7 @@ def run_trajectory(
     traits = POLICY_TRAITS[policy]
     detection = effective_detection(traits, cfg.detection)
     ledger = BudgetLedger(cap=budget_cap)
+    base = turn_base_budget(policy, budget_cap, horizon, cfg)
     order = cfg.signal.ngram_order
     task_digest = TextDigest.from_text(cfg.task, order)
 
@@ -359,45 +344,56 @@ def run_trajectory(
     prev_score: Optional[float] = None
     repairs_used = 0
     fallback = False
+    # the current turn: its kept outcome, tokens spent, attempts made, and
+    # whether a repair attempt succeeded
+    kept: TurnOutcome
+    spent = tries = 0
+    repaired = False
 
-    def attempt_turn(ctx: TurnContext, alloc: int) -> tuple[TurnOutcome, bool]:
-        nonlocal fallback
+    def attempt(ctx: TurnContext, alloc: int, phase: str = "normal") -> bool:
+        """Run one execution attempt of the current turn; return whether it succeeded.
+
+        A retry (phase repair, ending or reflect) re-executes with a critique
+        of the kept output. Repair and ending retries spend a grant of alloc
+        tokens and refund its unused part; the first pass and the reflection
+        are charged to policy cost.
+        """
+        nonlocal kept, spent, tries, repaired, fallback
+        if phase != "normal":
+            ctx = replace(
+                ctx, attempt=tries, phase=phase, critique=_critique_note(phase, kept.quality)
+            )
+        tries += 1
+        ok = True
         try:
-            return executor.execute_turn(ctx, alloc, seed), True
+            outcome = executor.execute_turn(ctx, alloc, seed)
         except ExecutorError:
             fallback = True
-            return fallback_outcome(), False
+            ok = False
+            outcome = fallback_outcome()
+        used = min(outcome.tokens_used, alloc)
+        if phase in ("repair", "ending"):
+            ledger.refund_repair(alloc - used)
+            repaired = repaired or ok
+        else:
+            ledger.charge_policy(used)
+        spent += used
+        if phase == "normal" or outcome.quality > kept.quality:
+            kept = outcome
+        return ok
+
+    def try_repair(ctx: TurnContext, reason: RepairReason, want: int) -> bool:
+        """Fund and run one repair attempt; return whether a grant was issued."""
+        decision = request_repair(ledger, reason, want, ctx.turn)
+        if decision.granted_tokens <= 0:
+            return False
+        phase = "repair" if reason is RepairReason.NEGATIVE_PEAK else "ending"
+        attempt(ctx, decision.granted_tokens, phase)
+        return True
 
     def score_signal(digest: TextDigest) -> float:
         proxies = compute_proxies(digest, digest_history, task_digest, length_history)
         return frustration_score(proxies, cfg.signal, prev_score)
-
-    def try_repair(
-        state: _TurnState, ctx: TurnContext, reason: RepairReason, want: int
-    ) -> bool:
-        """Fund and run one re-execution, keeping the strictly better result.
-
-        Returns whether a re-execution attempt was made (a grant was issued).
-        """
-        decision = request_repair(ledger, reason, want, ctx.turn)
-        if decision.granted_tokens <= 0:
-            return False
-        retry_ctx = replace(
-            ctx,
-            attempt=ctx.attempt + 1,
-            phase="repair" if reason is RepairReason.NEGATIVE_PEAK else "ending",
-            critique=_critique_note(reason, state.outcome.quality),
-        )
-        retry, ok = attempt_turn(retry_ctx, decision.granted_tokens)
-        used = min(retry.tokens_used, decision.granted_tokens)
-        ledger.refund_repair(decision.granted_tokens - used)
-        if not ok:
-            return True
-        state.tokens_spent += used
-        state.repaired = True
-        if retry.quality > state.outcome.quality:
-            state.outcome = retry
-        return True
 
     for turn in range(1, horizon + 1):
         if traits.monitors and cfg.monitor_overhead > 0:
@@ -412,62 +408,55 @@ def run_trajectory(
             prior_quality=q_history[-1] if q_history else None,
             history=tuple(kept_texts),
         )
-        outcome, ok = attempt_turn(ctx, alloc)
-        used = min(outcome.tokens_used, alloc)
-        ledger.charge_policy(used)
-        state = _TurnState(
-            outcome=outcome,
-            tokens_spent=used,
-            repaired=False,
-            trapped=outcome.trapped,
-        )
+        spent = tries = 0
+        repaired = False
+        ok = attempt(ctx, alloc)
+        first = kept
 
         score: Optional[float] = None
         if ok and (traits.detect_quality or traits.detect_frustration):
-            digest = TextDigest.from_tokens(outcome.tokens, order)
+            digest = TextDigest.from_tokens(first.tokens, order)
             score = score_signal(digest)
             trigger = detect_negative_peak(
-                q_history + [state.outcome.quality], s_history + [score], detection
+                q_history + [first.quality], s_history + [score], detection
             )
             if trigger is not None and repairs_used < cfg.max_repairs:
-                base = turn_base_budget(policy, budget_cap, horizon, cfg)
                 want = max(1, math.ceil(cfg.repair_factor * max(alloc, base)))
-                if try_repair(state, ctx, RepairReason.NEGATIVE_PEAK, want):
+                if try_repair(ctx, RepairReason.NEGATIVE_PEAK, want):
                     repairs_used += 1
-                    ctx = replace(ctx, attempt=ctx.attempt + 1)
 
         if ok and traits.stabilize_endings and horizon >= 2 and turn >= horizon - 1:
-            if state.outcome.quality < cfg.ending_threshold:
+            if kept.quality < cfg.ending_threshold:
                 passes_left = horizon - turn + 1
                 want = ledger.reserve_end // passes_left
                 if want > 0:
-                    try_repair(state, ctx, RepairReason.ENDING_STABILIZATION, want)
+                    try_repair(ctx, RepairReason.ENDING_STABILIZATION, want)
+
+        if traits.reflect and turn == horizon:
+            reflect_alloc = min(base, ledger.unreserved_remaining())
+            if reflect_alloc > 0:
+                attempt(ctx, reflect_alloc, "reflect")
 
         # the score depends only on the kept output and the prior turns, so the
-        # detection digest and score stand unless a repair replaced the outcome
-        if score is None or state.outcome is not outcome:
-            digest = TextDigest.from_tokens(state.outcome.tokens, order)
+        # detection digest and score stand unless a retry replaced the outcome
+        if score is None or kept is not first:
+            digest = TextDigest.from_tokens(kept.tokens, order)
             score = score_signal(digest)
-        q_history.append(state.outcome.quality)
+        q_history.append(kept.quality)
         s_history.append(score)
         prev_score = score
-        kept_texts.append(state.outcome.text)
+        kept_texts.append(kept.text)
         digest_history.append(digest)
         length_history.append(digest.token_count)
         turns.append(
             TurnRecord(
                 index=turn,
-                quality=state.outcome.quality,
+                quality=kept.quality,
                 frustration=score,
-                tokens_spent=state.tokens_spent,
-                repaired=state.repaired,
-                trapped=state.trapped,
+                tokens_spent=spent,
+                repaired=repaired,
+                trapped=first.trapped,
             )
-        )
-
-    if traits.reflect and turns:
-        _reflection_pass(
-            policy, executor, turns, kept_texts, q_history, ledger, cfg, horizon, seed
         )
 
     return Trajectory(
@@ -480,44 +469,3 @@ def run_trajectory(
         cost=ledger.breakdown(),
         fallback=fallback,
     )
-
-
-def _reflection_pass(
-    policy: PolicyKind,
-    executor: Executor,
-    turns: list[TurnRecord],
-    kept_texts: list[str],
-    q_history: list[float],
-    ledger: BudgetLedger,
-    cfg: SchedulerConfig,
-    horizon: int,
-    seed: int,
-) -> None:
-    """One reflection re-execution of the final turn, charged to policy cost."""
-    base = turn_base_budget(policy, ledger.cap, horizon, cfg)
-    alloc = min(base, ledger.unreserved_remaining())
-    if alloc <= 0:
-        return
-    last = turns[-1]
-    ctx = TurnContext(
-        task=cfg.task,
-        turn=horizon,
-        horizon=horizon,
-        attempt=1,
-        phase="reflect",
-        prior_quality=q_history[-2] if len(q_history) >= 2 else None,
-        critique=_critique_note(RepairReason.ENDING_STABILIZATION, last.quality),
-        history=tuple(kept_texts[:-1]),
-    )
-    try:
-        retry = executor.execute_turn(ctx, alloc, seed)
-    except ExecutorError:
-        return
-    used = min(retry.tokens_used, alloc)
-    ledger.charge_policy(used)
-    updated = replace(last, tokens_spent=last.tokens_spent + used)
-    if retry.quality > last.quality:
-        updated = replace(updated, quality=retry.quality)
-        kept_texts[-1] = retry.text
-        q_history[-1] = retry.quality
-    turns[-1] = updated

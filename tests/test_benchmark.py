@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from apemo import benchmark
 from apemo.abm import AbmConfig, TrapSpec
 from apemo.benchmark import (
     BlockConfig,
@@ -196,6 +197,49 @@ def test_interrupted_block_resumes_without_duplicates(tmp_path):
     keys = [tuple(json.loads(line)[k] for k in ("model_id", "seed", "policy", "horizon"))
             for line in lines]
     assert len(set(keys)) == 8
+
+
+def test_non_executor_error_propagates_and_resume_keeps_earlier_cells(tmp_path, monkeypatch):
+    # an exception that is not an ExecutorError is a program fault, not a
+    # failed turn: it leaves run_trajectory and run_block unchanged
+    block = sim_block(seeds=tuple(range(1, 5)))  # cells (seed, policy) in order
+    store_path = tmp_path / "f.runs.jsonl"
+    fault = RuntimeError("executor bug")
+    bad_seed = derive_seed("abm-a", 3, 0)
+    real_make = benchmark._make_executor
+
+    class Faulty:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def execute_turn(self, ctx, allocated_tokens, seed):
+            if ctx.turn == 2:
+                raise fault
+            return self.inner.execute_turn(ctx, allocated_tokens, seed)
+
+    def make(block, settings, model_id, exec_seed, policy):
+        inner = real_make(block, settings, model_id, exec_seed, policy)
+        return Faulty(inner) if exec_seed == bad_seed and policy is PolicyKind.APEMO else inner
+
+    monkeypatch.setattr(benchmark, "_make_executor", make)
+    with pytest.raises(RuntimeError) as raised:
+        run_block(block, RuntimeSettings(), store=RunStore(store_path))
+    assert raised.value is fault
+    # the cells before (seed 3, apemo) are stored, and nothing else
+    before = [(1, "uniform"), (1, "apemo"), (2, "uniform"), (2, "apemo"), (3, "uniform")]
+    stored = store_path.read_text()
+    assert [(json.loads(line)["seed"], json.loads(line)["policy"])
+            for line in stored.splitlines()] == before
+
+    monkeypatch.setattr(benchmark, "_make_executor", real_make)
+    resumed = []
+    records = run_block(block, RuntimeSettings(), store=RunStore(store_path),
+                        on_record=lambda rec, was_stored: resumed.append(was_stored))
+    assert resumed == [True] * 5 + [False] * 3
+    assert store_path.read_text().startswith(stored)
+    assert [r.to_dict() for r in records] == [
+        r.to_dict() for r in run_block(block, RuntimeSettings())
+    ]
 
 
 def test_trap_block_records_carry_trap_fields():

@@ -6,6 +6,7 @@ import pytest
 
 from apemo.executor import ExecutorError, TurnContext
 from apemo.llm import (
+    CRITIC_TOKENS,
     DecodingParams,
     LlmExecutor,
     ModelEndpoint,
@@ -229,3 +230,63 @@ def test_over_reported_turn_falls_back_within_cap(policy):
     assert traj.turns[1].quality == 0.0  # the over-reported call kept no answer
     if policy is PolicyKind.UNIFORM:
         assert traj.turns[1].tokens_spent == 0
+
+
+GRADER_SYSTEM = "You are a strict grader."
+
+
+class CriticServer(MockModelServer):
+    """Grades every answer 7/10 and reports each reply's completion tokens."""
+
+    def __init__(self):
+        super().__init__(script=self.answer_or_grade)
+        self.eval_counts = []
+        self.critic_eval_counts = []
+
+    @staticmethod
+    def answer_or_grade(body: dict, index: int) -> str:
+        if body["messages"][0]["content"] == GRADER_SYSTEM:
+            return "grade: 7 because the plan covers the route"
+        return " ".join(["plan the route step by step"] * 40)
+
+    def reply(self, body: dict, index: int) -> dict:
+        payload = super().reply(body, index)
+        self.eval_counts.append(payload["eval_count"])
+        if body["messages"][0]["content"] == GRADER_SYSTEM:
+            self.critic_eval_counts.append(payload["eval_count"])
+        return payload
+
+
+def test_critic_call_is_reserved_out_of_the_allocation_and_charged():
+    task = "plan the route and estimate cost"
+    ctx = TurnContext(task=task, turn=1, horizon=4)
+    with CriticServer() as server:
+        executor = LlmExecutor(endpoint_for(server), critic_grading=True)
+        out = executor.execute_turn(ctx, 100, seed=1)
+        answer, critic = server.transcript
+        assert answer["options"]["num_predict"] == 100 - CRITIC_TOKENS
+        assert critic["options"]["num_predict"] == CRITIC_TOKENS
+        (critic_tokens,) = server.critic_eval_counts
+        assert out.quality == pytest.approx(0.7)
+        assert out.tokens_used == sum(server.eval_counts) == 100 - CRITIC_TOKENS + critic_tokens
+
+        # no room for the critic: one uncapped answer call, heuristic grade
+        out = executor.execute_turn(ctx, CRITIC_TOKENS, seed=1)
+        assert len(server.transcript) == 3
+        assert server.transcript[2]["options"]["num_predict"] == CRITIC_TOKENS
+        assert out.tokens_used == CRITIC_TOKENS
+        assert out.quality == pytest.approx(heuristic_quality(task, out.text))
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.UNIFORM, PolicyKind.APEMO])
+def test_critic_tokens_are_on_the_ledger(policy):
+    budget_cap = 400
+    with CriticServer() as server:
+        executor = LlmExecutor(endpoint_for(server), critic_grading=True)
+        traj = run_trajectory(policy, executor, 4, budget_cap, seed=3,
+                              cfg=SchedulerConfig(task="plan the route"))
+    assert server.critic_eval_counts
+    assert not traj.fallback
+    # every completion token the server reported, critic calls included
+    assert sum(server.eval_counts) == traj.cost.policy_cost + traj.cost.repair_cost
+    assert traj.cost.total <= budget_cap

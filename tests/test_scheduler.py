@@ -22,7 +22,7 @@ from apemo.scheduler import (
     request_repair,
     run_trajectory,
 )
-from apemo.signals import SignalConfig
+from apemo.signals import SignalConfig, TextDigest, compute_proxies, frustration_score
 
 
 def no_overhead_cfg(**kwargs) -> SchedulerConfig:
@@ -169,15 +169,15 @@ def test_scripted_trap_repaired_and_endpoint_recovers():
 
 
 class RecordingExecutor:
-    """Passes attempts through and keeps each output's tokens by (turn, attempt)."""
+    """Passes attempts through and keeps each outcome by (turn, attempt)."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.tokens = {}
+        self.outcomes = {}
 
     def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
         out = self.inner.execute_turn(ctx, allocated_tokens, seed)
-        self.tokens[(ctx.turn, ctx.attempt)] = out.tokens
+        self.outcomes[(ctx.turn, ctx.attempt)] = out
         return out
 
 
@@ -189,7 +189,7 @@ def test_turn1_digest_identical_across_policies_same_seed():
         for policy in (PolicyKind.APEMO, PolicyKind.UNIFORM):
             executor = RecordingExecutor(AbmExecutor(AbmConfig(), seed))
             traj = run_trajectory(policy, executor, 8, 1600, seed, cfg)
-            turn1.append((traj.turns[0].frustration, executor.tokens[(1, 0)]))
+            turn1.append((traj.turns[0].frustration, executor.outcomes[(1, 0)].tokens))
         assert turn1[0] == turn1[1]
 
 
@@ -273,6 +273,30 @@ def test_policy_serialized_names_exact():
     assert str(PolicyKind.APEMO) == "apemo"
 
 
+def test_reflection_frustration_scores_the_kept_output():
+    # the final turn's frustration is read from the output the turn keeps,
+    # whether that is the first pass or the strictly better reflection
+    cfg = SchedulerConfig()
+    order = cfg.signal.ngram_order
+    task = TextDigest.from_text(cfg.task, order)
+    kept_reflections = 0
+    for seed in range(20):
+        executor = RecordingExecutor(AbmExecutor(AbmConfig(noise_sd=0.12), seed))
+        traj = run_trajectory(PolicyKind.PLAN_EXECUTE_REFLECT, executor, 8, 1600, seed, cfg)
+        first, reflection = executor.outcomes[(8, 0)], executor.outcomes[(8, 1)]
+        kept = reflection if reflection.quality > first.quality else first
+        kept_reflections += kept is reflection
+        history = [TextDigest.from_tokens(executor.outcomes[(t, 0)].tokens, order)
+                   for t in range(1, 8)]
+        proxies = compute_proxies(TextDigest.from_tokens(kept.tokens, order), history, task,
+                                  [d.token_count for d in history])
+        assert traj.turns[-1].quality == kept.quality
+        assert traj.turns[-1].frustration == frustration_score(
+            proxies, cfg.signal, traj.turns[-2].frustration
+        )
+    assert 0 < kept_reflections < 20
+
+
 def test_reflection_pass_charges_policy_cost_not_repair():
     cfg = no_overhead_cfg()
     for seed in range(10):
@@ -352,34 +376,68 @@ def test_budget_safety_fuzz():
         assert spent == traj.cost.policy_cost + traj.cost.repair_cost
 
 
-class OverReportingExecutor:
-    """Simulator that claims more tokens than each attempt was allocated."""
+class HostileExecutor:
+    """Wraps the simulator; failed records whether any attempt raised."""
 
-    def __init__(self, inner, extra):
+    def __init__(self, inner):
         self.inner = inner
-        self.extra = extra
+        self.failed = False
+
+
+class OverReportingExecutor(HostileExecutor):
+    """Simulator that claims more tokens than each attempt was allocated."""
 
     def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
         out = self.inner.execute_turn(ctx, allocated_tokens, seed)
-        return replace(out, tokens_used=allocated_tokens + self.extra)
+        return replace(out, tokens_used=allocated_tokens + 50)
+
+
+class RetryFailingExecutor(HostileExecutor):
+    """Simulator whose repair, ending and reflection attempts raise ExecutorError."""
+
+    def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
+        if ctx.attempt > 0:
+            self.failed = True
+            raise ExecutorError("injected retry failure")
+        return self.inner.execute_turn(ctx, allocated_tokens, seed)
+
+
+class SilentExecutor(HostileExecutor):
+    """Simulator that reports no tokens used and returns empty output."""
+
+    def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
+        out = self.inner.execute_turn(ctx, allocated_tokens, seed)
+        return replace(out, tokens=(), tokens_used=0)
 
 
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_over_reported_tokens_never_overdraw(policy):
+    # every hostile executor against every policy: the cap holds, the turns
+    # account for every charged token, and fallback marks exactly the
+    # trajectories where an attempt failed
     cfg = SchedulerConfig()
     cap = 680
-    repaired = 0
-    for seed in range(1, 6):
-        inner = AbmExecutor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
-        traj = run_trajectory(policy, OverReportingExecutor(inner, 50), 8, cap, seed, cfg)
-        assert traj.cost.total <= cap
-        assert sum(t.tokens_spent for t in traj.turns) == (
-            traj.cost.policy_cost + traj.cost.repair_cost
-        )
-        repaired += sum(t.repaired for t in traj.turns)
-    if POLICY_TRAITS[policy].skims:
-        # the clamp on repair and ending retries was exercised, not just the first attempt
-        assert repaired > 0
+    traits = POLICY_TRAITS[policy]
+    for hostile in (OverReportingExecutor, RetryFailingExecutor, SilentExecutor):
+        repaired = failed = 0
+        for seed in range(1, 6):
+            inner = AbmExecutor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
+            executor = hostile(inner)
+            traj = run_trajectory(policy, executor, 8, cap, seed, cfg)
+            assert traj.cost.total <= cap
+            assert sum(t.tokens_spent for t in traj.turns) == (
+                traj.cost.policy_cost + traj.cost.repair_cost
+            )
+            assert traj.fallback == executor.failed
+            repaired += sum(t.repaired for t in traj.turns)
+            failed += executor.failed
+        if hostile is OverReportingExecutor and traits.skims:
+            # the clamp on repair and ending retries was exercised, not just the first attempt
+            assert repaired > 0
+        if hostile is RetryFailingExecutor:
+            assert repaired == 0
+            if traits.skims or traits.reflect:
+                assert failed > 0  # repair, ending or reflection attempts were made
 
 
 def test_detection_score_reused_when_no_repair(monkeypatch):
