@@ -20,7 +20,6 @@ from .llm import (
     ModelEndpoint,
     chat_complete,
     run_flow_turn,
-    score_quality,
 )
 from .scheduler import (
     BudgetLedger,

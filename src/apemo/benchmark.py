@@ -86,6 +86,13 @@ class BlockConfig:
             )
         if not self.policies:
             raise ValueError("policies must be non-empty")
+        if self.executor == "abm":
+            topology = [p.value for p in self.policies if POLICY_TRAITS[p].topology != "single"]
+            if topology:
+                raise ValueError(
+                    f"policies {topology} need a role topology, which executor 'abm' "
+                    "does not have; run them on an 'llm' block"
+                )
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if self.trap is not None:

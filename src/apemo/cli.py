@@ -18,6 +18,7 @@ from .benchmark import RunRecord, RunStore, SCHEMA_VERSION, no_fallback_rate, ru
 from .config import AppConfig, ConfigError, load_config
 from .frontier import format_frontier_table, frontier_csv, frontier_table, viability
 from .llm import TransportError
+from .scheduler import PolicyKind
 from .stats import REPORT_METRICS, TRAP_METRICS, block_report, format_block_table
 from .tasks import TASKS_VERSION
 
@@ -25,6 +26,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_EMPTY = 4
+
+POLICIES = [p.value for p in PolicyKind]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,15 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="delta tables, frontier, and plot CSVs from records")
     common(p_rep)
     p_rep.add_argument("--records", default=None, help="records directory (default: output dir)")
-    p_rep.add_argument("--baselines", nargs="*", default=None,
+    p_rep.add_argument("--baselines", nargs="*", default=None, choices=POLICIES,
                        help="baseline policies (default: every non-target policy present)")
-    p_rep.add_argument("--target", default="apemo")
+    p_rep.add_argument("--target", default="apemo", choices=POLICIES)
     p_rep.add_argument("--stats-seed", type=int, default=None)
 
     p_fr = sub.add_parser("frontier", help="frontier table only")
     common(p_fr)
     p_fr.add_argument("--records", default=None)
-    p_fr.add_argument("--target", default="apemo")
+    p_fr.add_argument("--target", default="apemo", choices=POLICIES)
 
     p_val = sub.add_parser("validate-config", help="parse and validate a config file")
     p_val.add_argument("--config", default=None)
@@ -152,7 +155,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         if args.target not in policies:
             print(f"block {name}: target {args.target!r} absent; skipping deltas")
             continue
-        baselines = args.baselines or [p for p in policies if p != args.target]
+        baselines = []
+        for baseline in args.baselines or [p for p in policies if p != args.target]:
+            if baseline in policies:
+                baselines.append(baseline)
+            else:
+                print(f"block {name}: baseline {baseline!r} absent; skipping it")
         metrics = list(REPORT_METRICS)
         is_trap = any(r.trap_turn is not None for r in records)
         if is_trap:

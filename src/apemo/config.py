@@ -38,8 +38,10 @@ class ConfigError(ValueError):
     """A configuration file failed validation; the message names the key path."""
 
 
-# Simulation blocks cover the standard grid shapes (models x seeds gives
-# per-policy run counts of 20 / 21 / 20 / 16); LLM blocks need a server.
+# Simulation blocks cover the standard grid shapes: models x seeds gives
+# per-policy run counts of 20 / 21 / 20 for sim_long / sim_short / sim_trap.
+# LLM blocks need a server (20 / 16 runs per policy for llm_long / llm_flow);
+# the topology policies run only there, since the simulator has no roles.
 DEFAULT_BLOCKS: dict[str, dict[str, Any]] = {
     "sim_long": {
         "executor": "abm",
@@ -72,36 +74,6 @@ DEFAULT_BLOCKS: dict[str, dict[str, Any]] = {
         "trap": {"trap_turn": 4, "severity": 0.4, "recovery_rate": 0.3},
         "strict": True,
     },
-    "sim_flow": {
-        "executor": "abm",
-        "models": ["abm-a", "abm-b"],
-        "horizon": 8,
-        "episodes": 1,
-        "budget_cap": 680,
-        "policies": ["flow_plain", "flow_temporal", "apemo"],
-        "seeds": {"count": 8, "start": 1},
-        "abm": {"noise_sd": 0.12},
-    },
-    "sim_plan_short": {
-        "executor": "abm",
-        "models": ["abm-a", "abm-b", "abm-c"],
-        "horizon": 2,
-        "episodes": 2,
-        "budget_cap": 680,
-        "policies": ["plan_execute", "plan_execute_reflect", "task_peak_end", "apemo"],
-        "seeds": {"count": 10, "start": 1},
-        "abm": {"noise_sd": 0.12},
-    },
-    "sim_plan_long": {
-        "executor": "abm",
-        "models": ["abm-a", "abm-b", "abm-c"],
-        "horizon": 8,
-        "episodes": 1,
-        "budget_cap": 680,
-        "policies": ["plan_execute", "plan_execute_reflect", "task_peak_end", "apemo"],
-        "seeds": {"count": 6, "start": 1},
-        "abm": {"noise_sd": 0.12},
-    },
     "llm_long": {
         "executor": "llm",
         "models": ["qwen2.5:1.5b", "gemma2:2b"],
@@ -121,8 +93,6 @@ DEFAULT_BLOCKS: dict[str, dict[str, Any]] = {
         "seeds": {"count": 8, "start": 1},
     },
 }
-
-
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,6 @@ class ViabilityResult:
     viable: bool
     ratio: float  # gain / cost increase; infinite when the cost increase is zero
 
-    def __bool__(self) -> bool:
-        return self.viable
-
 
 def viability(point: FrontierPoint) -> ViabilityResult:
     """Economically viable iff the relative gain strictly exceeds the cost increase."""

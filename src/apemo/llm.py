@@ -232,16 +232,6 @@ def grade_answer(
     return (grade if grade is not None else heuristic_quality(task, answer)), critic_tokens
 
 
-def score_quality(
-    task: str,
-    answer: str,
-    critic: Optional[ModelEndpoint] = None,
-    decoding: DecodingParams = DecodingParams(),
-) -> float:
-    """Score an answer in [0, 1]; critic grading falls back to the heuristic."""
-    return grade_answer(task, answer, critic, decoding)[0]
-
-
 def split_allocation(total: int, ratios: Sequence[float]) -> list[int]:
     """Floor-split a token allocation by ratios, leftover to the largest ratio."""
     if total < 0:

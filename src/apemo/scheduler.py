@@ -41,31 +41,35 @@ class PolicyKind(str, Enum):
 
 @dataclass(frozen=True)
 class PolicyTraits:
-    """What a policy does at runtime, beyond plain per-turn execution."""
+    """What a policy does at runtime, beyond plain per-turn execution.
+
+    peak_end banks a skim of each early turn as an ending reserve and spends
+    it on the final two turns; a policy monitors when it detects or does
+    that. A topology other than single needs a model server: the simulator
+    has no roles, so a block runs those policies on the llm executor only.
+    """
 
     topology: str = "single"  # single | plan_execute | flow
-    skims: bool = False
-    monitors: bool = False
+    peak_end: bool = False
     detect_quality: bool = False
     detect_frustration: bool = False
-    stabilize_endings: bool = False
     reflect: bool = False
+
+    @property
+    def monitors(self) -> bool:
+        return self.detect_quality or self.detect_frustration or self.peak_end
 
 
 POLICY_TRAITS: dict[PolicyKind, PolicyTraits] = {
     PolicyKind.UNIFORM: PolicyTraits(),
-    PolicyKind.TASK_AFFECT: PolicyTraits(monitors=True, detect_frustration=True),
-    PolicyKind.TASK_PEAK_END: PolicyTraits(skims=True, monitors=True, stabilize_endings=True),
-    PolicyKind.APEMO: PolicyTraits(
-        skims=True, monitors=True, detect_quality=True,
-        detect_frustration=True, stabilize_endings=True,
-    ),
+    PolicyKind.TASK_AFFECT: PolicyTraits(detect_frustration=True),
+    PolicyKind.TASK_PEAK_END: PolicyTraits(peak_end=True),
+    PolicyKind.APEMO: PolicyTraits(peak_end=True, detect_quality=True, detect_frustration=True),
     PolicyKind.PLAN_EXECUTE: PolicyTraits(topology="plan_execute"),
     PolicyKind.PLAN_EXECUTE_REFLECT: PolicyTraits(topology="plan_execute", reflect=True),
     PolicyKind.FLOW_PLAIN: PolicyTraits(topology="flow"),
     PolicyKind.FLOW_TEMPORAL: PolicyTraits(
-        topology="flow", skims=True, monitors=True, detect_quality=True,
-        detect_frustration=True, stabilize_endings=True,
+        topology="flow", peak_end=True, detect_quality=True, detect_frustration=True
     ),
 }
 
@@ -230,7 +234,7 @@ def plan_turn_budget(
     base = turn_base_budget(policy, ledger.cap, horizon, cfg)
     alloc = base
     skim_amount = 0
-    if traits.skims and horizon >= 3 and turn <= horizon - 2:
+    if traits.peak_end and horizon >= 3 and turn <= horizon - 2:
         skim_amount = int(base * cfg.skim_fraction)
         alloc = base - skim_amount
     alloc = min(alloc, ledger.unreserved_remaining())
@@ -425,7 +429,7 @@ def run_trajectory(
                 if try_repair(ctx, RepairReason.NEGATIVE_PEAK, want):
                     repairs_used += 1
 
-        if ok and traits.stabilize_endings and horizon >= 2 and turn >= horizon - 1:
+        if ok and traits.peak_end and horizon >= 2 and turn >= horizon - 1:
             if kept.quality < cfg.ending_threshold:
                 passes_left = horizon - turn + 1
                 want = ledger.reserve_end // passes_left

@@ -44,6 +44,8 @@ from apemo.trajectory import (
     peak_end_quality,
 )
 
+from hostile_executors import HOSTILE_EXECUTORS
+
 
 def _report(ok: bool, label: str) -> None:
     print(f"ACCEPTANCE {'PASS' if ok else 'FAIL'}: {label}")
@@ -89,6 +91,57 @@ def test_criterion_01_budget_safety_fuzz():
     elapsed = time.monotonic() - start
     _report(violations == 0 and elapsed < 60.0,
             f"criterion 1 budget safety (0 violations in 10000, {elapsed:.1f}s < 60s)")
+
+
+def test_criterion_01b_hostile_executor_budget_fuzz():
+    # every policy against every hostile executor (over-reporting, failing
+    # retries, zero tokens) under random configs: zero cap violations, the
+    # turns account for every charged token, and fallback marks exactly the
+    # trajectories where an attempt raised
+    start = time.monotonic()
+    rng = random.Random(515151)
+    violations = failed = repaired = trials = 0
+    for policy in PolicyKind:
+        for hostile in HOSTILE_EXECUTORS:
+            for _ in range(100):
+                horizon = rng.randint(1, 10)
+                cap = rng.randint(horizon, 4000)
+                cfg = SchedulerConfig(
+                    detection=DetectionConfig(
+                        quality_floor=rng.uniform(0.0, 0.9),
+                        drop_threshold=rng.uniform(0.01, 0.5),
+                        frustration_threshold=rng.uniform(0.2, 1.2),
+                    ),
+                    skim_fraction=rng.uniform(0.0, 0.5),
+                    monitor_overhead=rng.randint(0, 40),
+                    max_repairs=rng.randint(0, 3),
+                    repair_factor=rng.uniform(0.5, 2.5),
+                    ending_threshold=rng.uniform(0.0, 1.0),
+                )
+                trap = None
+                if horizon >= 2 and rng.random() < 0.4:
+                    trap = TrapSpec(rng.randint(1, horizon), rng.uniform(0.1, 1.0),
+                                    rng.uniform(0.0, 1.0))
+                abm = AbmConfig(
+                    initial_quality=rng.uniform(0.1, 0.9),
+                    drift_rate=rng.uniform(-0.08, 0.04),
+                    noise_sd=rng.uniform(0.0, 0.25),
+                    digest_tokens=12,
+                )
+                executor = hostile(AbmExecutor(abm, trials, trap=trap))
+                traj = run_trajectory(policy, executor, horizon, cap, trials, cfg)
+                spent = sum(t.tokens_spent for t in traj.turns)
+                if (traj.cost.total > cap
+                        or spent != traj.cost.policy_cost + traj.cost.repair_cost
+                        or traj.fallback != executor.failed):
+                    violations += 1
+                failed += executor.failed
+                repaired += sum(t.repaired for t in traj.turns)
+                trials += 1
+    elapsed = time.monotonic() - start
+    _report(violations == 0 and failed > 0 and repaired > 0 and elapsed < 60.0,
+            f"criterion 1b hostile-executor budget safety (0 violations in {trials}, "
+            f"{failed} with a failed retry, {repaired} repaired turns, {elapsed:.1f}s < 60s)")
 
 
 def test_criterion_02_peak_end_oracle():

@@ -210,3 +210,33 @@ def test_frontier_subcommand(config_path, tmp_path, capsys):
     capsys.readouterr()
     assert main(["frontier", "--config", config_path, "--records", str(out)]) == 0
     assert (out / "reports" / "frontier.csv").exists()
+
+
+def test_validate_config_rejects_topology_policy_on_abm_block(tmp_path, capsys):
+    path = tmp_path / "flow.yaml"
+    path.write_text(
+        "blocks:\n  abm_flow:\n    executor: abm\n    models: [m]\n    horizon: 4\n"
+        "    episodes: 1\n    budget_cap: 400\n    policies: [flow_plain, apemo]\n"
+        "    seeds: [1]\n",
+        encoding="utf-8",
+    )
+    assert main(["validate-config", "--config", str(path)]) == 2
+    assert "blocks.abm_flow: policies ['flow_plain'] need a role topology" in capsys.readouterr().err
+
+
+def test_report_skips_absent_baselines_and_rejects_unknown_ones(config_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    main(["simulate", "--config", config_path, "--block", "tiny_trap", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["report", "--config", config_path, "--records", str(out),
+                 "--baselines", "uniform", "task_peak_end"]) == 0
+    printed = capsys.readouterr().out
+    assert "block tiny_trap: baseline 'uniform' absent; skipping it" in printed
+    rows = (out / "reports" / "tiny_trap.deltas.jsonl").read_text().strip().splitlines()[1:]
+    assert {json.loads(row)["baseline"] for row in rows} == {"task_peak_end"}
+
+    for flag in ("--baselines", "--target"):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--config", config_path, "--records", str(out), flag, "zigzag"])
+        assert info.value.code == 2
+        assert "invalid choice: 'zigzag'" in capsys.readouterr().err

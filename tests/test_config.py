@@ -29,9 +29,9 @@ def _write(tmp_path, data) -> str:
 
 
 def test_config_hashes_are_pinned(tmp_path):
-    assert load_config(None).config_hash() == "86b46372d2ddd99e"
+    assert load_config(None).config_hash() == "92bde4147f5466f3"
     assert load_config(None, include_default_blocks=False).config_hash() == "86572048f23fdafc"
-    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "c2d67806b37c5e8d"
+    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "86912c7a66da9138"
 
 
 def test_defaults_equal_dataclass_defaults():
@@ -205,3 +205,23 @@ def test_integral_floats_and_yaml_booleans_accepted(tmp_path):
     assert cfg.settings.critic_grading is True
     assert cfg.blocks["b"].horizon == 6 and isinstance(cfg.blocks["b"].horizon, int)
     assert cfg.blocks["b"].strict is False
+
+
+@pytest.mark.parametrize("policy", [
+    PolicyKind.PLAN_EXECUTE, PolicyKind.PLAN_EXECUTE_REFLECT,
+    PolicyKind.FLOW_PLAIN, PolicyKind.FLOW_TEMPORAL,
+], ids=str)
+def test_topology_policy_rejected_on_abm_accepted_on_llm(tmp_path, policy):
+    grid = dict(name="b", models=("m",), horizon=8, episodes=1, budget_cap=100,
+                policies=(PolicyKind.APEMO, policy), seeds=(1,))
+    with pytest.raises(ValueError, match=f"policies \\['{policy}'\\] need a role topology"):
+        BlockConfig(executor="abm", **grid)
+    assert BlockConfig(executor="llm", **grid).policies == (PolicyKind.APEMO, policy)
+
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, _block(policies=["apemo", policy.value])),
+                    include_default_blocks=False)
+    assert str(info.value).startswith(f"blocks.b: policies ['{policy}'] need a role topology")
+    cfg = load_config(_write(tmp_path, _block(executor="llm", policies=[policy.value])),
+                      include_default_blocks=False)
+    assert cfg.blocks["b"].policies == (policy,)

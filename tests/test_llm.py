@@ -13,11 +13,11 @@ from apemo.llm import (
     ProtocolError,
     TransportError,
     chat_complete,
+    grade_answer,
     heuristic_quality,
     parse_grade,
     ping,
     run_flow_turn,
-    score_quality,
     split_allocation,
 )
 from apemo.mock_server import MockModelServer
@@ -95,7 +95,7 @@ def test_retries_recover_from_transient_500():
 
 
 def test_heuristic_quality_empty_answer_is_zero():
-    assert score_quality("plan the route", "") == 0.0
+    assert grade_answer("plan the route", "")[0] == 0.0
 
 
 def test_heuristic_quality_saturates():
@@ -118,14 +118,15 @@ def test_parse_grade_and_critic_mapping():
     assert parse_grade("Score = 10") == pytest.approx(1.0)
     assert parse_grade("no number") is None
     with MockModelServer(script=lambda body, i: "grade: 7") as server:
-        assert score_quality("task", "answer text", critic=endpoint_for(server)) == pytest.approx(0.7)
+        grade = grade_answer("task", "answer text", critic=endpoint_for(server))[0]
+    assert grade == pytest.approx(0.7)
 
 
 def test_critic_parse_failure_falls_back_to_heuristic():
     task = "plan the route and estimate cost"
     answer = "We plan a direct route today, estimate every cost, and verify the schedule carefully."
     with MockModelServer(script=lambda body, i: "unclear verdict") as server:
-        score = score_quality(task, answer, critic=endpoint_for(server))
+        score = grade_answer(task, answer, critic=endpoint_for(server))[0]
     assert score == pytest.approx(heuristic_quality(task, answer))
 
 

@@ -24,6 +24,8 @@ from apemo.scheduler import (
 )
 from apemo.signals import SignalConfig, TextDigest, compute_proxies, frustration_score
 
+from hostile_executors import HOSTILE_EXECUTORS, OverReportingExecutor, RetryFailingExecutor
+
 
 def no_overhead_cfg(**kwargs) -> SchedulerConfig:
     kwargs.setdefault("monitor_overhead", 0)
@@ -41,7 +43,7 @@ def test_uniform_even_division():
         ledger.charge_policy(1000)
 
 
-def test_apemo_skims_early_turns_into_reserve():
+def test_apemo_banks_skimmed_early_turns_in_reserve():
     cfg = no_overhead_cfg(skim_fraction=0.2)
     ledger = BudgetLedger(cap=8000)
     allocs = []
@@ -237,6 +239,27 @@ def test_reduction_to_uniform_bit_identical():
         assert replace(a, policy=u.policy) == u
 
 
+ABM_ALIASES = {
+    PolicyKind.FLOW_PLAIN: PolicyKind.UNIFORM,
+    PolicyKind.PLAN_EXECUTE: PolicyKind.UNIFORM,
+    PolicyKind.FLOW_TEMPORAL: PolicyKind.APEMO,
+}
+
+
+@pytest.mark.parametrize("trap", [None, TrapSpec(4, 0.4, 0.3)])
+def test_simulator_runs_topology_policies_as_their_single_aliases(trap):
+    # the simulator has no roles, so these policies reproduce a single-topology
+    # policy exactly; this is why BlockConfig rejects them on abm blocks, and a
+    # simulator that gains a topology fails here first
+    cfg = SchedulerConfig()
+    abm = AbmConfig(noise_sd=0.12)
+    for policy, alias in ABM_ALIASES.items():
+        for seed in range(1, 9):
+            ran = run_trajectory(policy, AbmExecutor(abm, seed, trap=trap), 8, 680, seed, cfg)
+            ref = run_trajectory(alias, AbmExecutor(abm, seed, trap=trap), 8, 680, seed, cfg)
+            assert replace(ran, policy=ref.policy) == ref
+
+
 def test_thresholds_unreachable_gives_uniform_plus_reserve():
     cfg = SchedulerConfig(
         detection=DetectionConfig(quality_floor=0.0, frustration_threshold=1.5),
@@ -376,40 +399,6 @@ def test_budget_safety_fuzz():
         assert spent == traj.cost.policy_cost + traj.cost.repair_cost
 
 
-class HostileExecutor:
-    """Wraps the simulator; failed records whether any attempt raised."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.failed = False
-
-
-class OverReportingExecutor(HostileExecutor):
-    """Simulator that claims more tokens than each attempt was allocated."""
-
-    def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
-        out = self.inner.execute_turn(ctx, allocated_tokens, seed)
-        return replace(out, tokens_used=allocated_tokens + 50)
-
-
-class RetryFailingExecutor(HostileExecutor):
-    """Simulator whose repair, ending and reflection attempts raise ExecutorError."""
-
-    def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
-        if ctx.attempt > 0:
-            self.failed = True
-            raise ExecutorError("injected retry failure")
-        return self.inner.execute_turn(ctx, allocated_tokens, seed)
-
-
-class SilentExecutor(HostileExecutor):
-    """Simulator that reports no tokens used and returns empty output."""
-
-    def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
-        out = self.inner.execute_turn(ctx, allocated_tokens, seed)
-        return replace(out, tokens=(), tokens_used=0)
-
-
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_over_reported_tokens_never_overdraw(policy):
     # every hostile executor against every policy: the cap holds, the turns
@@ -418,7 +407,7 @@ def test_over_reported_tokens_never_overdraw(policy):
     cfg = SchedulerConfig()
     cap = 680
     traits = POLICY_TRAITS[policy]
-    for hostile in (OverReportingExecutor, RetryFailingExecutor, SilentExecutor):
+    for hostile in HOSTILE_EXECUTORS:
         repaired = failed = 0
         for seed in range(1, 6):
             inner = AbmExecutor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
@@ -431,12 +420,12 @@ def test_over_reported_tokens_never_overdraw(policy):
             assert traj.fallback == executor.failed
             repaired += sum(t.repaired for t in traj.turns)
             failed += executor.failed
-        if hostile is OverReportingExecutor and traits.skims:
+        if hostile is OverReportingExecutor and traits.peak_end:
             # the clamp on repair and ending retries was exercised, not just the first attempt
             assert repaired > 0
         if hostile is RetryFailingExecutor:
             assert repaired == 0
-            if traits.skims or traits.reflect:
+            if traits.peak_end or traits.reflect:
                 assert failed > 0  # repair, ending or reflection attempts were made
 
 
