@@ -19,7 +19,6 @@ from .llm import (
     LlmExecutor,
     ModelEndpoint,
     chat_complete,
-    run_flow_turn,
 )
 from .scheduler import (
     BudgetLedger,

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from .abm import AbmConfig, AbmExecutor, TrapSpec
 from .executor import Executor
-from .llm import DEFAULT_ROLE_SPLIT, DecodingParams, LlmExecutor, ModelEndpoint, ping
+from .llm import DecodingParams, LlmExecutor, ModelEndpoint, ping
 from .scheduler import (
     POLICY_TRAITS,
     PolicyKind,
@@ -335,8 +335,6 @@ class RuntimeSettings:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     endpoint: Optional[ModelEndpoint] = None
     decoding: DecodingParams = field(default_factory=DecodingParams)
-    role_split: tuple[float, float, float] = DEFAULT_ROLE_SPLIT
-    critic_grading: bool = False
 
 
 def _make_executor(
@@ -351,9 +349,7 @@ def _make_executor(
         replace(settings.endpoint, model_id=model_id),
         topology=POLICY_TRAITS[policy].topology,
         decoding=settings.decoding,
-        role_split=settings.role_split,
         trap=block.trap,
-        critic_grading=settings.critic_grading,
     )
 
 

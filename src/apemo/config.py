@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -106,7 +106,6 @@ class AppConfig:
     abm: AbmConfig
     blocks: dict[str, BlockConfig]
     source_path: Optional[str]
-    raw: dict
     stats_seed: int = 1234
     output_dir: str = "runs"
     workers: int = 1
@@ -120,8 +119,11 @@ class AppConfig:
             )
 
     def config_hash(self) -> str:
+        """Hash of the resolved values, so a value hashes the same however it is written."""
+        resolved = asdict(self)
+        del resolved["source_path"]
         return hashlib.sha256(
-            json.dumps(self.raw, sort_keys=True).encode("utf-8")
+            json.dumps(resolved, sort_keys=True).encode("utf-8")
         ).hexdigest()[:16]
 
 
@@ -318,5 +320,5 @@ def load_config(path: Optional[str] = None, include_default_blocks: bool = True)
                       **_nested(RuntimeSettings, built))
     blocks = {name: _parse_block(name, spec, built["abm"]) for name, spec in merged["blocks"].items()}
     return _build(AppConfig, _top(AppConfig, merged), "", settings=settings, blocks=blocks,
-                  source_path=path, raw=merged, **_nested(AppConfig, built))
+                  source_path=path, **_nested(AppConfig, built))
 

@@ -14,7 +14,13 @@ from typing import Protocol
 
 
 class ExecutorError(RuntimeError):
-    """A turn could not be executed; the scheduler records a fallback turn."""
+    """A turn could not be executed; the scheduler records a fallback turn.
+
+    tokens_used counts the completion tokens that the attempt's finished
+    calls generated before the failure; the scheduler charges them.
+    """
+
+    tokens_used: int = 0
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,6 @@ class TurnContext:
     turn: int
     horizon: int
     attempt: int = 0
-    phase: str = "normal"  # normal | repair | ending | reflect
     prior_quality: float | None = None
     critique: str | None = None
     history: tuple[str, ...] = ()
@@ -64,6 +69,6 @@ class Executor(Protocol):
     ) -> TurnOutcome: ...
 
 
-def fallback_outcome() -> TurnOutcome:
+def fallback_outcome(tokens_used: int = 0) -> TurnOutcome:
     """Zero-quality placeholder recorded when an executor fails a turn."""
-    return TurnOutcome(tokens=(), tokens_used=0, quality=0.0)
+    return TurnOutcome(tokens=(), tokens_used=tokens_used, quality=0.0)

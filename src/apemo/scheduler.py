@@ -322,10 +322,11 @@ def run_trajectory(
     cost. Every attempt takes one path: it is charged at most its
     allocation, whatever the executor reports, so a misreporting executor
     cannot overdraw the cap, and a retry is kept only if strictly better.
-    An ExecutorError records a zero-quality attempt and marks the trajectory
-    as fallback; any other exception propagates. Signals are read once per
-    turn from the digest of the kept output, built here from its tokens at
-    cfg.signal.ngram_order; an attempt that is not kept is never digested.
+    An ExecutorError records a zero-quality attempt, charged the tokens the
+    error reports, and marks the trajectory as fallback; any other exception
+    propagates. Signals are read once per turn from the digest of the kept
+    output, built here from its tokens at cfg.signal.ngram_order; an attempt
+    that is not kept is never digested.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -364,17 +365,15 @@ def run_trajectory(
         """
         nonlocal kept, spent, tries, repaired, fallback
         if phase != "normal":
-            ctx = replace(
-                ctx, attempt=tries, phase=phase, critique=_critique_note(phase, kept.quality)
-            )
+            ctx = replace(ctx, attempt=tries, critique=_critique_note(phase, kept.quality))
         tries += 1
         ok = True
         try:
             outcome = executor.execute_turn(ctx, alloc, seed)
-        except ExecutorError:
+        except ExecutorError as exc:
             fallback = True
             ok = False
-            outcome = fallback_outcome()
+            outcome = fallback_outcome(exc.tokens_used)
         used = min(outcome.tokens_used, alloc)
         if phase in ("repair", "ending"):
             ledger.refund_repair(alloc - used)
@@ -408,7 +407,6 @@ def run_trajectory(
             turn=turn,
             horizon=horizon,
             attempt=0,
-            phase="normal",
             prior_quality=q_history[-1] if q_history else None,
             history=tuple(kept_texts),
         )

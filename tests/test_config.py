@@ -7,7 +7,7 @@ import yaml
 
 from apemo.abm import AbmConfig, TrapSpec
 from apemo.benchmark import BlockConfig, ReuseParams, RuntimeSettings
-from apemo.config import ConfigError, load_config
+from apemo.config import DEFAULTS, ConfigError, load_config
 from apemo.llm import DecodingParams, ModelEndpoint
 from apemo.scheduler import DetectionConfig, PolicyKind, SchedulerConfig
 from apemo.signals import SignalConfig
@@ -29,9 +29,18 @@ def _write(tmp_path, data) -> str:
 
 
 def test_config_hashes_are_pinned(tmp_path):
-    assert load_config(None).config_hash() == "92bde4147f5466f3"
-    assert load_config(None, include_default_blocks=False).config_hash() == "86572048f23fdafc"
-    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "86912c7a66da9138"
+    assert load_config(None).config_hash() == "b6c19822c6532348"
+    assert load_config(None, include_default_blocks=False).config_hash() == "210aa6bcc559af54"
+    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "e07550b235cc398b"
+
+
+def test_config_hash_is_of_resolved_values(tmp_path):
+    def hash_of(data: dict) -> str:
+        return load_config(_write(tmp_path, data), include_default_blocks=False).config_hash()
+
+    assert hash_of({"scheduler": {"skim_fraction": 0}}) == hash_of({"scheduler": {"skim_fraction": 0.0}})
+    assert hash_of(_block(horizon=4)) == hash_of(_block(horizon=4.0))
+    assert hash_of(_block(horizon=4)) != hash_of(_block(horizon=5))
 
 
 def test_defaults_equal_dataclass_defaults():
@@ -57,7 +66,7 @@ def _key_paths(tree: dict, prefix: str = "") -> set[str]:
 
 ACCEPTED_KEY_PATHS = {
     "schema_version", "stats_seed", "output_dir", "workers", "resamples",
-    "role_split", "critic_grading", "blocks",
+    "blocks",
     "weights.quality", "weights.reuse", "weights.frustration", "weights.cost",
     "weights.peak", "weights.end",
     "signal.proxy_weights", "signal.ngram_order", "signal.smoothing",
@@ -74,7 +83,7 @@ ACCEPTED_KEY_PATHS = {
 
 
 def test_resolved_key_set_is_pinned():
-    assert _key_paths(load_config(None).raw) == ACCEPTED_KEY_PATHS
+    assert _key_paths(DEFAULTS) == ACCEPTED_KEY_PATHS
 
 
 EVERY_KEY = {
@@ -95,8 +104,6 @@ EVERY_KEY = {
     "endpoint": {"base_url": "http://host:1", "model_id": "m", "timeout": 5.0,
                  "max_retries": 4, "backoff_base": 0.5},
     "decoding": {"temperature": 0.7, "top_p": 0.8},
-    "role_split": [0.3, 0.5, 0.2],
-    "critic_grading": True,
     "blocks": {
         "b": {
             "executor": "llm",
@@ -132,8 +139,6 @@ def test_every_key_lands_on_its_field(tmp_path):
         endpoint=ModelEndpoint(base_url="http://host:1", model_id="m", timeout=5.0,
                                max_retries=4, backoff_base=0.5),
         decoding=DecodingParams(temperature=0.7, top_p=0.8),
-        role_split=(0.3, 0.5, 0.2),
-        critic_grading=True,
     )
     assert cfg.abm == AbmConfig(initial_quality=0.7, drift_rate=-0.01, noise_sd=0.08,
                                 uplift_gain=0.3, uplift_half=600.0, digest_tokens=24)
@@ -177,7 +182,7 @@ def _block(**extra) -> dict:
 
 
 @pytest.mark.parametrize("data, message", [
-    ({"critic_grading": "false"}, "critic_grading must be true or false, got 'false'"),
+    (_block(strict="false"), "blocks.b.strict must be true or false, got 'false'"),
     (_block(strict="no"), "blocks.b.strict must be true or false, got 'no'"),
     (_block(horizon=2.9), "blocks.b.horizon must be an integer, got 2.9"),
     (_block(horizon=True), "blocks.b.horizon must be int, got True"),
@@ -190,7 +195,8 @@ def _block(**extra) -> dict:
     (_block(trap={"trap_turn": 3, "severity": 0.4, "turn": 2}), "blocks.b.trap: unknown keys ['turn']"),
     (_block(policies=["zigzag"]), "blocks.b.policies[0]: unknown value 'zigzag'"),
     (_block(seeds={"count": 0}), "blocks.b.seeds: seed count must be >= 1"),
-    ({"role_split": [0.5, 0.5]}, "role_split must have exactly 3 items, got 2"),
+    ({"signal": {"proxy_weights": [0.5, 0.5]}},
+     "signal.proxy_weights must have exactly 3 items, got 2"),
     ({"schema_version": 2}, "schema_version 2 unsupported; expected 1"),
 ])
 def test_bad_values_rejected_with_path(tmp_path, data, message):
@@ -200,9 +206,8 @@ def test_bad_values_rejected_with_path(tmp_path, data, message):
 
 
 def test_integral_floats_and_yaml_booleans_accepted(tmp_path):
-    cfg = load_config(_write(tmp_path, {"critic_grading": True, **_block(horizon=6.0, strict=False)}),
+    cfg = load_config(_write(tmp_path, _block(horizon=6.0, strict=False)),
                       include_default_blocks=False)
-    assert cfg.settings.critic_grading is True
     assert cfg.blocks["b"].horizon == 6 and isinstance(cfg.blocks["b"].horizon, int)
     assert cfg.blocks["b"].strict is False
 

@@ -6,18 +6,15 @@ import pytest
 
 from apemo.executor import ExecutorError, TurnContext
 from apemo.llm import (
-    CRITIC_TOKENS,
     DecodingParams,
     LlmExecutor,
     ModelEndpoint,
     ProtocolError,
     TransportError,
     chat_complete,
-    grade_answer,
     heuristic_quality,
     parse_grade,
     ping,
-    run_flow_turn,
     split_allocation,
 )
 from apemo.mock_server import MockModelServer
@@ -31,6 +28,10 @@ def endpoint_for(server: MockModelServer, retries: int = 0) -> ModelEndpoint:
         base_url=server.url, model_id="test-model", timeout=5.0,
         max_retries=retries, backoff_base=0.01,
     )
+
+
+def is_critic(body: dict) -> bool:
+    return body["messages"][0]["content"].startswith("You are the critic.")
 
 
 def test_chat_complete_echo_round_trip():
@@ -95,7 +96,7 @@ def test_retries_recover_from_transient_500():
 
 
 def test_heuristic_quality_empty_answer_is_zero():
-    assert grade_answer("plan the route", "")[0] == 0.0
+    assert heuristic_quality("plan the route", "") == 0.0
 
 
 def test_heuristic_quality_saturates():
@@ -113,21 +114,34 @@ def test_heuristic_quality_penalizes_truncation_and_repetition():
     assert repetitive < clean
 
 
+def critic_replies(verdict: str):
+    """Script: the critic replies verdict, every other role a fixed answer."""
+    def script(body: dict, index: int) -> str:
+        if is_critic(body):
+            return verdict
+        return "We plan a direct route today, estimate every cost, and verify the schedule carefully."
+    return script
+
+
+def flow_turn(server: MockModelServer, allocated_tokens: int = 300):
+    ctx = TurnContext(task="plan the route and estimate cost", turn=1, horizon=4)
+    executor = LlmExecutor(endpoint_for(server), topology="flow")
+    return executor.execute_turn(ctx, allocated_tokens, seed=5)
+
+
 def test_parse_grade_and_critic_mapping():
     assert parse_grade("grade: 7") == pytest.approx(0.7)
     assert parse_grade("Score = 10") == pytest.approx(1.0)
     assert parse_grade("no number") is None
-    with MockModelServer(script=lambda body, i: "grade: 7") as server:
-        grade = grade_answer("task", "answer text", critic=endpoint_for(server))[0]
-    assert grade == pytest.approx(0.7)
+    with MockModelServer(script=critic_replies("grade: 7")) as server:
+        assert flow_turn(server).quality == pytest.approx(0.7)
 
 
 def test_critic_parse_failure_falls_back_to_heuristic():
-    task = "plan the route and estimate cost"
-    answer = "We plan a direct route today, estimate every cost, and verify the schedule carefully."
-    with MockModelServer(script=lambda body, i: "unclear verdict") as server:
-        score = grade_answer(task, answer, critic=endpoint_for(server))[0]
-    assert score == pytest.approx(heuristic_quality(task, answer))
+    with MockModelServer(script=critic_replies("unclear verdict")) as server:
+        out = flow_turn(server)
+    assert out.text
+    assert out.quality == pytest.approx(heuristic_quality("plan the route and estimate cost", out.text))
 
 
 def test_split_allocation_ratio_example():
@@ -142,8 +156,7 @@ def test_split_allocation_leftover_to_largest_share():
 
 def test_run_flow_turn_role_sequence_and_usage():
     with MockModelServer() as server:
-        ctx = TurnContext(task="plan the route and estimate cost", turn=1, horizon=4)
-        out = run_flow_turn(endpoint_for(server), DECODING, ctx, 1000, seed=5)
+        out = flow_turn(server, 1000)
         assert len(server.transcript) == 3  # planner, executor, critic
         caps = [b["options"]["num_predict"] for b in server.transcript]
         assert caps == [250, 600, 150]
@@ -159,7 +172,7 @@ def test_flow_transport_error_propagates_for_fallback():
     )
     ctx = TurnContext(task="plan", turn=1, horizon=2)
     with pytest.raises(ExecutorError):
-        run_flow_turn(endpoint, DECODING, ctx, 300, seed=1)
+        LlmExecutor(endpoint, topology="flow").execute_turn(ctx, 300, seed=1)
 
 
 def test_executor_zero_allocation_runs_without_call():
@@ -183,6 +196,31 @@ def test_executor_trap_injection_corrupts_prompt_once():
         first, retry = server.transcript
         assert "loop" in first["messages"][-1]["content"].lower()
         assert "loop" not in retry["messages"][-1]["content"].lower()
+
+
+def test_plan_execute_reflect_wire_roles():
+    # turn 1's first call plans at the full allocation; every other call,
+    # the reflection pass included, is an assistant call
+    horizon, cap = 3, 400
+    with MockModelServer() as server:
+        executor = LlmExecutor(endpoint_for(server), topology="plan_execute")
+        traj = run_trajectory(PolicyKind.PLAN_EXECUTE_REFLECT, executor, horizon, cap, seed=5,
+                              cfg=SchedulerConfig(task="plan the route", monitor_overhead=0))
+        planner, *others = server.transcript
+    base = cap // (horizon + 1)
+    assert planner["messages"][0]["content"].startswith("You are the planner.")
+    assert planner["options"]["num_predict"] == base
+    assert len(others) == horizon  # turns 2..T and the reflection pass
+    for body in others:
+        assert body["messages"][0]["content"].startswith("You are a careful assistant")
+        assert body["options"]["num_predict"] == base
+    reflection = others[-1]["messages"][-1]["content"]
+    assert f"This is turn {horizon} of {horizon}." in reflection
+    assert "Reviewer note:" in reflection
+    # the plan is the first turn's answer, carried forward without a note
+    plan = server.script(planner, 0)
+    assert f"- {plan}\n" in others[0]["messages"][-1]["content"]
+    assert traj.turns[0].tokens_spent == len(plan.split())
 
 
 class OverReportingServer(MockModelServer):
@@ -233,61 +271,61 @@ def test_over_reported_turn_falls_back_within_cap(policy):
         assert traj.turns[1].tokens_spent == 0
 
 
-GRADER_SYSTEM = "You are a strict grader."
+class FillingServer(MockModelServer):
+    """Answers fill num_predict, the critic grades 2/10; records each reply's completion tokens."""
 
-
-class CriticServer(MockModelServer):
-    """Grades every answer 7/10 and reports each reply's completion tokens."""
-
-    def __init__(self):
-        super().__init__(script=self.answer_or_grade)
+    def __init__(self, **kwargs):
+        super().__init__(script=self.answer_or_grade, **kwargs)
         self.eval_counts = []
         self.critic_eval_counts = []
 
     @staticmethod
     def answer_or_grade(body: dict, index: int) -> str:
-        if body["messages"][0]["content"] == GRADER_SYSTEM:
-            return "grade: 7 because the plan covers the route"
-        return " ".join(["plan the route step by step"] * 40)
+        if is_critic(body):
+            return "grade: 2 because the plan wanders"
+        return " ".join(["plan the route step by step"] * 100)
 
     def reply(self, body: dict, index: int) -> dict:
         payload = super().reply(body, index)
         self.eval_counts.append(payload["eval_count"])
-        if body["messages"][0]["content"] == GRADER_SYSTEM:
+        if is_critic(body):
             self.critic_eval_counts.append(payload["eval_count"])
         return payload
 
 
-def test_critic_call_is_reserved_out_of_the_allocation_and_charged():
-    task = "plan the route and estimate cost"
-    ctx = TurnContext(task=task, turn=1, horizon=4)
-    with CriticServer() as server:
-        executor = LlmExecutor(endpoint_for(server), critic_grading=True)
-        out = executor.execute_turn(ctx, 100, seed=1)
-        answer, critic = server.transcript
-        assert answer["options"]["num_predict"] == 100 - CRITIC_TOKENS
-        assert critic["options"]["num_predict"] == CRITIC_TOKENS
-        (critic_tokens,) = server.critic_eval_counts
-        assert out.quality == pytest.approx(0.7)
-        assert out.tokens_used == sum(server.eval_counts) == 100 - CRITIC_TOKENS + critic_tokens
-
-        # no room for the critic: one uncapped answer call, heuristic grade
-        out = executor.execute_turn(ctx, CRITIC_TOKENS, seed=1)
-        assert len(server.transcript) == 3
-        assert server.transcript[2]["options"]["num_predict"] == CRITIC_TOKENS
-        assert out.tokens_used == CRITIC_TOKENS
-        assert out.quality == pytest.approx(heuristic_quality(task, out.text))
-
-
-@pytest.mark.parametrize("policy", [PolicyKind.UNIFORM, PolicyKind.APEMO])
+@pytest.mark.parametrize("policy", [PolicyKind.FLOW_PLAIN, PolicyKind.FLOW_TEMPORAL])
 def test_critic_tokens_are_on_the_ledger(policy):
     budget_cap = 400
-    with CriticServer() as server:
-        executor = LlmExecutor(endpoint_for(server), critic_grading=True)
+    with FillingServer() as server:
+        executor = LlmExecutor(endpoint_for(server), topology="flow")
         traj = run_trajectory(policy, executor, 4, budget_cap, seed=3,
                               cfg=SchedulerConfig(task="plan the route"))
     assert server.critic_eval_counts
     assert not traj.fallback
+    assert all(t.quality == pytest.approx(0.2) for t in traj.turns)  # the critic's grade
     # every completion token the server reported, critic calls included
     assert sum(server.eval_counts) == traj.cost.policy_cost + traj.cost.repair_cost
     assert traj.cost.total <= budget_cap
+
+
+def test_failed_call_charges_the_calls_before_it():
+    # a flow turn whose later call fails still generated its earlier calls'
+    # tokens; they are charged, so the server never generates past the cap
+    budget_cap = 400
+    cfg = SchedulerConfig(task="plan the route")
+
+    def run(fail: set[int]):
+        with FillingServer(fail_requests=fail) as server:
+            executor = LlmExecutor(endpoint_for(server), topology="flow")
+            traj = run_trajectory(PolicyKind.FLOW_TEMPORAL, executor, 4, budget_cap, seed=3,
+                                  cfg=cfg)
+        return traj, server
+
+    clean, server = run(set())
+    assert not clean.fallback
+    for index in range(len(server.transcript)):
+        traj, server = run({index})
+        assert traj.fallback
+        generated = sum(server.eval_counts)
+        assert generated == traj.cost.policy_cost + traj.cost.repair_cost, index
+        assert traj.cost.total <= budget_cap
