@@ -16,8 +16,10 @@ from typing import Protocol
 class ExecutorError(RuntimeError):
     """A turn could not be executed; the scheduler records a fallback turn.
 
-    tokens_used counts the completion tokens that the attempt's finished
-    calls generated before the failure; the scheduler charges them.
+    tokens_used counts the completion tokens that the attempt's calls
+    generated: those of the calls finished before the failure, plus what the
+    failing call is known to have generated (the cap of a reply that reports
+    more than its cap); the scheduler charges them.
     """
 
     tokens_used: int = 0

@@ -6,8 +6,11 @@ response {message{content}, prompt_eval_count, eval_count}. Budget
 accounting counts server-reported completion tokens (eval_count), which
 the per-request num_predict cap bounds by the scheduler's allocation; a
 reply whose eval_count exceeds num_predict, or with a negative count, is a
-protocol error. Prompt tokens are recorded for reference but are not
-budgeted.
+protocol error, and one over its cap is charged num_predict. Prompt tokens
+are recorded for reference but are not budgeted.
+
+The transport is the stdlib http.client: each thread keeps one HTTP/1.1
+connection per server, opened directly without proxy settings.
 
 Every turn runs one ordered list of (role, token share) calls: one
 executor call, a planner call on the first pass of a plan-execute
@@ -17,13 +20,14 @@ ratio split of the turn allocation.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .abm import TrapSpec
 from .executor import ExecutorError, TurnContext, TurnOutcome, fallback_outcome
@@ -94,31 +98,36 @@ def chat_complete(
         "options": options,
         "stream": False,
     }
+    body = json.dumps(payload).encode()
     url = endpoint.base_url.rstrip("/") + "/api/chat"
     last_exc: Exception | None = None
     for attempt in range(endpoint.max_retries + 1):
         try:
-            resp = requests.post(url, json=payload, timeout=endpoint.timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            status, data = _request(endpoint, "POST", "/api/chat", body)
+        except (OSError, http.client.HTTPException) as exc:
             last_exc = exc
             if attempt < endpoint.max_retries:
                 time.sleep(endpoint.backoff_base * (2**attempt))
             continue
-        if resp.status_code >= 500:
-            last_exc = TransportError(f"server error {resp.status_code} from {url}")
+        if status >= 500:
+            last_exc = TransportError(f"server error {status} from {url}")
             if attempt < endpoint.max_retries:
                 time.sleep(endpoint.backoff_base * (2**attempt))
             continue
-        return _parse_chat_response(resp, url, token_cap)
+        try:
+            return _parse_chat_response(status, data, url, token_cap)
+        except ProtocolError:
+            _drop_connection(endpoint)
+            raise
     raise TransportError(f"request to {url} failed after {endpoint.max_retries + 1} attempts: {last_exc}")
 
 
-def _parse_chat_response(resp: requests.Response, url: str, cap: int) -> ChatResult:
-    if resp.status_code != 200:
-        raise ProtocolError(f"unexpected status {resp.status_code} from {url}")
+def _parse_chat_response(status: int, data: bytes, url: str, cap: int) -> ChatResult:
+    if status != 200:
+        raise ProtocolError(f"unexpected status {status} from {url}")
     try:
-        body = resp.json()
-    except (ValueError, json.JSONDecodeError) as exc:
+        body = json.loads(data)
+    except ValueError as exc:
         raise ProtocolError(f"non-JSON response from {url}: {exc}") from exc
     try:
         text = body["message"]["content"]
@@ -132,19 +141,91 @@ def _parse_chat_response(resp: requests.Response, url: str, cap: int) -> ChatRes
             f"eval_count={completion_tokens}"
         )
     if completion_tokens > cap:
-        # a server that ignores num_predict would overdraw the turn allocation
-        raise ProtocolError(f"eval_count {completion_tokens} above num_predict {cap} from {url}")
+        # a server that ignores num_predict would overdraw the turn allocation;
+        # it generated at least the cap, so that much is charged
+        exc = ProtocolError(f"eval_count {completion_tokens} above num_predict {cap} from {url}")
+        exc.tokens_used = cap
+        raise exc
     return ChatResult(text=text, prompt_tokens=prompt_tokens, completion_tokens=completion_tokens)
 
 
 def ping(endpoint: ModelEndpoint) -> None:
     """Preflight reachability check; raises TransportError when the server is down."""
     try:
-        resp = requests.get(endpoint.base_url, timeout=endpoint.timeout)
-    except (requests.ConnectionError, requests.Timeout) as exc:
+        status, _ = _request(endpoint, "GET", "/")
+    except (OSError, http.client.HTTPException) as exc:
         raise TransportError(f"preflight to {endpoint.base_url} failed: {exc}") from exc
-    if resp.status_code >= 400:
-        raise TransportError(f"preflight to {endpoint.base_url} returned {resp.status_code}")
+    if status >= 400:
+        raise TransportError(f"preflight to {endpoint.base_url} returned {status}")
+
+
+class _Pool(dict):
+    """One thread's kept-alive connections by (scheme, host:port), closed with the thread."""
+
+    def __del__(self) -> None:
+        for conn in self.values():
+            conn.close()
+
+
+_local = threading.local()
+
+# What a reused connection raises when the server dropped it while idle
+# (RemoteDisconnected is a ConnectionResetError, listed for the reader).
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+def _request(
+    endpoint: ModelEndpoint, method: str, path: str, body: Optional[bytes] = None
+) -> tuple[int, bytes]:
+    """One exchange on this thread's kept-alive connection to the endpoint.
+
+    `path` is taken below the base URL's path. Connections are direct: no
+    proxy environment variable is read. A failed exchange closes the
+    connection and raises OSError or HTTPException, except that a reused
+    connection failing as stale is replaced and the request sent once more
+    at once. A reply that is not 200, or that says it closes, closes the
+    connection too.
+    """
+    parts = urlsplit(endpoint.base_url)
+    key = (parts.scheme, parts.netloc)
+    pool = getattr(_local, "pool", None)
+    if pool is None:
+        pool = _local.pool = _Pool()
+    headers = {} if body is None else {"Content-Type": "application/json"}
+    while True:
+        conn = pool.pop(key, None)
+        reused = conn is not None
+        if reused:
+            conn.sock.settimeout(endpoint.timeout)
+        elif parts.scheme == "https":
+            conn = http.client.HTTPSConnection(parts.netloc, timeout=endpoint.timeout)
+        else:
+            conn = http.client.HTTPConnection(parts.netloc, timeout=endpoint.timeout)
+        try:
+            conn.request(method, parts.path.rstrip("/") + path, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except _STALE:
+            conn.close()
+            if reused:
+                continue
+            raise
+        except BaseException:
+            conn.close()
+            raise
+        if resp.status == 200 and not resp.will_close:
+            pool[key] = conn
+        else:
+            conn.close()
+        return resp.status, data
+
+
+def _drop_connection(endpoint: ModelEndpoint) -> None:
+    """Close this thread's connection to the endpoint, if it keeps one."""
+    parts = urlsplit(endpoint.base_url)
+    conn = getattr(_local, "pool", {}).pop((parts.scheme, parts.netloc), None)
+    if conn is not None:
+        conn.close()
 
 
 def task_keywords(task: str) -> list[str]:
@@ -285,8 +366,9 @@ class LlmExecutor:
         that the turn's later calls see, a plan under a "plan: " note. The
         critic's parsed grade, when there is one, replaces the heuristic
         quality. Zero-share roles are skipped. A failing call raises with the
-        completion tokens of the calls finished before it, so the scheduler
-        charges what the server generated.
+        completion tokens of the calls finished before it plus those the
+        failing call carries, so the scheduler charges what the server
+        generated.
         """
         if allocated_tokens < 1:
             # exhausted budget: the turn runs at minimum precision (no call)
@@ -318,7 +400,7 @@ class LlmExecutor:
                     self.endpoint, messages, self.decoding, share, seed=call_seed
                 )
             except ExecutorError as exc:
-                exc.tokens_used = completion_total
+                exc.tokens_used = completion_total + exc.tokens_used
                 raise
             prompt_total += result.prompt_tokens
             completion_total += result.completion_tokens

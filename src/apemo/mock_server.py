@@ -6,7 +6,9 @@ Implements the same JSON dialect as the real server: POST /api/chat with
 truncated to num_predict whitespace tokens, with eval_count reporting the
 truncated length, so cost accounting can be checked bit-exactly. Every
 request body is recorded for transcript assertions. GET / answers the
-preflight ping.
+preflight ping. The server speaks HTTP/1.1 with TCP_NODELAY, so a client
+keeps one connection alive across calls; stop() shuts those connections
+down, so a stopped server answers nothing.
 
 Used by the test suite and handy for dry-running the run-llm command
 without a live model.
@@ -15,6 +17,7 @@ without a live model.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
@@ -48,9 +51,23 @@ def default_script(body: dict, index: int) -> str:
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "MockModelServer/1.0"
+    protocol_version = "HTTP/1.1"
+    # headers and body go out as two writes; without TCP_NODELAY, Nagle holds
+    # the body until the client's delayed ACK (~40 ms per kept-alive call)
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt: str, *args) -> None:  # silence request logging
         pass
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.owner.connected(self.connection)  # type: ignore[attr-defined]
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server.owner.disconnected(self.connection)  # type: ignore[attr-defined]
 
     def do_GET(self) -> None:
         body = b"mock model server is running"
@@ -93,6 +110,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
 
+def _shut(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already closed by the peer
+        pass
+
+
 class MockModelServer:
     """Scriptable chat-completion server bound to an ephemeral localhost port."""
 
@@ -107,6 +131,8 @@ class MockModelServer:
         self.garbage_requests = garbage_requests or set()
         self.transcript: list[dict] = []
         self._lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
+        self._stopping = False
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -138,6 +164,18 @@ class MockModelServer:
             "eval_count": len(words),
         }
 
+    def connected(self, sock: socket.socket) -> None:
+        """Track an accepted connection; one accepted as stop() runs is shut at once."""
+        with self._lock:
+            if self._stopping:
+                _shut(sock)
+            else:
+                self._connections.add(sock)
+
+    def disconnected(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._connections.discard(sock)
+
     def behavior_for(self, index: int) -> str:
         if index in self.fail_requests:
             return "error"
@@ -146,6 +184,7 @@ class MockModelServer:
         return "ok"
 
     def start(self) -> "MockModelServer":
+        self._stopping = False
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
         self._httpd.owner = self  # type: ignore[attr-defined]
         self._thread = threading.Thread(
@@ -159,6 +198,12 @@ class MockModelServer:
     def stop(self) -> None:
         if self._httpd is not None:
             self._httpd.shutdown()
+            # handler threads are daemons that server_close does not join; on a
+            # kept-alive connection they would go on serving
+            with self._lock:
+                self._stopping = True
+                for sock in self._connections:
+                    _shut(sock)
             self._httpd.server_close()
             self._httpd = None
         if self._thread is not None:

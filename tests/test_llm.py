@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from apemo.executor import ExecutorError, TurnContext
@@ -268,7 +274,22 @@ def test_over_reported_turn_falls_back_within_cap(policy):
     assert traj.cost.total <= budget_cap
     assert traj.turns[1].quality == 0.0  # the over-reported call kept no answer
     if policy is PolicyKind.UNIFORM:
-        assert traj.turns[1].tokens_spent == 0
+        # the server generated at least the call's num_predict: that is charged
+        assert traj.turns[1].tokens_spent == 100
+
+
+def test_over_reported_flow_call_charges_the_planner_and_its_share():
+    budget_cap = 400
+    with OverReportingServer({1}) as server:  # turn 1's executor call
+        executor = LlmExecutor(endpoint_for(server), topology="flow")
+        traj = run_trajectory(PolicyKind.FLOW_PLAIN, executor, 4, budget_cap, seed=3,
+                              cfg=SchedulerConfig(task="plan the route"))
+        planner, over = server.transcript[:2]
+        planner_eval = server.reply(planner, 0)["eval_count"]
+    assert traj.fallback
+    assert planner_eval > 0
+    assert traj.turns[0].tokens_spent == planner_eval + over["options"]["num_predict"]
+    assert traj.cost.total <= budget_cap
 
 
 class FillingServer(MockModelServer):
@@ -329,3 +350,100 @@ def test_failed_call_charges_the_calls_before_it():
         generated = sum(server.eval_counts)
         assert generated == traj.cost.policy_cost + traj.cost.repair_cost, index
         assert traj.cost.total <= budget_cap
+
+
+class CountingServer(MockModelServer):
+    """Counts accepted TCP connections."""
+
+    connections = 0
+
+    def start(self) -> "CountingServer":
+        super().start()
+        accept = self._httpd.process_request
+
+        def counted(request, client_address):
+            # serve_forever calls this once per accepted connection, on one thread
+            self.connections += 1
+            accept(request, client_address)
+
+        self._httpd.process_request = counted
+        return self
+
+
+def call(endpoint: ModelEndpoint) -> None:
+    chat_complete(endpoint, [{"role": "user", "content": "Task: hello"}], DECODING, 10)
+
+
+def test_calls_from_one_thread_share_one_connection():
+    with CountingServer() as server:
+        endpoint = endpoint_for(server)
+        for _ in range(20):
+            call(endpoint)
+        assert server.connections == 1
+        assert len(server.transcript) == 20
+
+
+def test_each_client_thread_keeps_its_own_connection():
+    with CountingServer() as server:
+        endpoint = endpoint_for(server)
+        errors = []
+
+        def run():
+            try:
+                for _ in range(10):
+                    call(endpoint)
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert server.connections == 2
+        assert len(server.transcript) == 20
+
+
+class DroppingServer(MockModelServer):
+    """Closes each connection after one reply, without a Connection: close header."""
+
+    def start(self) -> "DroppingServer":
+        super().start()
+
+        class OneReply(self._httpd.RequestHandlerClass):
+            def handle(self) -> None:
+                self.handle_one_request()
+
+        self._httpd.RequestHandlerClass = OneReply
+        return self
+
+
+def test_a_dropped_idle_connection_is_resent_without_a_retry():
+    with DroppingServer() as server:
+        endpoint = endpoint_for(server, retries=0)
+        for _ in range(20):
+            call(endpoint)
+        assert len(server.transcript) == 20
+
+
+def test_stopped_server_answers_nothing():
+    server = MockModelServer().start()
+    endpoint = endpoint_for(server, retries=0)
+    call(endpoint)  # leaves this thread's kept-alive connection open
+    ping(endpoint)
+    server.stop()
+    with pytest.raises(TransportError):
+        call(endpoint)
+    with pytest.raises(TransportError):
+        ping(endpoint)
+
+
+def test_import_leaves_requests_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, apemo; assert 'requests' not in sys.modules, sorted(sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr[-500:]
