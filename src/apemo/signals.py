@@ -13,6 +13,9 @@ import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+# Text tokens are strings; the simulator also emits int ids for fresh content.
+Token = str | int
+
 _PUNCT = ".,;:!?\"'()[]{}"
 
 
@@ -26,11 +29,11 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def ngram_set(tokens: Sequence[str], order: int) -> frozenset[str]:
-    """Distinct n-grams of the given order, joined with single spaces."""
+def ngram_set(tokens: Sequence[Token], order: int) -> frozenset[tuple[Token, ...]]:
+    """Distinct n-grams of the given order, each a tuple of consecutive tokens."""
     if order < 1:
         raise ValueError(f"ngram order must be >= 1, got {order}")
-    return frozenset(map(" ".join, zip(*(tokens[i:] for i in range(order)))))
+    return frozenset(zip(*(tokens[i:] for i in range(order))))
 
 
 @dataclass(frozen=True)
@@ -38,15 +41,15 @@ class TextDigest:
     """Order-free text statistics: token count, token set, n-gram set."""
 
     token_count: int
-    tokens: frozenset[str]
-    ngrams: frozenset[str]
+    tokens: frozenset[Token]
+    ngrams: frozenset[tuple[Token, ...]]
 
     @classmethod
     def from_text(cls, text: str, order: int) -> "TextDigest":
         return cls.from_tokens(tokenize(text), order)
 
     @classmethod
-    def from_tokens(cls, tokens: Sequence[str], order: int) -> "TextDigest":
+    def from_tokens(cls, tokens: Sequence[Token], order: int) -> "TextDigest":
         return cls(
             token_count=len(tokens),
             tokens=frozenset(tokens),

@@ -26,7 +26,7 @@ def test_tokenize_strips_punctuation_and_lowercases():
 
 
 def test_ngram_set_bigrams():
-    assert ngram_set(["a", "b", "c"], 2) == {"a b", "b c"}
+    assert ngram_set(["a", "b", "c"], 2) == {("a", "b"), ("b", "c")}
 
 
 def test_ngram_set_rejects_zero_order():
@@ -171,12 +171,13 @@ def test_jaccard_empty_sets_identical():
 
 
 def _ngram_reference(tokens, order):
-    return frozenset(" ".join(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+    return frozenset(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
 
 
 def test_ngram_set_matches_slice_join_reference():
+    # tuples of consecutive tokens, so int ids and tokens with spaces never collide
     rng = random.Random(7)
-    vocab = ["a", "b", "c", "plan", "route", "x y"]
+    vocab = ["a", "b", "c", "plan", "route", "x y", 7, 1_000_007]
     for order in range(1, 5):
         assert ngram_set([], order) == frozenset()
         for n in range(0, 12):
