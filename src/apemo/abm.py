@@ -8,20 +8,32 @@ the latent level falls, giving the affect proxies real signal.
 
 Every draw derives from (executor seed, trajectory seed, turn, attempt),
 so replays are exact and policies sharing a seed see identical noise on
-matching turns regardless of how they allocate compute.
+matching turns regardless of how they allocate compute. Each attempt makes
+one uniform draw from a Philox generator keyed by the two seeds with its
+counter set to (turn, attempt); every random value of the step is derived
+from that vector (see ``abm_step``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .executor import TurnContext, TurnOutcome
-from .signals import tokenize
+from .signals import Token, tokenize
+
+# Bumped whenever the values an attempt draws, or how they are derived, change.
+STREAM_VERSION = 2
 
 STALL_TOKENS = ("again", "loop", "redo", "stuck", "same", "retry")
+# uniforms ahead of the token slots: two for the noise, one for the length jitter
+_HEAD = 3
+_MAX_JITTER = 4
+_FRESH_IDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -94,59 +106,72 @@ def trap_shift(trap: TrapSpec | None, turn: int, apply_impulse: bool = True) -> 
     return 0.0
 
 
+def uniform_count(cfg: AbmConfig) -> int:
+    """Length of the uniform vector one attempt draws: head values plus one per token slot."""
+    return _HEAD + cfg.digest_tokens + _MAX_JITTER
+
+
 def _synthetic_tokens(
     raw_level: float,
     turn: int,
-    rng: np.random.Generator,
+    u: Sequence[float],
     base_tokens: int,
     task_tokens: tuple[str, ...],
-) -> tuple[str, ...]:
+) -> tuple[Token, ...]:
     """Generate output tokens whose repetition/drift statistics degrade with raw_level.
 
     Low raw levels produce mostly stall filler (high cross-turn n-gram
-    overlap); high levels produce task tokens plus fresh content.
+    overlap); high levels produce task tokens plus fresh content. Token i
+    is picked by uniform u[_HEAD + i]: task picks, then fresh int ids unique
+    to the turn, then stall picks.
     """
-    length = base_tokens + int(rng.integers(0, 5))
+    length = base_tokens + int(u[2] * (_MAX_JITTER + 1))
     n_fill = int(round(length * (1.0 - raw_level) * 0.8))
     n_task = int(round(length * raw_level * 0.5)) if task_tokens else 0
     n_task = min(n_task, length - n_fill)
-    n_fresh = length - n_fill - n_task
+    fresh_end = _HEAD + length - n_fill
+    task_end = _HEAD + n_task
 
-    tokens: list[str] = []
-    if n_task > 0:
-        idx = rng.integers(0, len(task_tokens), size=n_task)
-        tokens.extend(task_tokens[i] for i in idx.tolist())
-    # one vector draw yields the same values and end state as n_fresh scalar draws
-    tokens.extend(f"t{turn}w{w}" for w in rng.integers(0, 10**6, size=n_fresh).tolist())
-    if n_fill > 0:
-        idx = rng.integers(0, len(STALL_TOKENS), size=n_fill)
-        tokens.extend(STALL_TOKENS[i] for i in idx.tolist())
-    # n_task + n_fresh + n_fill == length, the synthetic output length
+    k = len(task_tokens)
+    tokens: list[Token] = [task_tokens[int(x * k)] for x in u[_HEAD:task_end]]
+    base = turn * _FRESH_IDS
+    tokens.extend([base + int(x * _FRESH_IDS) for x in u[task_end:fresh_end]])
+    k = len(STALL_TOKENS)
+    tokens.extend([STALL_TOKENS[int(x * k)] for x in u[fresh_end:_HEAD + length]])
     return tuple(tokens)
 
 
 def abm_step(
     cfg: AbmConfig,
-    rng: np.random.Generator,
+    u: Sequence[float],
     latent: float,
     allocated_tokens: int,
     turn: int,
     task_tokens: tuple[str, ...],
     trap: TrapSpec | None = None,
     apply_trap_impulse: bool = True,
-) -> tuple[float, tuple[str, ...]]:
+) -> tuple[float, tuple[Token, ...]]:
     """Advance the latent process one turn and emit (quality, output tokens).
 
     quality = clamp(latent + drift + noise + uplift(tokens) + trap shift).
-    The tokens are generated from the pre-uplift level, so they depend only
-    on the seed and environment, never on the allocation.
+    u holds uniform_count(cfg) values in [0, 1): u[0] and u[1] give the
+    Gaussian noise by Box-Muller, u[2] the length jitter, and the rest one
+    value per token slot. The tokens are generated from the pre-uplift
+    level, so they depend only on the seed and environment, never on the
+    allocation.
     """
     if allocated_tokens < 0:
         raise ValueError(f"allocated_tokens must be >= 0, got {allocated_tokens}")
-    noise = float(rng.normal(0.0, cfg.noise_sd)) if cfg.noise_sd > 0 else 0.0
+    if len(u) < uniform_count(cfg):
+        raise ValueError(f"need {uniform_count(cfg)} uniforms, got {len(u)}")
+    noise = 0.0
+    if cfg.noise_sd > 0:
+        # 1 - u[0] lies in (0, 1], so the log is finite
+        radius = math.sqrt(-2.0 * math.log(1.0 - u[0]))
+        noise = cfg.noise_sd * radius * math.cos(2.0 * math.pi * u[1])
     raw = _clamp01(latent + cfg.drift_rate + noise + trap_shift(trap, turn, apply_trap_impulse))
     quality = _clamp01(raw + compute_uplift(cfg.uplift_gain, cfg.uplift_half, allocated_tokens))
-    tokens = _synthetic_tokens(raw, turn, rng, cfg.digest_tokens, task_tokens)
+    tokens = _synthetic_tokens(raw, turn, u, cfg.digest_tokens, task_tokens)
     return quality, tokens
 
 
@@ -157,21 +182,43 @@ def _task_tokens(task: str) -> tuple[str, ...]:
 
 
 class AbmExecutor:
-    """Deterministic simulator bound to a config, seed, and optional trap."""
+    """Deterministic simulator bound to a config, seed, and optional trap.
+
+    One Philox generator per trajectory seed is built on first use and kept
+    on the instance; each attempt only resets its counter. The outcome is
+    still a pure function of (seed, trajectory seed, turn, attempt), but an
+    instance must not run attempts from two threads at once (run_cell
+    builds one per episode).
+    """
 
     def __init__(self, cfg: AbmConfig, seed: int, trap: TrapSpec | None = None):
         self.cfg = cfg
         self.seed = seed
         self.trap = trap
+        self._n = uniform_count(cfg)
+        self._streams: dict[int, tuple[np.random.Generator, dict]] = {}
+
+    def _uniforms(self, seed: int, turn: int, attempt: int) -> list[float]:
+        """The attempt's uniforms: Philox key (self.seed, seed), counter (0, turn, attempt, 0)."""
+        stream = self._streams.get(seed)
+        if stream is None:
+            bitgen = np.random.Philox(key=(self.seed, seed))
+            stream = self._streams[seed] = (np.random.Generator(bitgen), bitgen.state)
+        gen, state = stream
+        # the lowest counter word counts the blocks within one attempt's draw
+        counter = state["state"]["counter"]
+        counter[1] = turn
+        counter[2] = attempt
+        gen.bit_generator.state = state
+        return gen.random(self._n).tolist()
 
     def execute_turn(
         self, ctx: TurnContext, allocated_tokens: int, seed: int
     ) -> TurnOutcome:
-        rng = np.random.default_rng((self.seed, seed, ctx.turn, ctx.attempt))
         prior = ctx.prior_quality if ctx.prior_quality is not None else self.cfg.initial_quality
         quality, tokens = abm_step(
             self.cfg,
-            rng,
+            self._uniforms(seed, ctx.turn, ctx.attempt),
             prior,
             allocated_tokens,
             ctx.turn,

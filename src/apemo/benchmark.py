@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .abm import AbmConfig, AbmExecutor, TrapSpec
+from .abm import STREAM_VERSION, AbmConfig, AbmExecutor, TrapSpec
 from .executor import Executor
 from .llm import DecodingParams, LlmExecutor, ModelEndpoint, ping
 from .scheduler import (
@@ -44,6 +44,10 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 RunKey = tuple[str, int, str, int]  # (model, seed, policy, horizon)
+
+
+class StaleStoreError(ValueError):
+    """A store holds simulator records from another stream version; resuming would mix them."""
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,7 @@ class RunRecord:
     trap_quality_drop: Optional[float] = None
     trap_quality_rebound2: Optional[float] = None
     trap_frustration_drop2: Optional[float] = None
+    stream_version: Optional[int] = None  # abm.STREAM_VERSION on simulator records
 
     @property
     def run_key(self) -> RunKey:
@@ -260,6 +265,7 @@ def aggregate_run(
         quality_by_turn=q_by_turn,
         frustration_by_turn=s_by_turn,
         **trap_fields,
+        stream_version=STREAM_VERSION if block.executor == "abm" else None,
     )
 
 
@@ -324,6 +330,20 @@ class RunStore:
 
     def records(self) -> list[RunRecord]:
         return list(self._records.values())
+
+
+def check_stream(block: BlockConfig, store: RunStore) -> None:
+    """Refuse to resume a simulator block from a store that holds another stream's records."""
+    if block.executor != "abm":
+        return
+    for record in store.records():
+        if record.stream_version != STREAM_VERSION:
+            raise StaleStoreError(
+                f"{store.path}: record {record.run_key} has stream_version "
+                f"{record.stream_version!r}, but this simulator writes stream "
+                f"{STREAM_VERSION}; resuming would mix them, so start the block "
+                "afresh (--no-resume) or move the file"
+            )
 
 
 @dataclass(frozen=True)
@@ -392,9 +412,13 @@ def run_block(
     """Execute every (model x seed x policy) cell, resuming from the store.
 
     Completed cells are returned from the store without re-execution; new
-    records are persisted as they complete. An unreachable LLM endpoint
-    aborts before any cell runs; per-turn executor failures only mark runs.
+    records are persisted as they complete. A stored simulator record from
+    another stream version raises StaleStoreError, and an unreachable LLM
+    endpoint aborts, before any cell runs; per-turn executor failures only
+    mark runs.
     """
+    if store is not None:
+        check_stream(block, store)
     if block.executor == "llm":
         if settings.endpoint is None:
             raise ValueError(f"block {block.name!r} needs an LLM endpoint configuration")

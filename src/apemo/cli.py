@@ -1,8 +1,9 @@
 """Command-line interface: simulate, run-llm, report, frontier, validate-config.
 
-Exit codes: 0 success, 2 configuration error, 3 transport/preflight error,
-4 empty input. All artifacts carry the schema version; report outputs are
-deterministic given (config, seeds, stats seed), so reruns are
+Exit codes: 0 success, 2 configuration error (or a record store that
+resume would mix across simulator stream versions), 3 transport/preflight
+error, 4 empty input. All artifacts carry the schema version; report
+outputs are deterministic given (config, seeds, stats seed), so reruns are
 byte-identical and safe to diff.
 """
 
@@ -14,7 +15,16 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .benchmark import RunRecord, RunStore, SCHEMA_VERSION, no_fallback_rate, run_block
+from .abm import STREAM_VERSION
+from .benchmark import (
+    RunRecord,
+    RunStore,
+    SCHEMA_VERSION,
+    StaleStoreError,
+    check_stream,
+    no_fallback_rate,
+    run_block,
+)
 from .config import AppConfig, ConfigError, load_config
 from .frontier import format_frontier_table, frontier_csv, frontier_table, viability
 from .llm import TransportError
@@ -75,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_manifest(cfg: AppConfig, out_dir: Path, workers: int) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
+        "stream_version": STREAM_VERSION,
         "config_path": cfg.source_path or "<defaults>",
         "config_hash": cfg.config_hash(),
         "output_dir": str(out_dir),
@@ -108,8 +119,9 @@ def _run_block_command(args: argparse.Namespace, executor_kind: str) -> int:
     if not args.resume and runs_path.exists():
         runs_path.unlink()
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(cfg, out_dir, workers)
     store = RunStore(runs_path)
+    check_stream(block, store)  # before the manifest names this build's stream
+    _write_manifest(cfg, out_dir, workers)
 
     def on_record(record: RunRecord, resumed: bool) -> None:
         tag = " (resumed)" if resumed else ""
@@ -293,6 +305,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except StaleStoreError as exc:
+        print(f"resume error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)

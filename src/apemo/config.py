@@ -33,6 +33,9 @@ from .trajectory import ObjectiveWeights
 
 ENV_SERVER_URL = "APEMO_SERVER_URL"
 
+# ModelEndpoint fields that config_hash leaves out
+_DEPLOYMENT_KEYS = ("base_url", "timeout", "max_retries", "backoff_base")
+
 
 class ConfigError(ValueError):
     """A configuration file failed validation; the message names the key path."""
@@ -119,9 +122,17 @@ class AppConfig:
             )
 
     def config_hash(self) -> str:
-        """Hash of the resolved values, so a value hashes the same however it is written."""
+        """Hash of the resolved values, so a value hashes the same however it is written.
+
+        Where the server is and how patiently it is called (_DEPLOYMENT_KEYS)
+        are left out: they do not change what a run computes.
+        """
         resolved = asdict(self)
         del resolved["source_path"]
+        endpoint = resolved["settings"]["endpoint"]
+        if endpoint is not None:
+            for key in _DEPLOYMENT_KEYS:
+                del endpoint[key]
         return hashlib.sha256(
             json.dumps(resolved, sort_keys=True).encode("utf-8")
         ).hexdigest()[:16]

@@ -48,10 +48,11 @@ class TurnContext:
 class TurnOutcome:
     """Result of one execution attempt.
 
-    tokens is the output split the way signals.tokenize splits text.
+    tokens is the output split the way signals.tokenize splits text: str
+    tokens for text, plus int ids for the simulator's fresh content.
     """
 
-    tokens: tuple[str, ...]
+    tokens: tuple[str | int, ...]
     tokens_used: int
     quality: float
     text: str = ""

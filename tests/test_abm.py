@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,16 +15,24 @@ from apemo.abm import (
     abm_step,
     compute_uplift,
     trap_shift,
+    uniform_count,
 )
+from apemo.benchmark import BlockConfig, RuntimeSettings, run_block
 from apemo.executor import TurnContext
+from apemo.scheduler import PolicyKind
 from apemo.signals import TextDigest, repetition_similarity
 
 QUIET = AbmConfig(drift_rate=0.0, noise_sd=0.0)
 TASK = tuple("plan the route and estimate cost".split())
 
 
+def draws(cfg, seed):
+    """One attempt's uniform vector, drawn from a generator seeded with seed."""
+    return np.random.default_rng(seed).random(uniform_count(cfg)).tolist()
+
+
 def step(latent, tokens, turn, *, trap=None, seed=(0, 1)):
-    return abm_step(QUIET, np.random.default_rng(seed), latent, tokens, turn, TASK, trap)
+    return abm_step(QUIET, draws(QUIET, seed), latent, tokens, turn, TASK, trap)
 
 
 def test_identity_dynamics_without_inputs():
@@ -147,7 +157,7 @@ def test_repetition_tracks_degradation_over_seeded_steps():
     reps, inv_latent = [], []
     for t in range(1, 1001):
         latent = float(np.clip(latent + rng.normal(0, 0.12), 0.02, 0.98))
-        _, tokens = abm_step(cfg, np.random.default_rng((1, t)), latent, 100, t, task)
+        _, tokens = abm_step(cfg, draws(cfg, (1, t)), latent, 100, t, task)
         digest = TextDigest.from_tokens(tokens, 2)
         if history:
             reps.append(repetition_similarity(digest, history[-5:]))
@@ -164,9 +174,9 @@ def test_trap_reduces_quality_by_at_least_half_severity():
     cfg = AbmConfig(drift_rate=-0.02, noise_sd=0.05)
     severity = 0.4
     for seed in range(150):
-        q_pre, _ = abm_step(cfg, np.random.default_rng((seed, 3)), 0.8, 200, 3, task)
+        q_pre, _ = abm_step(cfg, draws(cfg, (seed, 3)), 0.8, 200, 3, task)
         q_trap, _ = abm_step(
-            cfg, np.random.default_rng((seed, 4)), q_pre, 200, 4, task, TrapSpec(4, severity)
+            cfg, draws(cfg, (seed, 4)), q_pre, 200, 4, task, TrapSpec(4, severity)
         )
         assert q_pre - q_trap >= severity / 2
 
@@ -191,23 +201,83 @@ def test_step_rejects_negative_tokens():
         step(0.5, -1, 1)
 
 
-@pytest.mark.parametrize("n", [0, 1, 5, 17, 30])
-def test_vector_draw_matches_scalar_draws(n):
-    # the generator draws fresh tokens in one call; the stream must match per-token draws
-    vec = np.random.default_rng((9, 4, 2, 0))
-    sca = np.random.default_rng((9, 4, 2, 0))
-    assert vec.integers(0, 10**6, size=n).tolist() == [int(sca.integers(0, 10**6)) for _ in range(n)]
-    assert int(vec.integers(0, 10**6)) == int(sca.integers(0, 10**6))
-    assert vec.normal() == sca.normal()
+def test_step_rejects_a_short_uniform_vector():
+    # a short vector would silently drop token slots at the longest jitter
+    with pytest.raises(ValueError, match="uniforms"):
+        abm_step(QUIET, draws(QUIET, 1)[:-1], 0.5, 10, 1, TASK)
+
+
+def _outcome(executor, traj_seed, turn, attempt):
+    ctx = TurnContext(
+        task="plan the route", turn=turn, horizon=8, attempt=attempt, prior_quality=0.5
+    )
+    out = executor.execute_turn(ctx, 200, seed=traj_seed)
+    return out.quality, out.tokens
+
+
+def test_attempt_outcome_is_a_function_of_its_four_seeds_only():
+    # (exec seed, traj seed, turn, attempt) fixes the outcome, whatever ran before it
+    cfg = AbmConfig(noise_sd=0.12)
+    keys = [(traj, turn, attempt) for traj in (5, 6) for turn in (1, 2, 7) for attempt in (0, 1, 2)]
+    fresh = {k: _outcome(AbmExecutor(cfg, seed=9), *k) for k in keys}
+    reused = AbmExecutor(cfg, seed=9)
+    shuffled = list(keys)
+    np.random.default_rng(3).shuffle(shuffled)
+    for k in shuffled + keys[::-1]:
+        assert _outcome(reused, *k) == fresh[k]
+    assert len(set(fresh.values())) == len(keys)
+    # the stream is Philox keyed by the two seeds, counter (0, turn, attempt, 0)
+    traj, turn, attempt = keys[4]
+    bitgen = np.random.Philox(key=(9, traj), counter=(0, turn, attempt, 0))
+    u = np.random.Generator(bitgen).random(uniform_count(cfg)).tolist()
+    expected = abm_step(cfg, u, 0.5, 200, turn, abm._task_tokens("plan the route"),
+                        apply_trap_impulse=(attempt == 0))
+    assert fresh[keys[4]] == expected
+
+
+def test_retry_leaves_later_first_attempts_unchanged():
+    cfg = AbmConfig(noise_sd=0.12)
+    plain, retried = AbmExecutor(cfg, seed=4), AbmExecutor(cfg, seed=4)
+    for turn in range(1, 9):
+        if turn == 3:
+            _outcome(retried, 4, turn, 0)
+            _outcome(retried, 4, turn, 1)
+        assert _outcome(retried, 4, turn, 0) == _outcome(plain, 4, turn, 0)
+
+
+def test_thread_workers_write_the_same_records():
+    block = BlockConfig(
+        name="threads",
+        executor="abm",
+        models=("abm-a", "abm-b"),
+        horizon=6,
+        episodes=2,
+        budget_cap=500,
+        policies=(PolicyKind.TASK_PEAK_END, PolicyKind.APEMO),
+        seeds=(1, 2, 3),
+        trap=TrapSpec(3, 0.4),
+    )
+
+    def lines(workers):
+        records = run_block(block, RuntimeSettings(), workers=workers)
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+
+    assert lines(2) == lines(1)
 
 
 def test_digest_token_count_is_output_length():
-    # without noise the first draw is the length jitter: length = 32 + integers(0, 5)
+    # the third uniform is the length jitter: length = digest_tokens + int(5 * u[2])
     for seed in range(20):
-        length = 32 + int(np.random.default_rng((seed, 1)).integers(0, 5))
+        u = draws(QUIET, (seed, 1))
+        length = 32 + int(u[2] * 5)
         for latent in (0.0, 0.3, 0.7, 1.0):
             _, tokens = step(latent, 0, 2, seed=(seed, 1))
             assert TextDigest.from_tokens(tokens, 2).token_count == length
+    executor = AbmExecutor(AbmConfig(digest_tokens=12), seed=2)
+    counts = {
+        len(_outcome(executor, traj, turn, 0)[1]) for traj in range(10) for turn in range(1, 9)
+    }
+    assert counts == set(range(12, 17))
 
 
 def test_task_tokenized_once_per_task(monkeypatch):

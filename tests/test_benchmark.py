@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from apemo import benchmark
-from apemo.abm import AbmConfig, TrapSpec
+from apemo.abm import STREAM_VERSION, AbmConfig, TrapSpec
 from apemo.benchmark import (
     BlockConfig,
     RunRecord,
     RunStore,
     RuntimeSettings,
+    StaleStoreError,
     derive_seed,
     no_fallback_rate,
     run_block,
@@ -90,6 +92,24 @@ def test_run_block_resume_is_idempotent(tmp_path):
     assert store_path.read_text() == content_first  # nothing re-executed
     assert all(calls)  # every record came from the store
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+
+
+def test_resume_refuses_records_of_another_stream(tmp_path):
+    block = sim_block(seeds=(1, 2))
+    store_path = tmp_path / "b.runs.jsonl"
+    records = run_block(block, RuntimeSettings(), store=RunStore(store_path))
+    assert {r.stream_version for r in records} == {STREAM_VERSION}
+    row = records[-1].to_dict()
+    del row["stream_version"]
+    store_path.write_text(json.dumps(row) + "\n")
+    stale = RunStore(store_path)
+    assert stale.records()[0].stream_version is None
+    ran = []
+    with pytest.raises(StaleStoreError, match=re.escape(str(store_path))):
+        run_block(block, RuntimeSettings(), store=stale,
+                  on_record=lambda rec, resumed: ran.append(rec))
+    assert ran == []
+    assert store_path.read_text() == json.dumps(row) + "\n"
 
 
 def test_store_rejects_duplicate_keys(tmp_path):

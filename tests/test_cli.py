@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from apemo.abm import STREAM_VERSION
 from apemo.cli import main
 from apemo.config import ConfigError, load_config
 from apemo.mock_server import MockModelServer
@@ -132,6 +133,52 @@ def test_simulate_happy_path_and_resume(config_path, tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert runs_file.read_text() == first  # resume re-executes nothing
     assert "(resumed)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stored", ["missing", 1])
+def test_resuming_records_of_another_stream_exits_2(config_path, tmp_path, capsys, stored):
+    out = tmp_path / "runs"
+    args = ["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)]
+    assert main(args) == 0
+    assert json.loads((out / "manifest.json").read_text())["stream_version"] == STREAM_VERSION
+    runs_file = out / "tiny.runs.jsonl"
+    rows = [json.loads(line) for line in runs_file.read_text().splitlines()]
+    assert {row["stream_version"] for row in rows} == {STREAM_VERSION}
+    # a v1 store: written before records carried a stream version, or stamped 1
+    for row in rows:
+        if stored == "missing":
+            del row["stream_version"]
+        else:
+            row["stream_version"] = stored
+    runs_file.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    v1_store = runs_file.read_text()
+    manifest = out / "manifest.json"
+    manifest.write_text("{}\n")
+    capsys.readouterr()
+
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert str(runs_file) in captured.err
+    assert "(resumed)" not in captured.out
+    assert runs_file.read_text() == v1_store  # nothing mixed in
+    assert manifest.read_text() == "{}\n"  # not stamped with this build's stream
+    assert main(args + ["--no-resume"]) == 0
+    rows = [json.loads(line) for line in runs_file.read_text().splitlines()]
+    assert len(rows) == 12 and {row["stream_version"] for row in rows} == {STREAM_VERSION}
+
+
+def test_model_server_records_carry_no_stream_version_and_resume(
+    config_path, tmp_path, monkeypatch, capsys
+):
+    with MockModelServer() as server:
+        monkeypatch.setenv("APEMO_SERVER_URL", server.url)
+        args = ["run-llm", "--config", config_path, "--block", "tiny_llm", "--out", str(tmp_path)]
+        assert main(args) == 0
+        runs = (tmp_path / "tiny_llm.runs.jsonl").read_text().splitlines()
+        assert {json.loads(line)["stream_version"] for line in runs} == {None}
+        capsys.readouterr()
+        assert main(args) == 0
+    assert capsys.readouterr().out.count("(resumed)") == len(runs)
 
 
 def test_report_empty_records_dir_exits_4(config_path, tmp_path):

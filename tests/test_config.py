@@ -29,9 +29,25 @@ def _write(tmp_path, data) -> str:
 
 
 def test_config_hashes_are_pinned(tmp_path):
-    assert load_config(None).config_hash() == "b6c19822c6532348"
-    assert load_config(None, include_default_blocks=False).config_hash() == "210aa6bcc559af54"
-    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "e07550b235cc398b"
+    assert load_config(None).config_hash() == "679492924f428bc3"
+    assert load_config(None, include_default_blocks=False).config_hash() == "a3a64d4e7b7423cf"
+    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "ed55c6ca7859f6db"
+
+
+def test_config_hash_leaves_out_deployment_settings(tmp_path, monkeypatch):
+    def hash_of(data: dict) -> str:
+        return load_config(_write(tmp_path, data), include_default_blocks=False).config_hash()
+
+    base = hash_of({})
+    monkeypatch.setenv("APEMO_SERVER_URL", "http://127.0.0.1:11434")
+    on_11434 = load_config(None).config_hash()
+    monkeypatch.setenv("APEMO_SERVER_URL", "http://127.0.0.1:11435")
+    assert load_config(None).config_hash() == on_11434
+    monkeypatch.delenv("APEMO_SERVER_URL")
+    deployment = {"base_url": "http://10.0.0.2:11435", "timeout": 5, "max_retries": 0,
+                  "backoff_base": 1.0}
+    assert hash_of({"endpoint": deployment}) == base
+    assert hash_of({"endpoint": {"model_id": "other:1b"}}) != base
 
 
 def test_config_hash_is_of_resolved_values(tmp_path):

@@ -17,7 +17,7 @@ import json
 from apemo.benchmark import run_block
 from apemo.config import load_config
 
-GOLDEN_PREFIX = "f489ba601872e06b"
+GOLDEN_PREFIX = "a900068a1848eba4"
 
 
 def test_default_abm_blocks_records_are_pinned():
