@@ -47,7 +47,8 @@ RunKey = tuple[str, int, str, int]  # (model, seed, policy, horizon)
 
 
 class StaleStoreError(ValueError):
-    """A store holds simulator records from another stream version; resuming would mix them."""
+    """A store holds simulator records from another stream version; resuming or
+    reporting it would mix them."""
 
 
 @dataclass(frozen=True)
@@ -333,7 +334,7 @@ class RunStore:
 
 
 def check_stream(block: BlockConfig, store: RunStore) -> None:
-    """Refuse to resume a simulator block from a store that holds another stream's records."""
+    """Refuse a simulator block's store that holds another stream's records."""
     if block.executor != "abm":
         return
     for record in store.records():
@@ -341,8 +342,8 @@ def check_stream(block: BlockConfig, store: RunStore) -> None:
             raise StaleStoreError(
                 f"{store.path}: record {record.run_key} has stream_version "
                 f"{record.stream_version!r}, but this simulator writes stream "
-                f"{STREAM_VERSION}; resuming would mix them, so start the block "
-                "afresh (--no-resume) or move the file"
+                f"{STREAM_VERSION}; resuming or reporting it would mix them, so rerun "
+                "the block afresh (--no-resume) or move the file"
             )
 
 

@@ -1,8 +1,8 @@
 """Command-line interface: simulate, run-llm, report, frontier, validate-config.
 
-Exit codes: 0 success, 2 configuration error (or a record store that
-resume would mix across simulator stream versions), 3 transport/preflight
-error, 4 empty input. All artifacts carry the schema version; report
+Exit codes: 0 success, 2 configuration error (or a record store of a
+config simulator block that resume or report would mix across simulator
+stream versions), 3 transport/preflight error, 4 empty input. All artifacts carry the schema version; report
 outputs are deterministic given (config, seeds, stats seed), so reruns are
 byte-identical and safe to diff.
 """
@@ -141,11 +141,16 @@ def _run_block_command(args: argparse.Namespace, executor_kind: str) -> int:
     return EXIT_OK
 
 
-def _load_records(records_dir: Path) -> dict[str, list[RunRecord]]:
+def _load_records(cfg: AppConfig, records_dir: Path) -> dict[str, list[RunRecord]]:
+    """Records by block; a store of a config simulator block must hold this stream's records."""
     blocks: dict[str, list[RunRecord]] = {}
     for path in sorted(records_dir.glob("*.runs.jsonl")):
-        records = RunStore(path).records()
+        store = RunStore(path)
+        records = store.records()
         if records:
+            block = cfg.blocks.get(records[0].block)
+            if block is not None:
+                check_stream(block, store)
             blocks[records[0].block] = records
     return blocks
 
@@ -153,7 +158,7 @@ def _load_records(records_dir: Path) -> dict[str, list[RunRecord]]:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     records_dir = Path(args.records or args.out or cfg.output_dir)
-    blocks = _load_records(records_dir)
+    blocks = _load_records(cfg, records_dir)
     if not blocks:
         print(f"error: no run records found under {records_dir}", file=sys.stderr)
         return EXIT_EMPTY
@@ -264,7 +269,7 @@ def _emit_frontier(
 def cmd_frontier(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     records_dir = Path(args.records or args.out or cfg.output_dir)
-    blocks = _load_records(records_dir)
+    blocks = _load_records(cfg, records_dir)
     if not blocks:
         print(f"error: no run records found under {records_dir}", file=sys.stderr)
         return EXIT_EMPTY
@@ -307,7 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StaleStoreError as exc:
-        print(f"resume error: {exc}", file=sys.stderr)
+        print(f"stale store: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)

@@ -9,8 +9,11 @@ reply whose eval_count exceeds num_predict, or with a negative count, is a
 protocol error, and one over its cap is charged num_predict. Prompt tokens
 are recorded for reference but are not budgeted.
 
-The transport is the stdlib http.client: each thread keeps one HTTP/1.1
-connection per server, opened directly without proxy settings.
+The transport is a small HTTP/1.1 client over a stdlib socket: each
+thread keeps one connection per server, opened directly (no proxy is
+read) with TCP_NODELAY, and https:// is wrapped with ssl. A request goes
+out in one write; a reply body is framed by Content-Length or chunked
+transfer coding, or else read to the end of the connection.
 
 Every turn runs one ordered list of (role, token share) calls: one
 executor call, a planner call on the first pass of a plan-execute
@@ -20,12 +23,13 @@ ratio split of the turn allocation.
 
 from __future__ import annotations
 
-import http.client
 import json
 import re
+import socket
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
 
@@ -62,8 +66,7 @@ class ModelEndpoint:
     backoff_base: float = 0.25
 
     def __post_init__(self) -> None:
-        if not self.base_url.startswith(("http://", "https://")):
-            raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
+        _target(self.base_url)
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
@@ -104,7 +107,7 @@ def chat_complete(
     for attempt in range(endpoint.max_retries + 1):
         try:
             status, data = _request(endpoint, "POST", "/api/chat", body)
-        except (OSError, http.client.HTTPException) as exc:
+        except OSError as exc:
             last_exc = exc
             if attempt < endpoint.max_retries:
                 time.sleep(endpoint.backoff_base * (2**attempt))
@@ -153,14 +156,150 @@ def ping(endpoint: ModelEndpoint) -> None:
     """Preflight reachability check; raises TransportError when the server is down."""
     try:
         status, _ = _request(endpoint, "GET", "/")
-    except (OSError, http.client.HTTPException) as exc:
+    except OSError as exc:
         raise TransportError(f"preflight to {endpoint.base_url} failed: {exc}") from exc
     if status >= 400:
         raise TransportError(f"preflight to {endpoint.base_url} returned {status}")
 
 
+@lru_cache(maxsize=64)
+def _target(base_url: str) -> tuple[str, str, int, str, str]:
+    """(scheme, host, port, path prefix, Host header) of a base URL.
+
+    Raises ValueError for a URL the client cannot send to: not http(s), no
+    host, a bad port, or a character that does not belong in a request line.
+    """
+    if not base_url.isascii() or any(c <= " " or c == "\x7f" for c in base_url):
+        raise ValueError(f"base_url must be ASCII without spaces or control characters, "
+                         f"got {base_url!r}")
+    parts = urlsplit(base_url)
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"base_url must be an http(s) URL, got {base_url!r}")
+    if not parts.hostname:
+        raise ValueError(f"base_url has no host: {base_url!r}")
+    try:
+        port = parts.port
+    except ValueError as exc:
+        raise ValueError(f"base_url has a bad port: {base_url!r} ({exc})") from None
+    if port is None:
+        port = 443 if parts.scheme == "https" else 80
+    elif port == 0:
+        raise ValueError(f"base_url has a bad port: {base_url!r} (port 0)")
+    host_header = parts.netloc.rpartition("@")[2]
+    return parts.scheme, parts.hostname, port, parts.path.rstrip("/"), host_header
+
+
+# Caps on one reply line (status, header or chunk size) and on the header
+# lines of one reply, as in http.client.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_FRAMING_HEADERS = (b"content-length", b"transfer-encoding", b"connection")
+
+
+class _BadReply(OSError):
+    """The reply breaks HTTP/1.1 framing; retried like any failed exchange."""
+
+
+class _Disconnected(ConnectionResetError):
+    """The server closed the connection before a status line."""
+
+
+# What a reused connection raises when the server dropped it while idle.
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+
+class _Conn:
+    """One kept-alive connection: its socket and the one buffered reader over it."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, scheme: str, host: str, port: int, timeout: float):
+        sock = socket.create_connection((host, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                import ssl  # only https pays for the import
+
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def line(self) -> bytes:
+        line = self.reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _BadReply(f"reply line longer than {_MAX_LINE} bytes")
+        return line
+
+    def exactly(self, n: int) -> bytes:
+        data = self.reader.read(n)
+        if len(data) < n:
+            raise _BadReply(f"reply cut short: {len(data)} of {n} bytes")
+        return data
+
+    def headers(self) -> dict[bytes, bytes]:
+        """The framing headers of a header (or trailer) section, names lower-cased."""
+        found: dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.line()
+            if line in (b"\r\n", b"\n"):
+                return found
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise _BadReply(f"malformed header line {line[:80]!r}")
+            name = name.strip().lower()
+            if name in _FRAMING_HEADERS:
+                value = value.strip()
+                found[name] = found[name] + b"," + value if name in found else value
+        raise _BadReply(f"more than {_MAX_HEADERS} header lines")
+
+    def reply(self) -> tuple[int, bytes, bool]:
+        """(status, body, whether the connection may carry another exchange)."""
+        line = self.line()
+        if not line:
+            raise _Disconnected("server closed the connection without a reply")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if (not version.startswith(b"HTTP/1.") or not code.isdigit()
+                or rest[3:4] not in (b" ", b"\r", b"\n")):
+            raise _BadReply(f"malformed status line {line[:80]!r}")
+        headers = self.headers()
+        connection = headers.get(b"connection", b"").lower().split(b",")
+        keep = version == b"HTTP/1.1" and all(t.strip() != b"close" for t in connection)
+        coding = headers.get(b"transfer-encoding")
+        length = headers.get(b"content-length")
+        if coding is not None and coding.lower().rsplit(b",", 1)[-1].strip() == b"chunked":
+            return int(code), self.chunked(), keep
+        if coding is not None or length is None:
+            return int(code), self.reader.read(), False
+        if not length.isdigit():
+            raise _BadReply(f"malformed Content-Length {length[:80]!r}")
+        return int(code), self.exactly(int(length)), keep
+
+    def chunked(self) -> bytes:
+        chunks = []
+        while True:
+            size = self.line().partition(b";")[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise _BadReply(f"malformed chunk size {size[:80]!r}")
+            n = int(size, 16)
+            if n == 0:
+                self.headers()  # the trailer section
+                return b"".join(chunks)
+            chunks.append(self.exactly(n))
+            if self.exactly(2) != b"\r\n":
+                raise _BadReply("chunk not followed by CRLF")
+
+
 class _Pool(dict):
-    """One thread's kept-alive connections by (scheme, host:port), closed with the thread."""
+    """One thread's kept-alive connections by (scheme, host, port), closed with the thread."""
 
     def __del__(self) -> None:
         for conn in self.values():
@@ -168,10 +307,6 @@ class _Pool(dict):
 
 
 _local = threading.local()
-
-# What a reused connection raises when the server dropped it while idle
-# (RemoteDisconnected is a ConnectionResetError, listed for the reader).
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
 def _request(
@@ -181,30 +316,34 @@ def _request(
 
     `path` is taken below the base URL's path. Connections are direct: no
     proxy environment variable is read. A failed exchange closes the
-    connection and raises OSError or HTTPException, except that a reused
-    connection failing as stale is replaced and the request sent once more
-    at once. A reply that is not 200, or that says it closes, closes the
+    connection and raises OSError, a reply that breaks HTTP/1.1 framing
+    included, except that a reused connection failing as stale is replaced
+    and the request sent once more at once. A reply that is not 200, or
+    after which the connection cannot carry another exchange, closes the
     connection too.
     """
-    parts = urlsplit(endpoint.base_url)
-    key = (parts.scheme, parts.netloc)
+    scheme, host, port, prefix, host_header = _target(endpoint.base_url)
+    head = (f"{method} {prefix}{path} HTTP/1.1\r\nHost: {host_header}\r\n"
+            "Accept-Encoding: identity\r\n")
+    if body is None:
+        request = f"{head}\r\n".encode()
+    else:
+        request = (f"{head}Content-Type: application/json\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+    key = (scheme, host, port)
     pool = getattr(_local, "pool", None)
     if pool is None:
         pool = _local.pool = _Pool()
-    headers = {} if body is None else {"Content-Type": "application/json"}
     while True:
         conn = pool.pop(key, None)
         reused = conn is not None
         if reused:
             conn.sock.settimeout(endpoint.timeout)
-        elif parts.scheme == "https":
-            conn = http.client.HTTPSConnection(parts.netloc, timeout=endpoint.timeout)
         else:
-            conn = http.client.HTTPConnection(parts.netloc, timeout=endpoint.timeout)
+            conn = _Conn(scheme, host, port, endpoint.timeout)
         try:
-            conn.request(method, parts.path.rstrip("/") + path, body=body, headers=headers)
-            resp = conn.getresponse()
-            data = resp.read()
+            conn.sock.sendall(request)
+            status, data, keep = conn.reply()
         except _STALE:
             conn.close()
             if reused:
@@ -213,17 +352,16 @@ def _request(
         except BaseException:
             conn.close()
             raise
-        if resp.status == 200 and not resp.will_close:
+        if status == 200 and keep:
             pool[key] = conn
         else:
             conn.close()
-        return resp.status, data
+        return status, data
 
 
 def _drop_connection(endpoint: ModelEndpoint) -> None:
     """Close this thread's connection to the endpoint, if it keeps one."""
-    parts = urlsplit(endpoint.base_url)
-    conn = getattr(_local, "pool", {}).pop((parts.scheme, parts.netloc), None)
+    conn = getattr(_local, "pool", {}).pop(_target(endpoint.base_url)[:3], None)
     if conn is not None:
         conn.close()
 

@@ -181,6 +181,41 @@ def test_model_server_records_carry_no_stream_version_and_resume(
     assert capsys.readouterr().out.count("(resumed)") == len(runs)
 
 
+@pytest.mark.parametrize("command", ["report", "frontier"])
+def test_report_refuses_a_config_block_store_of_another_stream(
+    config_path, tmp_path, capsys, command
+):
+    out = tmp_path / "runs"
+    for block in ("tiny", "tiny_trap"):
+        assert main(["simulate", "--config", config_path, "--block", block, "--out", str(out)]) == 0
+    trap_file = out / "tiny_trap.runs.jsonl"
+    rows = [json.loads(line) for line in trap_file.read_text().splitlines()]
+    for row in rows:  # a stream-1 store next to this stream's tiny store
+        row["stream_version"] = 1
+    trap_file.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    capsys.readouterr()
+
+    assert main([command, "--config", config_path, "--records", str(out)]) == 2
+    assert str(trap_file) in capsys.readouterr().err
+    assert not (out / "reports" / "frontier.csv").exists()
+    # stores of blocks the loaded config does not define are reported as before
+    assert main([command, "--records", str(out)]) == 0
+    assert (out / "reports" / "frontier.csv").exists()
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:abc", "http://", "http://:8080",
+                                 "http://127.0.0.1:99999", "http://127.0.0.1:0",
+                                 "http://127.0.0.1 :8080", "ftp://127.0.0.1"])
+def test_unusable_server_url_is_a_config_error(tmp_path, monkeypatch, capsys, url):
+    path = tmp_path / "c.yaml"
+    path.write_text(f"endpoint: {{base_url: '{url}'}}\n", encoding="utf-8")
+    assert main(["validate-config", "--config", str(path)]) == 2
+    assert "endpoint: base_url" in capsys.readouterr().err
+    monkeypatch.setenv("APEMO_SERVER_URL", url)
+    assert main(["validate-config"]) == 2
+    assert "endpoint: base_url" in capsys.readouterr().err
+
+
 def test_report_empty_records_dir_exits_4(config_path, tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()

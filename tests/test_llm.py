@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from apemo import llm
 from apemo.executor import ExecutorError, TurnContext
 from apemo.llm import (
     DecodingParams,
@@ -428,6 +430,140 @@ def test_a_dropped_idle_connection_is_resent_without_a_retry():
         assert len(server.transcript) == 20
 
 
+class FramingServer(CountingServer):
+    """Writes each chat reply as the raw bytes `frame(index, payload)` returns.
+
+    The connection stays open after the reply unless `closes(index)` says
+    otherwise, so whether the client reuses it is the client's own choice.
+    """
+
+    def __init__(self, frame, closes=lambda index: False, **kwargs):
+        super().__init__(**kwargs)
+        self.frame = frame
+        self.closes = closes
+
+    def start(self) -> "FramingServer":
+        super().start()
+        owner = self
+
+        class Framed(self._httpd.RequestHandlerClass):
+            def do_POST(self) -> None:
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                index = owner.record(body)
+                payload = json.dumps(owner.reply(body, index)).encode()
+                self.wfile.write(owner.frame(index, payload))
+                self.close_connection = owner.closes(index)
+
+        self._httpd.RequestHandlerClass = Framed
+        return self
+
+
+def head(*lines: str) -> bytes:
+    return "".join(f"{line}\r\n" for line in lines).encode() + b"\r\n"
+
+
+def sized(payload: bytes, *extra: str, length: int | None = None) -> bytes:
+    n = len(payload) if length is None else length
+    return head("HTTP/1.1 200 OK", f"Content-Length: {n}", *extra) + payload
+
+
+def chunked(payload: bytes) -> bytes:
+    cut = [payload[:7], payload[7:30], payload[30:]]
+    chunks = [f"{len(c):x};ext=1\r\n".encode() + c + b"\r\n" for c in cut]
+    return (head("HTTP/1.1 200 OK", "Transfer-Encoding: chunked") + b"".join(chunks)
+            + b"0\r\nX-Trailer: t\r\n\r\n")
+
+
+def keeps_connection(endpoint: ModelEndpoint) -> bool:
+    """Whether this thread holds a kept-alive connection to the endpoint."""
+    return llm._target(endpoint.base_url)[:3] in getattr(llm._local, "pool", {})
+
+
+def test_chunked_replies_are_read_and_the_connection_kept():
+    with FramingServer(lambda index, payload: chunked(payload)) as server:
+        endpoint = endpoint_for(server)
+        for _ in range(3):
+            result = chat_complete(endpoint, [{"role": "user", "content": "Task: hello"}],
+                                   DECODING, 10)
+            assert result.text.startswith("Step ")
+        assert server.connections == 1
+        assert len(server.transcript) == 3
+
+
+@pytest.mark.parametrize("first", ["close", "error"])
+def test_the_connection_is_not_reused_after_a_close_or_error_reply(first):
+    def frame(index, payload):
+        if index > 0:
+            return sized(payload)
+        if first == "close":
+            return sized(payload, "Connection: close")
+        return head("HTTP/1.1 503 Service Unavailable", "Content-Length: 0")
+
+    with FramingServer(frame) as server:
+        endpoint = endpoint_for(server, retries=1)
+        call(endpoint)  # a 503 is retried once
+        call(endpoint)
+        assert server.connections == 2
+        assert len(server.transcript) == (2 if first == "close" else 3)
+
+
+def test_a_body_cut_short_is_a_transport_error_and_drops_the_connection():
+    def frame(index, payload):
+        return sized(payload[:20], length=len(payload)) if index == 0 else sized(payload)
+
+    with FramingServer(frame, closes=lambda index: index == 0) as server:
+        endpoint = endpoint_for(server)
+        with pytest.raises(TransportError, match="cut short"):
+            call(endpoint)
+        assert not keeps_connection(endpoint)
+        call(endpoint)
+        assert server.connections == 2
+        assert len(server.transcript) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    b"HTTP/1.1 2OO OK\r\nContent-Length: 0\r\n\r\n",
+    b"ICY 200 OK\r\nContent-Length: 0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x4\r\nabcd\r\n0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: -4\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+], ids=["status-code", "protocol", "chunk-size", "chunk-size-prefix", "length", "header"])
+def test_malformed_framing_is_a_transport_error_on_the_retry_path(bad):
+    def frame(index, payload):
+        return bad if index == 0 else sized(payload)
+
+    with FramingServer(frame, closes=lambda index: index == 0) as server:
+        endpoint = endpoint_for(server)
+        with pytest.raises(TransportError, match="malformed"):
+            call(endpoint)
+        assert not keeps_connection(endpoint)
+        call(endpoint)  # the next reply is well framed
+        assert keeps_connection(endpoint)
+    with FramingServer(frame, closes=lambda index: index == 0) as server:
+        call(endpoint_for(server, retries=1))  # one retry recovers
+        assert len(server.transcript) == 2
+
+
+@pytest.mark.parametrize("lines, ok", [(99, True), (100, False)])
+def test_header_lines_are_capped_at_100(lines, ok):
+    pad = [f"X-Pad-{i}: {i}" for i in range(lines)]
+    with FramingServer(lambda index, payload: sized(payload, *pad)) as server:
+        endpoint = endpoint_for(server)
+        if ok:  # Content-Length and the padding make 100 lines
+            call(endpoint)
+        else:
+            with pytest.raises(TransportError, match="more than 100 header lines"):
+                call(endpoint)
+
+
+def test_a_header_line_over_64_kib_is_a_transport_error():
+    frame = lambda index, payload: sized(payload, "X-Big: " + "a" * 65536)  # noqa: E731
+    with FramingServer(frame) as server:
+        with pytest.raises(TransportError, match="longer than 65536 bytes"):
+            call(endpoint_for(server))
+
+
 def test_stopped_server_answers_nothing():
     server = MockModelServer().start()
     endpoint = endpoint_for(server, retries=0)
@@ -443,7 +579,8 @@ def test_stopped_server_answers_nothing():
 def test_import_leaves_requests_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, apemo; assert 'requests' not in sys.modules, sorted(sys.modules)"
+    code = ("import sys, apemo; loaded = {'requests', 'http.client'} & set(sys.modules); "
+            "assert not loaded, loaded")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60)
     assert out.returncode == 0, out.stderr[-500:]
