@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error (or a record store of a
 config simulator block that resume or report would mix across simulator
-stream versions), 3 transport/preflight error, 4 empty input. All artifacts carry the schema version; report
-outputs are deterministic given (config, seeds, stats seed), so reruns are
-byte-identical and safe to diff.
+stream versions), 3 transport/preflight error, 4 empty input. All artifacts
+carry the schema version; report outputs are deterministic given (config,
+seeds, stats seed), so reruns are byte-identical and safe to diff.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -562,6 +563,15 @@ def test_a_header_line_over_64_kib_is_a_transport_error():
     with FramingServer(frame) as server:
         with pytest.raises(TransportError, match="longer than 65536 bytes"):
             call(endpoint_for(server))
+
+
+def test_https_speaks_tls():
+    with MockModelServer() as server:  # plain HTTP, so the TLS handshake fails
+        endpoint = endpoint_for(server)
+        endpoint = replace(endpoint, base_url=endpoint.base_url.replace("http://", "https://"))
+        with pytest.raises(TransportError, match="SSL"):
+            call(endpoint)
+        assert server.transcript == []
 
 
 def test_stopped_server_answers_nothing():
