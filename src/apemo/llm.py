@@ -11,9 +11,11 @@ are recorded for reference but are not budgeted.
 
 The transport is a small HTTP/1.1 client over a stdlib socket: each
 thread keeps one connection per server, opened directly (no proxy is
-read) with TCP_NODELAY, and https:// is wrapped with ssl. A request goes
-out in one write; a reply body is framed by Content-Length or chunked
-transfer coding, or else read to the end of the connection.
+read) with TCP_NODELAY, and https:// is wrapped with ssl; opening one
+first closes the thread's idle connections that their servers have
+closed. A request goes out in one write; a reply body is framed by
+Content-Length or chunked transfer coding, or else read to the end of
+the connection.
 
 Every turn runs one ordered list of (role, token share) calls: one
 executor call, a planner call on the first pass of a plan-execute
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+import select
 import socket
 import threading
 import time
@@ -301,6 +304,22 @@ class _Conn:
 class _Pool(dict):
     """One thread's kept-alive connections by (scheme, host, port), closed with the thread."""
 
+    def evict_closed(self) -> None:
+        """Close the idle connections that select reports readable.
+
+        An idle connection has nothing to read unless its server closed or
+        reset it, so such a connection cannot carry another exchange. (Over
+        TLS, a session ticket the server sends late also reads as readable;
+        that connection is reopened when next needed.)
+        """
+        if not self:
+            return
+        readable = select.select([conn.sock for conn in self.values()], [], [], 0)[0]
+        for key, conn in list(self.items()):
+            if conn.sock in readable:
+                del self[key]
+                conn.close()
+
     def __del__(self) -> None:
         for conn in self.values():
             conn.close()
@@ -340,6 +359,7 @@ def _request(
         if reused:
             conn.sock.settimeout(endpoint.timeout)
         else:
+            pool.evict_closed()  # on a miss only, so a reused connection costs nothing more
             conn = _Conn(scheme, host, port, endpoint.timeout)
         try:
             conn.sock.sendall(request)
@@ -366,13 +386,14 @@ def _drop_connection(endpoint: ModelEndpoint) -> None:
         conn.close()
 
 
-def task_keywords(task: str) -> list[str]:
-    """Content words of the task prompt used for coverage scoring."""
+@lru_cache(maxsize=64)
+def task_keywords(task: str) -> tuple[str, ...]:
+    """Content words of the task prompt used for coverage scoring, found once per task string."""
     seen = []
     for tok in tokenize(task):
         if len(tok) >= 4 and tok not in _FILLER_WORDS and tok not in seen:
             seen.append(tok)
-    return seen
+    return tuple(seen)
 
 
 _GRADE_RE = re.compile(r"(?:grade|score)\s*[:=]?\s*(\d{1,2})", re.IGNORECASE)
@@ -389,11 +410,17 @@ def parse_grade(text: str) -> Optional[float]:
     return value / 10.0
 
 
-def heuristic_quality(task: str, answer: str) -> float:
-    """Keyword coverage, structural completeness, and non-repetition, weighted (0.5, 0.3, 0.2)."""
+def heuristic_quality(
+    task: str, answer: str, answer_tokens: Optional[Sequence[str]] = None
+) -> float:
+    """Keyword coverage, structural completeness, and non-repetition, weighted (0.5, 0.3, 0.2).
+
+    `answer_tokens`, when given, is `tokenize(answer)` already computed.
+    """
     if not answer.strip():
         return 0.0
-    answer_tokens = tokenize(answer)
+    if answer_tokens is None:
+        answer_tokens = tokenize(answer)
     answer_set = set(answer_tokens)
 
     keywords = task_keywords(task)
@@ -552,9 +579,10 @@ class LlmExecutor:
                 answer = result.text
                 work_ctx = replace(ctx, history=ctx.history + (answer,))
 
-        quality = grade if grade is not None else heuristic_quality(ctx.task, answer)
+        tokens = tokenize(answer)
+        quality = grade if grade is not None else heuristic_quality(ctx.task, answer, tokens)
         return TurnOutcome(
-            tokens=tuple(tokenize(answer)),
+            tokens=tuple(tokens),
             tokens_used=completion_total,
             quality=min(max(quality, 0.0), 1.0),
             text=answer,

@@ -6,9 +6,19 @@ Implements the same JSON dialect as the real server: POST /api/chat with
 truncated to num_predict whitespace tokens, with eval_count reporting the
 truncated length, so cost accounting can be checked bit-exactly. Every
 request body is recorded for transcript assertions. GET / answers the
-preflight ping. The server speaks HTTP/1.1 with TCP_NODELAY, so a client
-keeps one connection alive across calls; stop() shuts those connections
-down, so a stopped server answers nothing.
+preflight ping.
+
+The server speaks a lean HTTP/1.1 over socketserver: the request line and
+headers are read in one pass into a lower-cased mapping, of which only
+Content-Length and Connection are honoured, and every reply goes out in
+one write (status line, Content-Type, Content-Length, blank line, body).
+A connection is kept alive across requests unless the request is HTTP/1.0
+or asks for Connection: close, or the reply is an error. A malformed
+request line, a header line over 64 KiB or more than 100 header lines is
+answered with a 4xx and the connection closed. Not supported: Expect:
+100-continue (no interim reply is sent) and chunked request bodies (a
+request body is read by Content-Length only). stop() shuts the kept-alive
+connections down, so a stopped server answers nothing.
 
 Used by the test suite and handy for dry-running the run-llm command
 without a live model.
@@ -18,8 +28,9 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Callable, Optional
 
 ScriptFn = Callable[[dict, int], str]
@@ -49,15 +60,31 @@ def default_script(body: dict, index: int) -> str:
     return f"Step {index + 1}: address {focus} with a concrete checklist and verify results."
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "MockModelServer/1.0"
-    protocol_version = "HTTP/1.1"
-    # headers and body go out as two writes; without TCP_NODELAY, Nagle holds
-    # the body until the client's delayed ACK (~40 ms per kept-alive call)
-    disable_nagle_algorithm = True
+# Caps on the request line and each header line, and on the header lines of
+# one request, as in http.server.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
-    def log_message(self, fmt: str, *args) -> None:  # silence request logging
-        pass
+
+class _Headers(dict):
+    """Request header values by lower-cased name; lookups ignore case, a missing name reads None."""
+
+    def __getitem__(self, name: str) -> Optional[str]:
+        return super().get(name.lower())
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One client connection, served request by request until it closes.
+
+    A reply is one write, so Nagle's algorithm could only hold back the tail
+    of a reply longer than one segment, until the client's delayed ACK
+    (about 40 ms); TCP_NODELAY keeps even that from waiting.
+    """
+
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         super().setup()
@@ -69,13 +96,93 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             self.server.owner.disconnected(self.connection)  # type: ignore[attr-defined]
 
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection:
+            self.handle_one_request()
+
+    def handle_one_request(self) -> None:
+        """Read one request and answer it; close_connection says whether it was the last."""
+        try:
+            if not self.parse_request():
+                return
+            method = getattr(self, "do_" + self.command, None)
+            if method is None:
+                self.send_error(501, f"unsupported method {self.command!r}")
+                return
+            method()
+        except (ConnectionResetError, BrokenPipeError):
+            # the client, or stop(), closed the connection under this thread
+            self.close_connection = True
+
+    def parse_request(self) -> bool:
+        """Read the request line and headers in one pass.
+
+        Sets command, path, headers and close_connection, and returns True
+        when there is a request to answer. At the end of the connection it
+        returns False; for a malformed request it answers with a 4xx, marks
+        the connection to close and returns False.
+        """
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            self.close_connection = True
+            return False
+        if len(line) > _MAX_LINE:
+            self.send_error(414, "request line too long")
+            return False
+        words = str(line, "iso-8859-1").split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0"):
+            self.send_error(400, "bad request line")
+            return False
+        fields: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "header line too long")
+                return False
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:  # the client closed before the end of the headers
+                self.close_connection = True
+                return False
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon:
+                self.send_error(400, "bad header line")
+                return False
+            name = name.strip().lower()
+            value = value.strip()
+            fields[name] = f"{fields[name]}, {value}" if name in fields else value
+        else:
+            self.send_error(431, f"more than {_MAX_HEADERS} header lines")
+            return False
+        length = fields.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self.send_error(400, "bad Content-Length")
+            return False
+        self.command, self.path, version = words
+        self.headers = _Headers(fields)
+        self.close_connection = version == "HTTP/1.0" or any(
+            token.strip() == "close" for token in fields.get("connection", "").lower().split(",")
+        )
+        return True
+
+    def send_reply(self, code: int, content_type: str, body: bytes) -> None:
+        """Status line, Content-Type, Content-Length, blank line and body, in one write.
+
+        Connection: close is added when the connection ends after this reply.
+        """
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\nContent-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n{close}\r\n")
+        self.wfile.write(head.encode() + body)
+
+    def send_error(self, code: int, message: str) -> None:
+        """An error reply with a plain-text body, after which the connection closes."""
+        self.close_connection = True
+        self.send_reply(code, "text/plain", message.encode())
+
     def do_GET(self) -> None:
-        body = b"mock model server is running"
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.send_reply(200, "text/plain", b"mock model server is running")
 
     def do_POST(self) -> None:
         owner: "MockModelServer" = self.server.owner  # type: ignore[attr-defined]
@@ -83,31 +190,30 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_error(404, "unknown path")
             return
         length = int(self.headers.get("Content-Length", "0"))
+        data = self.rfile.read(length)
+        if len(data) < length:  # the client closed in the middle of the body
+            self.close_connection = True
+            return
         try:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+            body = json.loads(data.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError included
             self.send_error(400, "bad json")
             return
         index = owner.record(body)
         behavior = owner.behavior_for(index)
         if behavior == "error":
             self.send_error(500, "injected failure")
-            return
-        if behavior == "garbage":
-            payload = b"{not json"
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-            return
+        elif behavior == "garbage":
+            self.send_reply(200, "application/json", b"{not json")
+        else:
+            self.send_reply(200, "application/json",
+                            json.dumps(owner.reply(body, index)).encode("utf-8"))
 
-        payload = json.dumps(owner.reply(body, index)).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+
+class _Server(socketserver.ThreadingTCPServer):
+    """One daemon thread per connection; stop() ends the kept-alive ones."""
+
+    daemon_threads = True
 
 
 def _shut(sock: socket.socket) -> None:
@@ -133,7 +239,7 @@ class MockModelServer:
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._stopping = False
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -185,7 +291,7 @@ class MockModelServer:
 
     def start(self) -> "MockModelServer":
         self._stopping = False
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+        self._httpd = _Server(("127.0.0.1", 0), _Handler)
         self._httpd.owner = self  # type: ignore[attr-defined]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,

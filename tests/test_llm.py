@@ -594,3 +594,13 @@ def test_import_leaves_requests_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60)
     assert out.returncode == 0, out.stderr[-500:]
+
+
+def test_a_pool_miss_closes_idle_connections_to_stopped_servers():
+    for _ in range(5):
+        with MockModelServer() as server:
+            call(endpoint_for(server))  # leaves an idle connection the stop shuts down
+    with MockModelServer() as server:
+        endpoint = endpoint_for(server)
+        call(endpoint)
+        assert list(llm._local.pool) == [llm._target(endpoint.base_url)[:3]]
