@@ -4,7 +4,6 @@ model-server executor, benchmark blocks, statistics, and frontier analysis."""
 from .abm import AbmConfig, AbmExecutor, TrapSpec, abm_step
 from .benchmark import (
     BlockConfig,
-    ReuseParams,
     RunRecord,
     RunStore,
     RuntimeSettings,
@@ -36,10 +35,10 @@ from .stats import DeltaReport, block_report, bootstrap_ci, pair_runs, sign_test
 from .trajectory import (
     CostBreakdown,
     ObjectiveWeights,
+    ReuseParams,
     Trajectory,
     TurnRecord,
     average_frustration,
-    objective_value,
     peak_end_quality,
     reuse_per_cost,
     reuse_probability,

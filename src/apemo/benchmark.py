@@ -32,6 +32,7 @@ from .scheduler import (
 from .tasks import TASKS
 from .trajectory import (
     ObjectiveWeights,
+    ReuseParams,
     Trajectory,
     average_frustration,
     peak_end_quality,
@@ -49,15 +50,6 @@ RunKey = tuple[str, int, str, int]  # (model, seed, policy, horizon)
 class StaleStoreError(ValueError):
     """A store holds simulator records from another stream version; resuming or
     reporting it would mix them."""
-
-
-@dataclass(frozen=True)
-class ReuseParams:
-    """Coefficients of the logistic reuse-robustness map."""
-
-    quality_gain: float = 4.0
-    frustration_gain: float = 4.0
-    bias: float = -2.0
 
 
 @dataclass(frozen=True)
@@ -214,10 +206,7 @@ def aggregate_run(
     """Fold episode trajectories into one run-level record (means over episodes)."""
     peq = [peak_end_quality(t, weights) for t in trajectories]
     frs = [average_frustration(t) for t in trajectories]
-    reuse_vals = [
-        reuse_probability(q, f, reuse.quality_gain, reuse.frustration_gain, reuse.bias)
-        for q, f in zip(peq, frs)
-    ]
+    reuse_vals = [reuse_probability(q, f, reuse) for q, f in zip(peq, frs)]
     costs = [t.cost.total for t in trajectories]
     rpc = [reuse_per_cost(r, c) for r, c in zip(reuse_vals, costs)]
     horizon = block.horizon

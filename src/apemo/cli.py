@@ -155,16 +155,27 @@ def _load_records(cfg: AppConfig, records_dir: Path) -> dict[str, list[RunRecord
     return blocks
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def _open_records(
+    args: argparse.Namespace,
+) -> Optional[tuple[AppConfig, dict[str, list[RunRecord]], Path]]:
+    """Config, records by block and the (made) reports directory; None when there are none."""
     cfg = load_config(args.config)
     records_dir = Path(args.records or args.out or cfg.output_dir)
     blocks = _load_records(cfg, records_dir)
     if not blocks:
         print(f"error: no run records found under {records_dir}", file=sys.stderr)
-        return EXIT_EMPTY
-    stats_seed = args.stats_seed if args.stats_seed is not None else cfg.stats_seed
+        return None
     report_dir = Path(args.out or records_dir) / "reports"
     report_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, blocks, report_dir
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    opened = _open_records(args)
+    if opened is None:
+        return EXIT_EMPTY
+    cfg, blocks, report_dir = opened
+    stats_seed = args.stats_seed if args.stats_seed is not None else cfg.stats_seed
 
     for name in sorted(blocks):
         records = blocks[name]
@@ -267,14 +278,10 @@ def _emit_frontier(
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    records_dir = Path(args.records or args.out or cfg.output_dir)
-    blocks = _load_records(cfg, records_dir)
-    if not blocks:
-        print(f"error: no run records found under {records_dir}", file=sys.stderr)
+    opened = _open_records(args)
+    if opened is None:
         return EXIT_EMPTY
-    report_dir = Path(args.out or records_dir) / "reports"
-    report_dir.mkdir(parents=True, exist_ok=True)
+    _, blocks, report_dir = opened
     _emit_frontier(blocks, report_dir, args.target)
     return EXIT_OK
 

@@ -25,16 +25,20 @@ from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 import yaml
 
 from .abm import AbmConfig
-from .benchmark import BlockConfig, ReuseParams, RuntimeSettings, SCHEMA_VERSION
+from .benchmark import BlockConfig, RuntimeSettings, SCHEMA_VERSION
 from .llm import DecodingParams, ModelEndpoint
 from .scheduler import DetectionConfig, SchedulerConfig
 from .signals import SignalConfig
-from .trajectory import ObjectiveWeights
+from .trajectory import ObjectiveWeights, ReuseParams
 
 ENV_SERVER_URL = "APEMO_SERVER_URL"
 
 # ModelEndpoint fields that config_hash leaves out
 _DEPLOYMENT_KEYS = ("base_url", "timeout", "max_retries", "backoff_base")
+
+# Fields set per run, so no key sets them: run_cell sets the scheduler's task
+# per episode, and _make_executor sets the endpoint's model_id to each block model.
+_PER_RUN = {(SchedulerConfig, "task"), (ModelEndpoint, "model_id")}
 
 
 class ConfigError(ValueError):
@@ -165,13 +169,12 @@ def _defaults(cls: type) -> dict[str, Any]:
     """Key -> default of each field of cls that a top-level key or a section sets.
 
     Fields without a plain default are filled by the loader, and so is a field
-    named after a section. SchedulerConfig.task is set per episode by run_cell.
+    named after a section; a _PER_RUN field is set by the run.
     """
     return {
         key: f.default
         for key, (f, _) in _keys(cls).items()
-        if f.default is not MISSING and f.name not in _SECTIONS
-        and not (cls is SchedulerConfig and f.name == "task")
+        if f.default is not MISSING and f.name not in _SECTIONS and (cls, f.name) not in _PER_RUN
     }
 
 

@@ -62,6 +62,8 @@ class DecodingParams:
 
 @dataclass(frozen=True)
 class ModelEndpoint:
+    """Where and how patiently to call the server; a block run sets model_id to each model."""
+
     base_url: str = "http://127.0.0.1:11434"
     model_id: str = "llama3.2:1b"
     timeout: float = 30.0
@@ -70,8 +72,12 @@ class ModelEndpoint:
 
     def __post_init__(self) -> None:
         _target(self.base_url)
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
 
 
 @dataclass(frozen=True)

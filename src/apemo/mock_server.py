@@ -66,16 +66,6 @@ _MAX_LINE = 65536
 _MAX_HEADERS = 100
 
 
-class _Headers(dict):
-    """Request header values by lower-cased name; lookups ignore case, a missing name reads None."""
-
-    def __getitem__(self, name: str) -> Optional[str]:
-        return super().get(name.lower())
-
-    def get(self, name: str, default=None):
-        return super().get(name.lower(), default)
-
-
 class _Handler(socketserver.StreamRequestHandler):
     """One client connection, served request by request until it closes.
 
@@ -118,9 +108,9 @@ class _Handler(socketserver.StreamRequestHandler):
     def parse_request(self) -> bool:
         """Read the request line and headers in one pass.
 
-        Sets command, path, headers and close_connection, and returns True
-        when there is a request to answer. At the end of the connection it
-        returns False; for a malformed request it answers with a 4xx, marks
+        Sets command, path, content_length and close_connection, and returns
+        True when there is a request to answer. At the end of the connection
+        it returns False; for a malformed request it answers with a 4xx, marks
         the connection to close and returns False.
         """
         line = self.rfile.readline(_MAX_LINE + 1)
@@ -160,7 +150,7 @@ class _Handler(socketserver.StreamRequestHandler):
             self.send_error(400, "bad Content-Length")
             return False
         self.command, self.path, version = words
-        self.headers = _Headers(fields)
+        self.content_length = int(length)
         self.close_connection = version == "HTTP/1.0" or any(
             token.strip() == "close" for token in fields.get("connection", "").lower().split(",")
         )
@@ -189,9 +179,8 @@ class _Handler(socketserver.StreamRequestHandler):
         if self.path != "/api/chat":
             self.send_error(404, "unknown path")
             return
-        length = int(self.headers.get("Content-Length", "0"))
-        data = self.rfile.read(length)
-        if len(data) < length:  # the client closed in the middle of the body
+        data = self.rfile.read(self.content_length)
+        if len(data) < self.content_length:  # the client closed in the middle of the body
             self.close_connection = True
             return
         try:

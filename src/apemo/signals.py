@@ -13,6 +13,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .trajectory import _check_unit
+
 # Text tokens are strings; the simulator also emits int ids for fresh content.
 Token = str | int
 
@@ -55,11 +57,6 @@ class TextDigest:
             tokens=frozenset(tokens),
             ngrams=ngram_set(tokens, order),
         )
-
-
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)

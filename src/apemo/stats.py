@@ -231,8 +231,9 @@ def block_report(
     baselines: Sequence[str],
     metrics: Sequence[str],
     target: str = "apemo",
-    resamples: int = 10_000,
-    stats_seed: int = 0,
+    *,
+    resamples: int,
+    stats_seed: int,
     strict: bool = False,
 ) -> BlockReport:
     """Per-metric delta rows for every (target, baseline) pair in a block."""

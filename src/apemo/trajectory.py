@@ -19,29 +19,31 @@ def _check_unit(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    """Coefficients of the scalar trajectory objective and its quality term.
+    """Split of the peak-end quality between the best turn and the ending mean.
 
-    quality/reuse enter positively, frustration/cost negatively. peak_weight
-    and end_weight split the quality term between the best turn and the
-    ending mean and must sum to 1.
+    peak_weight and end_weight are non-negative and must sum to 1.
     """
 
-    quality_weight: float = 1.0
-    reuse_weight: float = 1.0
-    frustration_weight: float = 1.0
-    cost_weight: float = 1.0
     peak_weight: float = 0.5
     end_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("quality_weight", "reuse_weight", "frustration_weight",
-                     "cost_weight", "peak_weight", "end_weight"):
+        for name in ("peak_weight", "end_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if abs(self.peak_weight + self.end_weight - 1.0) > 1e-9:
             raise ValueError(
                 f"peak_weight + end_weight must be 1, got {self.peak_weight + self.end_weight}"
             )
+
+
+@dataclass(frozen=True)
+class ReuseParams:
+    """Coefficients of the logistic reuse-robustness map."""
+
+    quality_gain: float = 4.0
+    frustration_gain: float = 4.0
+    bias: float = -2.0
 
 
 @dataclass(frozen=True)
@@ -152,49 +154,12 @@ def average_frustration(traj: Trajectory) -> float:
     return sum(series) / len(series)
 
 
-def reuse_probability(
-    q_value: float,
-    f_value: float,
-    quality_gain: float = 4.0,
-    frustration_gain: float = 4.0,
-    bias: float = -2.0,
-) -> float:
+def reuse_probability(q_value: float, f_value: float, params: ReuseParams = ReuseParams()) -> float:
     """Logistic reuse-robustness score: rises with quality, falls with frustration."""
     _check_unit("q_value", q_value)
     _check_unit("f_value", f_value)
-    z = quality_gain * q_value - frustration_gain * f_value + bias
+    z = params.quality_gain * q_value - params.frustration_gain * f_value + params.bias
     return 1.0 / (1.0 + math.exp(-z))
-
-
-def objective_value(
-    quality: float,
-    reuse: float,
-    frustration: float,
-    cost: float,
-    budget_cap: int,
-    weights: ObjectiveWeights,
-) -> float:
-    """Scalar trajectory objective with cost normalized against the budget cap.
-
-    Cost is divided by the cap before weighting so the cost coefficient is
-    unit-free against the [0, 1] terms.
-    """
-    for name, value in (("quality", quality), ("reuse", reuse),
-                        ("frustration", frustration), ("cost", cost)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if budget_cap == 0:
-        if cost > 0:
-            raise ValueError("cost > 0 with a zero budget cap cannot be normalized")
-        cost_ratio = 0.0
-    else:
-        cost_ratio = cost / budget_cap
-    return (
-        weights.quality_weight * quality
-        + weights.reuse_weight * reuse
-        - weights.frustration_weight * frustration
-        - weights.cost_weight * cost_ratio
-    )
 
 
 def reuse_per_cost(reuse: float, cost_tokens: int) -> float:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 import yaml
 
 from apemo.abm import AbmConfig, TrapSpec
-from apemo.benchmark import BlockConfig, ReuseParams, RuntimeSettings
+from apemo.benchmark import BlockConfig, ReuseParams, RuntimeSettings, run_block
 from apemo.config import DEFAULTS, ConfigError, load_config
 from apemo.llm import DecodingParams, ModelEndpoint
 from apemo.scheduler import DetectionConfig, PolicyKind, SchedulerConfig
@@ -29,9 +32,9 @@ def _write(tmp_path, data) -> str:
 
 
 def test_config_hashes_are_pinned(tmp_path):
-    assert load_config(None).config_hash() == "679492924f428bc3"
-    assert load_config(None, include_default_blocks=False).config_hash() == "a3a64d4e7b7423cf"
-    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "ed55c6ca7859f6db"
+    assert load_config(None).config_hash() == "da746c8db7ac7058"
+    assert load_config(None, include_default_blocks=False).config_hash() == "3886d1b9a4de48c8"
+    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "74560900cff61fe3"
 
 
 def test_config_hash_leaves_out_deployment_settings(tmp_path, monkeypatch):
@@ -47,7 +50,7 @@ def test_config_hash_leaves_out_deployment_settings(tmp_path, monkeypatch):
     deployment = {"base_url": "http://10.0.0.2:11435", "timeout": 5, "max_retries": 0,
                   "backoff_base": 1.0}
     assert hash_of({"endpoint": deployment}) == base
-    assert hash_of({"endpoint": {"model_id": "other:1b"}}) != base
+    assert hash_of({"decoding": {"temperature": 0.7}}) != base
 
 
 def test_config_hash_is_of_resolved_values(tmp_path):
@@ -83,7 +86,6 @@ def _key_paths(tree: dict, prefix: str = "") -> set[str]:
 ACCEPTED_KEY_PATHS = {
     "schema_version", "stats_seed", "output_dir", "workers", "resamples",
     "blocks",
-    "weights.quality", "weights.reuse", "weights.frustration", "weights.cost",
     "weights.peak", "weights.end",
     "signal.proxy_weights", "signal.ngram_order", "signal.smoothing",
     "detection.quality_floor", "detection.drop_threshold", "detection.frustration_threshold",
@@ -92,8 +94,7 @@ ACCEPTED_KEY_PATHS = {
     "reuse.quality_gain", "reuse.frustration_gain", "reuse.bias",
     "abm.initial_quality", "abm.drift_rate", "abm.noise_sd", "abm.uplift_gain",
     "abm.uplift_half", "abm.digest_tokens",
-    "endpoint.base_url", "endpoint.model_id", "endpoint.timeout", "endpoint.max_retries",
-    "endpoint.backoff_base",
+    "endpoint.base_url", "endpoint.timeout", "endpoint.max_retries", "endpoint.backoff_base",
     "decoding.temperature", "decoding.top_p",
 }
 
@@ -102,14 +103,23 @@ def test_resolved_key_set_is_pinned():
     assert _key_paths(DEFAULTS) == ACCEPTED_KEY_PATHS
 
 
+def test_readme_configuration_example_is_every_key_at_its_default(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    text = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert _key_paths(yaml.safe_load(text)) == ACCEPTED_KEY_PATHS
+    cfg = load_config(_write(tmp_path, text), include_default_blocks=False)
+    assert replace(cfg, blocks={}, source_path=None) == load_config(
+        None, include_default_blocks=False)
+
+
 EVERY_KEY = {
     "schema_version": 1,
     "stats_seed": 99,
     "output_dir": "out_x",
     "workers": 3,
     "resamples": 2000,
-    "weights": {"quality": 2.0, "reuse": 3.0, "frustration": 4.0, "cost": 5.0,
-                "peak": 0.7, "end": 0.3},
+    "weights": {"peak": 0.7, "end": 0.3},
     "signal": {"proxy_weights": [0.5, 0.3, 0.2], "ngram_order": 3, "smoothing": 0.1},
     "detection": {"quality_floor": 0.4, "drop_threshold": 0.15, "frustration_threshold": 0.8},
     "scheduler": {"skim_fraction": 0.3, "monitor_overhead": 10, "max_repairs": 3,
@@ -117,8 +127,8 @@ EVERY_KEY = {
     "reuse": {"quality_gain": 3.0, "frustration_gain": 5.0, "bias": -1.0},
     "abm": {"initial_quality": 0.7, "drift_rate": -0.01, "noise_sd": 0.08,
             "uplift_gain": 0.3, "uplift_half": 600.0, "digest_tokens": 24},
-    "endpoint": {"base_url": "http://host:1", "model_id": "m", "timeout": 5.0,
-                 "max_retries": 4, "backoff_base": 0.5},
+    "endpoint": {"base_url": "http://host:1", "timeout": 5.0, "max_retries": 4,
+                 "backoff_base": 0.5},
     "decoding": {"temperature": 0.7, "top_p": 0.8},
     "blocks": {
         "b": {
@@ -142,8 +152,7 @@ def test_every_key_lands_on_its_field(tmp_path):
     cfg = load_config(_write(tmp_path, EVERY_KEY), include_default_blocks=False)
     assert (cfg.stats_seed, cfg.output_dir, cfg.workers, cfg.resamples) == (99, "out_x", 3, 2000)
     assert cfg.settings == RuntimeSettings(
-        weights=ObjectiveWeights(quality_weight=2.0, reuse_weight=3.0, frustration_weight=4.0,
-                                 cost_weight=5.0, peak_weight=0.7, end_weight=0.3),
+        weights=ObjectiveWeights(peak_weight=0.7, end_weight=0.3),
         reuse=ReuseParams(quality_gain=3.0, frustration_gain=5.0, bias=-1.0),
         scheduler=SchedulerConfig(
             signal=SignalConfig(proxy_weights=(0.5, 0.3, 0.2), ngram_order=3, smoothing=0.1),
@@ -152,8 +161,8 @@ def test_every_key_lands_on_its_field(tmp_path):
             skim_fraction=0.3, monitor_overhead=10, max_repairs=3, repair_factor=2.0,
             ending_threshold=0.6,
         ),
-        endpoint=ModelEndpoint(base_url="http://host:1", model_id="m", timeout=5.0,
-                               max_retries=4, backoff_base=0.5),
+        endpoint=ModelEndpoint(base_url="http://host:1", timeout=5.0, max_retries=4,
+                               backoff_base=0.5),
         decoding=DecodingParams(temperature=0.7, top_p=0.8),
     )
     assert cfg.abm == AbmConfig(initial_quality=0.7, drift_rate=-0.01, noise_sd=0.08,
@@ -183,6 +192,11 @@ def test_block_abm_overrides_start_from_the_global_abm(tmp_path):
     ("scheduler: {task: plan}\n", "scheduler.task"),
     ("scheduler: {signal: {}}\n", "scheduler.signal"),
     ("weights: {quality_weight: 2.0}\n", "weights.quality_weight"),
+    ("weights: {quality: 2.0}\n", "weights.quality"),
+    ("weights: {reuse: 2.0}\n", "weights.reuse"),
+    ("weights: {frustration: 2.0}\n", "weights.frustration"),
+    ("weights: {cost: 2.0}\n", "weights.cost"),
+    ("endpoint: {model_id: other:1b}\n", "endpoint.model_id"),
     ("settings: {}\n", "settings"),
     ("source_path: x.yaml\n", "source_path"),
 ])
@@ -214,6 +228,9 @@ def _block(**extra) -> dict:
     ({"signal": {"proxy_weights": [0.5, 0.5]}},
      "signal.proxy_weights must have exactly 3 items, got 2"),
     ({"schema_version": 2}, "schema_version 2 unsupported; expected 1"),
+    ({"endpoint": {"timeout": -1}}, "endpoint: timeout must be > 0, got -1.0"),
+    ({"endpoint": {"timeout": 0}}, "endpoint: timeout must be > 0, got 0.0"),
+    ({"endpoint": {"backoff_base": -1}}, "endpoint: backoff_base must be >= 0, got -1.0"),
 ])
 def test_bad_values_rejected_with_path(tmp_path, data, message):
     with pytest.raises(ConfigError) as info:
@@ -246,3 +263,61 @@ def test_topology_policy_rejected_on_abm_accepted_on_llm(tmp_path, policy):
     cfg = load_config(_write(tmp_path, _block(executor="llm", policies=[policy.value])),
                       include_default_blocks=False)
     assert cfg.blocks["b"].policies == (policy,)
+
+
+# A value other than the default for each key the simulator reads. peak and
+# end must sum to 1, so setting one sets the other to the rest.
+SIMULATOR_KEYS = {
+    "weights.peak": 0.7,
+    "weights.end": 0.7,
+    "signal.proxy_weights": [0.2, 0.2, 0.6],
+    "signal.ngram_order": 3,
+    "signal.smoothing": 0.0,
+    "detection.quality_floor": 0.0,
+    "detection.drop_threshold": 0.05,
+    "detection.frustration_threshold": 0.3,
+    "scheduler.skim_fraction": 0.4,
+    "scheduler.monitor_overhead": 40,
+    "scheduler.max_repairs": 0,
+    "scheduler.repair_factor": 3.0,
+    "scheduler.ending_threshold": 0.3,
+    "reuse.quality_gain": 2.0,
+    "reuse.frustration_gain": 2.0,
+    "reuse.bias": -1.0,
+    "abm.initial_quality": 0.4,
+    "abm.drift_rate": -0.05,
+    "abm.noise_sd": 0.1,
+    "abm.uplift_gain": 0.5,
+    "abm.uplift_half": 400.0,
+    "abm.digest_tokens": 16,
+}
+
+
+def test_every_simulator_key_has_a_case():
+    sections = ("weights", "signal", "detection", "scheduler", "reuse", "abm")
+    assert set(SIMULATOR_KEYS) == {f"{s}.{k}" for s in sections for k in DEFAULTS[s]}
+
+
+def _simulated(tmp_path, overrides: dict) -> list[dict]:
+    block = {"executor": "abm", "models": ["abm-a"], "horizon": 8, "episodes": 1,
+             "budget_cap": 680, "policies": ["uniform", "task_affect", "apemo"],
+             "seeds": [1, 2, 3], "trap": {"trap_turn": 4, "severity": 0.4}}
+    cfg = load_config(_write(tmp_path, {**overrides, "blocks": {"b": block}}),
+                      include_default_blocks=False)
+    return [r.to_dict() for r in run_block(cfg.blocks["b"], cfg.settings)]
+
+
+@pytest.fixture(scope="module")
+def default_records(tmp_path_factory) -> list[dict]:
+    return _simulated(tmp_path_factory.mktemp("defaults"), {})
+
+
+@pytest.mark.parametrize("path", sorted(SIMULATOR_KEYS))
+def test_every_simulator_key_moves_a_record(tmp_path, default_records, path):
+    section, key = path.split(".")
+    value = SIMULATOR_KEYS[path]
+    assert value != DEFAULTS[section][key]
+    overrides = {section: {key: value}}
+    if section == "weights":
+        overrides[section]["end" if key == "peak" else "peak"] = 1.0 - value
+    assert _simulated(tmp_path, overrides) != default_records

@@ -449,7 +449,7 @@ class FramingServer(CountingServer):
 
         class Framed(self._httpd.RequestHandlerClass):
             def do_POST(self) -> None:
-                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                body = json.loads(self.rfile.read(self.content_length))
                 index = owner.record(body)
                 payload = json.dumps(owner.reply(body, index)).encode()
                 self.wfile.write(owner.frame(index, payload))

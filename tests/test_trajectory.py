@@ -1,8 +1,7 @@
-"""Scoring math on trajectories: peak-end, frustration, cost, reuse, objective."""
+"""Scoring math on trajectories: peak-end, frustration, cost, reuse."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -10,10 +9,10 @@ import pytest
 from apemo.trajectory import (
     CostBreakdown,
     ObjectiveWeights,
+    ReuseParams,
     Trajectory,
     TurnRecord,
     average_frustration,
-    objective_value,
     peak_end_quality,
     reuse_per_cost,
     reuse_probability,
@@ -115,8 +114,8 @@ def test_cost_breakdown_rejects_negative():
 
 
 def test_reuse_probability_logistic_values():
-    assert reuse_probability(0.0, 0.0, bias=0.0) == pytest.approx(0.5)
-    assert reuse_probability(1.0, 0.0, 4.0, 4.0, -2.0) == pytest.approx(0.8807970779, abs=1e-9)
+    assert reuse_probability(0.0, 0.0, ReuseParams(bias=0.0)) == pytest.approx(0.5)
+    assert reuse_probability(1.0, 0.0) == pytest.approx(0.8807970779, abs=1e-9)
 
 
 def test_reuse_probability_monotone_and_bounded():
@@ -133,46 +132,6 @@ def test_reuse_probability_monotone_and_bounded():
             assert reuse_probability(q, min(f + eps_f, 1.0)) < r
 
 
-def test_objective_zero_weights_is_zero():
-    w = ObjectiveWeights(quality_weight=0, reuse_weight=0, frustration_weight=0,
-                         cost_weight=0, peak_weight=0.5, end_weight=0.5)
-    assert objective_value(0.9, 0.9, 0.9, 500, 1000, w) == 0.0
-
-
-def test_objective_projects_quality():
-    w = ObjectiveWeights(quality_weight=1, reuse_weight=0, frustration_weight=0,
-                         cost_weight=0)
-    assert objective_value(0.825, 0.3, 0.2, 100, 1000, w) == pytest.approx(0.825)
-
-
-def test_objective_direct_evaluation():
-    w = ObjectiveWeights()
-    # 0.8 + 0.7 - 0.1 - 0.5
-    assert objective_value(0.8, 0.7, 0.1, 500, 1000, w) == pytest.approx(0.9)
-
-
-def test_objective_monotonicity():
-    w = ObjectiveWeights()
-    base = objective_value(0.5, 0.5, 0.5, 500, 1000, w)
-    assert objective_value(0.6, 0.5, 0.5, 500, 1000, w) > base
-    assert objective_value(0.5, 0.6, 0.5, 500, 1000, w) > base
-    assert objective_value(0.5, 0.5, 0.6, 500, 1000, w) < base
-    assert objective_value(0.5, 0.5, 0.5, 600, 1000, w) < base
-
-
-def test_objective_zero_cap_guard():
-    w = ObjectiveWeights()
-    with pytest.raises(ValueError):
-        objective_value(0.5, 0.5, 0.5, 10, 0, w)
-    assert objective_value(0.5, 0.5, 0.5, 0, 0, w) == pytest.approx(0.5)
-
-
-def test_objective_rejects_non_finite():
-    w = ObjectiveWeights()
-    with pytest.raises(ValueError):
-        objective_value(math.nan, 0.5, 0.5, 10, 100, w)
-
-
 def test_reuse_per_cost_values():
     assert reuse_per_cost(0.0, 500) == 0.0
     assert reuse_per_cost(0.6, 2000) == pytest.approx(0.3)
@@ -184,7 +143,7 @@ def test_objective_weights_validation():
     with pytest.raises(ValueError):
         ObjectiveWeights(peak_weight=0.6, end_weight=0.6)
     with pytest.raises(ValueError):
-        ObjectiveWeights(quality_weight=-0.1)
+        ObjectiveWeights(peak_weight=-0.1, end_weight=1.1)
 
 
 def test_trajectory_requires_contiguous_indices():
