@@ -40,6 +40,19 @@ EXIT_EMPTY = 4
 POLICIES = [p.value for p in PolicyKind]
 
 
+def _int_at_least(low: int):
+    """argparse type for an int flag; a bad value exits 2 with the flag named."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apemo",
@@ -54,14 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a simulator block")
     common(p_sim)
     p_sim.add_argument("--block", required=True, help="block name from the config")
-    p_sim.add_argument("--workers", type=int, default=None)
+    p_sim.add_argument("--workers", type=_int_at_least(1), default=None)
     p_sim.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
                        help="skip cells already persisted (default: on)")
 
     p_llm = sub.add_parser("run-llm", help="run a model-server block")
     common(p_llm)
     p_llm.add_argument("--block", required=True)
-    p_llm.add_argument("--workers", type=int, default=None)
+    p_llm.add_argument("--workers", type=_int_at_least(1), default=None)
     p_llm.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True)
 
     p_rep = sub.add_parser("report", help="delta tables, frontier, and plot CSVs from records")
@@ -70,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--baselines", nargs="*", default=None, choices=POLICIES,
                        help="baseline policies (default: every non-target policy present)")
     p_rep.add_argument("--target", default="apemo", choices=POLICIES)
-    p_rep.add_argument("--stats-seed", type=int, default=None)
+    p_rep.add_argument("--stats-seed", type=_int_at_least(0), default=None)
 
     p_fr = sub.add_parser("frontier", help="frontier table only")
     common(p_fr)
@@ -185,7 +198,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             continue
         baselines = []
         for baseline in args.baselines or [p for p in policies if p != args.target]:
-            if baseline in policies:
+            if baseline == args.target:
+                print(f"block {name}: baseline {baseline!r} is the target; skipping it")
+            elif baseline in policies:
                 baselines.append(baseline)
             else:
                 print(f"block {name}: baseline {baseline!r} absent; skipping it")

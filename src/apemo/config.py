@@ -124,6 +124,9 @@ class AppConfig:
             raise ValueError(
                 f"schema_version {self.schema_version} unsupported; expected {SCHEMA_VERSION}"
             )
+        for name, low in (("stats_seed", 0), ("workers", 1), ("resamples", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def config_hash(self) -> str:
         """Hash of the resolved values, so a value hashes the same however it is written.

@@ -30,7 +30,7 @@ class TurnContext:
     """Everything an executor may condition on for one execution attempt.
 
     attempt counts prior executions of the same turn (0 = first pass,
-    1+ = repair, ending and reflection re-executions). prior_quality is the kept quality of the
+    1+ = repair and ending re-executions). prior_quality is the kept quality of the
     previous turn, None on the first turn. history holds the kept output
     text of turns 1..t-1 in order.
     """

@@ -40,18 +40,12 @@ _POLL_INTERVAL_S = 0.05
 
 
 def default_script(body: dict, index: int) -> str:
-    """Produce a plausible reply from the last user message.
-
-    Critic-style prompts get a fixed good grade; other prompts get an
-    answer that echoes the task keywords and ends cleanly.
-    """
+    """Produce a plausible reply from the last user message: an answer that
+    echoes the task keywords and ends cleanly, whatever the role."""
     messages = body.get("messages", [])
-    system = next((m.get("content", "") for m in messages if m.get("role") == "system"), "")
     user = next(
         (m.get("content", "") for m in reversed(messages) if m.get("role") == "user"), ""
     )
-    if "grade" in system.lower() or "critic" in system.lower():
-        return "grade: 8"
     task_line = next(
         (line for line in user.splitlines() if line.lower().startswith("task:")), user
     )

@@ -31,7 +31,6 @@ class PolicyKind(str, Enum):
     TASK_PEAK_END = "task_peak_end"
     APEMO = "apemo"
     PLAN_EXECUTE = "plan_execute"
-    PLAN_EXECUTE_REFLECT = "plan_execute_reflect"
     FLOW_PLAIN = "flow_plain"
     FLOW_TEMPORAL = "flow_temporal"
 
@@ -53,7 +52,6 @@ class PolicyTraits:
     peak_end: bool = False
     detect_quality: bool = False
     detect_frustration: bool = False
-    reflect: bool = False
 
     @property
     def monitors(self) -> bool:
@@ -66,7 +64,6 @@ POLICY_TRAITS: dict[PolicyKind, PolicyTraits] = {
     PolicyKind.TASK_PEAK_END: PolicyTraits(peak_end=True),
     PolicyKind.APEMO: PolicyTraits(peak_end=True, detect_quality=True, detect_frustration=True),
     PolicyKind.PLAN_EXECUTE: PolicyTraits(topology="plan_execute"),
-    PolicyKind.PLAN_EXECUTE_REFLECT: PolicyTraits(topology="plan_execute", reflect=True),
     PolicyKind.FLOW_PLAIN: PolicyTraits(topology="flow"),
     PolicyKind.FLOW_TEMPORAL: PolicyTraits(
         topology="flow", peak_end=True, detect_quality=True, detect_frustration=True
@@ -208,12 +205,9 @@ class BudgetLedger:
 
 
 def turn_base_budget(policy: PolicyKind, cap: int, horizon: int, cfg: SchedulerConfig) -> int:
-    """Even per-turn base after setting aside monitoring overhead and, for
-    the reflect policy, one extra phase for the reflection pass."""
-    traits = POLICY_TRAITS[policy]
-    phases = horizon + 1 if traits.reflect else horizon
-    overhead_total = cfg.monitor_overhead * horizon if traits.monitors else 0
-    return max((cap - overhead_total) // phases, 0)
+    """Even per-turn base after setting aside monitoring overhead."""
+    overhead_total = cfg.monitor_overhead * horizon if POLICY_TRAITS[policy].monitors else 0
+    return max((cap - overhead_total) // horizon, 0)
 
 
 def plan_turn_budget(
@@ -317,11 +311,10 @@ def run_trajectory(
 
     Per turn: allocate, execute, score affect signals, optionally detect a
     negative peak and re-execute once with banked tokens, and on the final
-    two turns spend any remaining reserve on ending re-executions; the
-    reflect policy re-executes the final turn once more, charged to policy
-    cost. Every attempt takes one path: it is charged at most its
-    allocation, whatever the executor reports, so a misreporting executor
-    cannot overdraw the cap, and a retry is kept only if strictly better.
+    two turns spend any remaining reserve on ending re-executions. Every
+    attempt takes one path: it is charged at most its allocation, whatever
+    the executor reports, so a misreporting executor cannot overdraw the
+    cap, and a retry is kept only if strictly better.
     An ExecutorError records a zero-quality attempt, charged the tokens the
     error reports, and marks the trajectory as fallback; any other exception
     propagates. Signals are read once per turn from the digest of the kept
@@ -358,10 +351,9 @@ def run_trajectory(
     def attempt(ctx: TurnContext, alloc: int, phase: str = "normal") -> bool:
         """Run one execution attempt of the current turn; return whether it succeeded.
 
-        A retry (phase repair, ending or reflect) re-executes with a critique
-        of the kept output. Repair and ending retries spend a grant of alloc
-        tokens and refund its unused part; the first pass and the reflection
-        are charged to policy cost.
+        A retry (phase repair or ending) re-executes with a critique of the
+        kept output, spends a grant of alloc tokens and refunds its unused
+        part; the first pass is charged to policy cost.
         """
         nonlocal kept, spent, tries, repaired, fallback
         if phase != "normal":
@@ -375,7 +367,7 @@ def run_trajectory(
             ok = False
             outcome = fallback_outcome(exc.tokens_used)
         used = min(outcome.tokens_used, alloc)
-        if phase in ("repair", "ending"):
+        if phase != "normal":
             ledger.refund_repair(alloc - used)
             repaired = repaired or ok
         else:
@@ -433,11 +425,6 @@ def run_trajectory(
                 want = ledger.reserve_end // passes_left
                 if want > 0:
                     try_repair(ctx, RepairReason.ENDING_STABILIZATION, want)
-
-        if traits.reflect and turn == horizon:
-            reflect_alloc = min(base, ledger.unreserved_remaining())
-            if reflect_alloc > 0:
-                attempt(ctx, reflect_alloc, "reflect")
 
         # the score depends only on the kept output and the prior turns, so the
         # detection digest and score stand unless a retry replaced the outcome

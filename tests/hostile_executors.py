@@ -29,7 +29,7 @@ class OverReportingExecutor(HostileExecutor):
 
 
 class RetryFailingExecutor(HostileExecutor):
-    """Simulator whose repair, ending and reflection attempts raise ExecutorError."""
+    """Simulator whose repair and ending attempts raise ExecutorError."""
 
     def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
         if ctx.attempt > 0:

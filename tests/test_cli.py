@@ -311,9 +311,10 @@ def test_report_skips_absent_baselines_and_rejects_unknown_ones(config_path, tmp
     main(["simulate", "--config", config_path, "--block", "tiny_trap", "--out", str(out)])
     capsys.readouterr()
     assert main(["report", "--config", config_path, "--records", str(out),
-                 "--baselines", "uniform", "task_peak_end"]) == 0
+                 "--baselines", "uniform", "task_peak_end", "apemo"]) == 0
     printed = capsys.readouterr().out
     assert "block tiny_trap: baseline 'uniform' absent; skipping it" in printed
+    assert "block tiny_trap: baseline 'apemo' is the target; skipping it" in printed
     rows = (out / "reports" / "tiny_trap.deltas.jsonl").read_text().strip().splitlines()[1:]
     assert {json.loads(row)["baseline"] for row in rows} == {"task_peak_end"}
 
@@ -322,3 +323,31 @@ def test_report_skips_absent_baselines_and_rejects_unknown_ones(config_path, tmp
             main(["report", "--config", config_path, "--records", str(out), flag, "zigzag"])
         assert info.value.code == 2
         assert "invalid choice: 'zigzag'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["report", "--stats-seed", "-1"], "--stats-seed"),
+    (["simulate", "--block", "tiny", "--workers", "0"], "--workers"),
+    (["run-llm", "--block", "tiny_llm", "--workers", "-2"], "--workers"),
+    (["simulate", "--block", "tiny", "--workers", "two"], "--workers"),
+])
+def test_out_of_range_flags_exit_2_naming_the_flag(config_path, capsys, args, flag):
+    with pytest.raises(SystemExit) as info:
+        main(args + ["--config", config_path])
+    assert info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_default_llm_flow_block_through_the_cli(tmp_path, monkeypatch, capsys):
+    # every arm's turns are scored by one instrument, and on the default mock
+    # every arm's answers score alike, so apemo gains nothing over either flow arm
+    out = tmp_path / "runs"
+    with MockModelServer() as server:
+        monkeypatch.setenv("APEMO_SERVER_URL", server.url)
+        assert main(["run-llm", "--block", "llm_flow", "--out", str(out)]) == 0
+    assert len((out / "llm_flow.runs.jsonl").read_text().splitlines()) == 48
+    assert main(["report", "--records", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "reports" / "frontier.csv").read_text().splitlines()[1:]
+    gains = {row.split(",")[0]: row.split(",")[1] for row in rows}
+    assert gains == {"llm_flow (vs flow_plain)": "0.0000", "llm_flow (vs flow_temporal)": "0.0000"}

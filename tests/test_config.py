@@ -231,6 +231,11 @@ def _block(**extra) -> dict:
     ({"endpoint": {"timeout": -1}}, "endpoint: timeout must be > 0, got -1.0"),
     ({"endpoint": {"timeout": 0}}, "endpoint: timeout must be > 0, got 0.0"),
     ({"endpoint": {"backoff_base": -1}}, "endpoint: backoff_base must be >= 0, got -1.0"),
+    ({"resamples": 0}, "resamples must be >= 1, got 0"),
+    ({"stats_seed": -1}, "stats_seed must be >= 0, got -1"),
+    ({"workers": 0}, "workers must be >= 1, got 0"),
+    (_block(policies=["plan_execute_reflect"]),
+     "blocks.b.policies[0]: unknown value 'plan_execute_reflect'"),
 ])
 def test_bad_values_rejected_with_path(tmp_path, data, message):
     with pytest.raises(ConfigError) as info:
@@ -246,8 +251,7 @@ def test_integral_floats_and_yaml_booleans_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("policy", [
-    PolicyKind.PLAN_EXECUTE, PolicyKind.PLAN_EXECUTE_REFLECT,
-    PolicyKind.FLOW_PLAIN, PolicyKind.FLOW_TEMPORAL,
+    PolicyKind.PLAN_EXECUTE, PolicyKind.FLOW_PLAIN, PolicyKind.FLOW_TEMPORAL,
 ], ids=str)
 def test_topology_policy_rejected_on_abm_accepted_on_llm(tmp_path, policy):
     grid = dict(name="b", models=("m",), horizon=8, episodes=1, budget_cap=100,

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from apemo import llm
+from apemo.abm import TrapSpec
 from apemo.executor import ExecutorError, TurnContext
 from apemo.llm import (
     DecodingParams,
@@ -22,11 +23,10 @@ from apemo.llm import (
     TransportError,
     chat_complete,
     heuristic_quality,
-    parse_grade,
     ping,
     split_allocation,
 )
-from apemo.mock_server import MockModelServer
+from apemo.mock_server import MockModelServer, default_script
 from apemo.scheduler import PolicyKind, SchedulerConfig, run_trajectory
 
 DECODING = DecodingParams(temperature=0.2, top_p=0.9)
@@ -39,8 +39,8 @@ def endpoint_for(server: MockModelServer, retries: int = 0) -> ModelEndpoint:
     )
 
 
-def is_critic(body: dict) -> bool:
-    return body["messages"][0]["content"].startswith("You are the critic.")
+def is_planner(body: dict) -> bool:
+    return body["messages"][0]["content"].startswith("You are the planner.")
 
 
 def test_chat_complete_echo_round_trip():
@@ -123,34 +123,23 @@ def test_heuristic_quality_penalizes_truncation_and_repetition():
     assert repetitive < clean
 
 
-def critic_replies(verdict: str):
-    """Script: the critic replies verdict, every other role a fixed answer."""
-    def script(body: dict, index: int) -> str:
-        if is_critic(body):
-            return verdict
-        return "We plan a direct route today, estimate every cost, and verify the schedule carefully."
-    return script
+FLOW_TASK = "plan the route and estimate cost"
 
 
-def flow_turn(server: MockModelServer, allocated_tokens: int = 300):
-    ctx = TurnContext(task="plan the route and estimate cost", turn=1, horizon=4)
-    executor = LlmExecutor(endpoint_for(server), topology="flow")
+def flow_turn(server: MockModelServer, allocated_tokens: int = 300, topology: str = "flow"):
+    ctx = TurnContext(task=FLOW_TASK, turn=1, horizon=4)
+    executor = LlmExecutor(endpoint_for(server), topology=topology)
     return executor.execute_turn(ctx, allocated_tokens, seed=5)
 
 
-def test_parse_grade_and_critic_mapping():
-    assert parse_grade("grade: 7") == pytest.approx(0.7)
-    assert parse_grade("Score = 10") == pytest.approx(1.0)
-    assert parse_grade("no number") is None
-    with MockModelServer(script=critic_replies("grade: 7")) as server:
-        assert flow_turn(server).quality == pytest.approx(0.7)
-
-
 def test_critic_parse_failure_falls_back_to_heuristic():
-    with MockModelServer(script=critic_replies("unclear verdict")) as server:
-        out = flow_turn(server)
-    assert out.text
-    assert out.quality == pytest.approx(heuristic_quality("plan the route and estimate cost", out.text))
+    # a reply that reads like a grade is scored like any other answer: a flow
+    # turn and a single turn given the same reply score the same
+    reply = "grade: 2 because the plan wanders"
+    with MockModelServer(script=lambda body, i: reply) as server:
+        flow, single = flow_turn(server), flow_turn(server, topology="single")
+    assert flow.text == single.text == reply
+    assert flow.quality == single.quality == heuristic_quality(FLOW_TASK, reply)
 
 
 def test_split_allocation_ratio_example():
@@ -166,10 +155,12 @@ def test_split_allocation_leftover_to_largest_share():
 def test_run_flow_turn_role_sequence_and_usage():
     with MockModelServer() as server:
         out = flow_turn(server, 1000)
-        assert len(server.transcript) == 3  # planner, executor, critic
+        planner, executor = server.transcript
+        assert is_planner(planner) and not is_planner(executor)
         caps = [b["options"]["num_predict"] for b in server.transcript]
-        assert caps == [250, 600, 150]
-        assert out.quality == pytest.approx(0.8)  # mock critic grades 8/10
+        assert caps == [250, 750]
+        assert out.text == server.script(executor, 1)
+        assert out.quality == heuristic_quality(FLOW_TASK, out.text)
         reported = sum(min(cap, 10**9) for cap in caps)  # upper bound only
         assert 0 < out.tokens_used <= reported
 
@@ -194,8 +185,6 @@ def test_executor_zero_allocation_runs_without_call():
 
 
 def test_executor_trap_injection_corrupts_prompt_once():
-    from apemo.abm import TrapSpec
-
     with MockModelServer() as server:
         executor = LlmExecutor(endpoint_for(server), trap=TrapSpec(2, 0.4))
         executor.execute_turn(TurnContext(task="plan the route", turn=2, horizon=4), 100, seed=1)
@@ -207,25 +196,61 @@ def test_executor_trap_injection_corrupts_prompt_once():
         assert "loop" not in retry["messages"][-1]["content"].lower()
 
 
-def test_plan_execute_reflect_wire_roles():
-    # turn 1's first call plans at the full allocation; every other call,
-    # the reflection pass included, is an assistant call
+class RecordingExecutor:
+    """Passes attempts through and keeps every outcome in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.outcomes = []
+
+    def execute_turn(self, ctx, allocated_tokens, seed):
+        out = self.inner.execute_turn(ctx, allocated_tokens, seed)
+        self.outcomes.append(out)
+        return out
+
+
+def test_trapped_turn_scores_alike_under_apemo_and_flow_temporal():
+    # one instrument: the same trapped answer scores the same on a single and
+    # a flow turn, so flow_temporal detects and repairs the trap as apemo does
+    loop = " ".join(["loop"] * 20)
+
+    def script(body: dict, index: int) -> str:
+        trapped = llm._TRAP_NOTE in body["messages"][-1]["content"]
+        return loop if trapped else default_script(body, index)
+
+    trap = TrapSpec(trap_turn=2, severity=0.4)
+    cfg = SchedulerConfig(task=FLOW_TASK)
+    for policy, topology in ((PolicyKind.APEMO, "single"), (PolicyKind.FLOW_TEMPORAL, "flow")):
+        with MockModelServer(script=script) as server:
+            executor = RecordingExecutor(
+                LlmExecutor(endpoint_for(server), topology=topology, trap=trap)
+            )
+            traj = run_trajectory(policy, executor, 4, 2400, seed=3, cfg=cfg)
+        (trapped,) = [out for out in executor.outcomes if out.trapped]
+        assert trapped.text == loop
+        assert trapped.quality == heuristic_quality(FLOW_TASK, loop)
+        turn = traj.turns[trap.trap_turn - 1]
+        assert turn.trapped and turn.repaired
+        assert turn.quality > trapped.quality
+
+
+def test_plan_execute_wire_roles():
+    # turn 1's first call plans at the full allocation; every later turn is
+    # one assistant call
     horizon, cap = 3, 400
     with MockModelServer() as server:
         executor = LlmExecutor(endpoint_for(server), topology="plan_execute")
-        traj = run_trajectory(PolicyKind.PLAN_EXECUTE_REFLECT, executor, horizon, cap, seed=5,
+        traj = run_trajectory(PolicyKind.PLAN_EXECUTE, executor, horizon, cap, seed=5,
                               cfg=SchedulerConfig(task="plan the route", monitor_overhead=0))
         planner, *others = server.transcript
-    base = cap // (horizon + 1)
-    assert planner["messages"][0]["content"].startswith("You are the planner.")
+    base = cap // horizon
+    assert is_planner(planner)
     assert planner["options"]["num_predict"] == base
-    assert len(others) == horizon  # turns 2..T and the reflection pass
-    for body in others:
+    assert len(others) == horizon - 1
+    for turn, body in enumerate(others, start=2):
         assert body["messages"][0]["content"].startswith("You are a careful assistant")
         assert body["options"]["num_predict"] == base
-    reflection = others[-1]["messages"][-1]["content"]
-    assert f"This is turn {horizon} of {horizon}." in reflection
-    assert "Reviewer note:" in reflection
+        assert f"This is turn {turn} of {horizon}." in body["messages"][-1]["content"]
     # the plan is the first turn's answer, carried forward without a note
     plan = server.script(planner, 0)
     assert f"- {plan}\n" in others[0]["messages"][-1]["content"]
@@ -296,38 +321,32 @@ def test_over_reported_flow_call_charges_the_planner_and_its_share():
 
 
 class FillingServer(MockModelServer):
-    """Answers fill num_predict, the critic grades 2/10; records each reply's completion tokens."""
+    """Answers fill num_predict; records each reply's completion tokens."""
 
     def __init__(self, **kwargs):
-        super().__init__(script=self.answer_or_grade, **kwargs)
+        super().__init__(script=lambda body, i: " ".join(["plan the route step by step"] * 100),
+                         **kwargs)
         self.eval_counts = []
-        self.critic_eval_counts = []
-
-    @staticmethod
-    def answer_or_grade(body: dict, index: int) -> str:
-        if is_critic(body):
-            return "grade: 2 because the plan wanders"
-        return " ".join(["plan the route step by step"] * 100)
 
     def reply(self, body: dict, index: int) -> dict:
         payload = super().reply(body, index)
         self.eval_counts.append(payload["eval_count"])
-        if is_critic(body):
-            self.critic_eval_counts.append(payload["eval_count"])
         return payload
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.FLOW_PLAIN, PolicyKind.FLOW_TEMPORAL])
 def test_critic_tokens_are_on_the_ledger(policy):
+    # a flow turn is two calls, planner then executor; every completion token
+    # the server reported for either is charged
     budget_cap = 400
     with FillingServer() as server:
         executor = LlmExecutor(endpoint_for(server), topology="flow")
         traj = run_trajectory(policy, executor, 4, budget_cap, seed=3,
                               cfg=SchedulerConfig(task="plan the route"))
-    assert server.critic_eval_counts
+    assert [is_planner(b) for b in server.transcript] == [True, False] * (
+        len(server.transcript) // 2
+    )
     assert not traj.fallback
-    assert all(t.quality == pytest.approx(0.2) for t in traj.turns)  # the critic's grade
-    # every completion token the server reported, critic calls included
     assert sum(server.eval_counts) == traj.cost.policy_cost + traj.cost.repair_cost
     assert traj.cost.total <= budget_cap
 

@@ -71,12 +71,6 @@ def test_monitor_overhead_prorated_out_of_base():
     assert plan_turn_budget(PolicyKind.TASK_AFFECT, ledger, 7, 8, cfg) == 985
 
 
-def test_reflect_policy_reserves_extra_phase():
-    cfg = no_overhead_cfg()
-    ledger = BudgetLedger(cap=600)
-    assert plan_turn_budget(PolicyKind.PLAN_EXECUTE_REFLECT, ledger, 1, 2, cfg) == 200
-
-
 # ----------------------------------------------------------------- detection
 
 
@@ -291,50 +285,40 @@ def test_budget_cap_precondition():
 def test_policy_serialized_names_exact():
     assert {p.value for p in PolicyKind} == {
         "uniform", "task_affect", "task_peak_end", "apemo",
-        "plan_execute", "plan_execute_reflect", "flow_plain", "flow_temporal",
+        "plan_execute", "flow_plain", "flow_temporal",
     }
     assert str(PolicyKind.APEMO) == "apemo"
 
 
-def test_reflection_frustration_scores_the_kept_output():
-    # the final turn's frustration is read from the output the turn keeps,
-    # whether that is the first pass or the strictly better reflection
+def test_retry_frustration_scores_the_kept_output():
+    # each turn's frustration is read from the output the turn keeps, whether
+    # that is the first pass or a strictly better repair or ending retry
     cfg = SchedulerConfig()
     order = cfg.signal.ngram_order
     task = TextDigest.from_text(cfg.task, order)
-    kept_reflections = 0
+    retried = kept_retries = 0
     for seed in range(20):
-        executor = RecordingExecutor(AbmExecutor(AbmConfig(noise_sd=0.12), seed))
-        traj = run_trajectory(PolicyKind.PLAN_EXECUTE_REFLECT, executor, 8, 1600, seed, cfg)
-        first, reflection = executor.outcomes[(8, 0)], executor.outcomes[(8, 1)]
-        kept = reflection if reflection.quality > first.quality else first
-        kept_reflections += kept is reflection
-        history = [TextDigest.from_tokens(executor.outcomes[(t, 0)].tokens, order)
-                   for t in range(1, 8)]
-        proxies = compute_proxies(TextDigest.from_tokens(kept.tokens, order), history, task,
-                                  [d.token_count for d in history])
-        assert traj.turns[-1].quality == kept.quality
-        assert traj.turns[-1].frustration == frustration_score(
-            proxies, cfg.signal, traj.turns[-2].frustration
+        executor = RecordingExecutor(
+            AbmExecutor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
         )
-    assert 0 < kept_reflections < 20
-
-
-def test_reflection_pass_charges_policy_cost_not_repair():
-    cfg = no_overhead_cfg()
-    for seed in range(10):
-        base = run_trajectory(
-            PolicyKind.PLAN_EXECUTE, AbmExecutor(AbmConfig(), seed), 4, 1000, seed, cfg
-        )
-        reflected = run_trajectory(
-            PolicyKind.PLAN_EXECUTE_REFLECT, AbmExecutor(AbmConfig(), seed), 4, 1000, seed, cfg
-        )
-        assert reflected.cost.repair_cost == 0
-        assert not any(t.repaired for t in reflected.turns)
-        # the final turn absorbs the reflection pass: one extra execution's tokens
-        assert reflected.turns[-1].tokens_spent > reflected.turns[-2].tokens_spent
-        assert reflected.cost.total <= 1000
-        assert base.cost.repair_cost == 0
+        traj = run_trajectory(PolicyKind.APEMO, executor, 8, 1600, seed, cfg)
+        history: list[TextDigest] = []
+        prev = None
+        for record in traj.turns:
+            first, *retries = [out for (turn, _), out in sorted(executor.outcomes.items())
+                               if turn == record.index]
+            kept = first
+            for retry in retries:
+                kept = retry if retry.quality > kept.quality else kept
+            retried += bool(retries)
+            kept_retries += kept is not first
+            digest = TextDigest.from_tokens(kept.tokens, order)
+            proxies = compute_proxies(digest, history, task, [d.token_count for d in history])
+            assert record.quality == kept.quality
+            assert record.frustration == frustration_score(proxies, cfg.signal, prev)
+            history.append(digest)
+            prev = record.frustration
+    assert 0 < kept_retries < retried
 
 
 class FailingExecutor:
@@ -425,8 +409,8 @@ def test_over_reported_tokens_never_overdraw(policy):
             assert repaired > 0
         if hostile is RetryFailingExecutor:
             assert repaired == 0
-            if traits.peak_end or traits.reflect:
-                assert failed > 0  # repair, ending or reflection attempts were made
+            if traits.peak_end:
+                assert failed > 0  # repair or ending attempts were made
 
 
 def test_detection_score_reused_when_no_repair(monkeypatch):
