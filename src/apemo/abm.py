@@ -169,8 +169,15 @@ def abm_step(
         # 1 - u[0] lies in (0, 1], so the log is finite
         radius = math.sqrt(-2.0 * math.log(1.0 - u[0]))
         noise = cfg.noise_sd * radius * math.cos(2.0 * math.pi * u[1])
-    raw = _clamp01(latent + cfg.drift_rate + noise + trap_shift(trap, turn, apply_trap_impulse))
-    quality = _clamp01(raw + compute_uplift(cfg.uplift_gain, cfg.uplift_half, allocated_tokens))
+    # the skipped terms are exactly 0.0, so the sums keep their order and value
+    raw = latent + cfg.drift_rate + noise
+    if trap is not None:
+        raw += trap_shift(trap, turn, apply_trap_impulse)
+    raw = _clamp01(raw)
+    quality = raw
+    if allocated_tokens > 0:
+        quality += compute_uplift(cfg.uplift_gain, cfg.uplift_half, allocated_tokens)
+    quality = _clamp01(quality)
     tokens = _synthetic_tokens(raw, turn, u, cfg.digest_tokens, task_tokens)
     return quality, tokens
 

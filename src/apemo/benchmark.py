@@ -141,7 +141,7 @@ class RunRecord:
 
     def to_dict(self) -> dict:
         # every field is flat, so a shallow copy serializes exactly like asdict
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {name: getattr(self, name) for name in _RECORD_FIELDS}
         d["quality_by_turn"] = list(self.quality_by_turn)
         d["frustration_by_turn"] = list(self.frustration_by_turn)
         return d
@@ -157,6 +157,9 @@ class RunRecord:
         d["quality_by_turn"] = tuple(d["quality_by_turn"])
         d["frustration_by_turn"] = tuple(d["frustration_by_turn"])
         return cls(**d)
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 def derive_seed(model_id: str, seed: int, episode: int) -> int:
@@ -204,18 +207,16 @@ def aggregate_run(
     reuse: ReuseParams,
 ) -> RunRecord:
     """Fold episode trajectories into one run-level record (means over episodes)."""
+    qualities = [t.qualities() for t in trajectories]
+    frustrations = [t.frustrations() for t in trajectories]
     peq = [peak_end_quality(t, weights) for t in trajectories]
     frs = [average_frustration(t) for t in trajectories]
     reuse_vals = [reuse_probability(q, f, reuse) for q, f in zip(peq, frs)]
     costs = [t.cost.total for t in trajectories]
     rpc = [reuse_per_cost(r, c) for r, c in zip(reuse_vals, costs)]
     horizon = block.horizon
-    q_by_turn = tuple(
-        _mean([t.turns[i].quality for t in trajectories]) for i in range(horizon)
-    )
-    s_by_turn = tuple(
-        _mean([t.turns[i].frustration for t in trajectories]) for i in range(horizon)
-    )
+    q_by_turn = tuple(_mean([q[i] for q in qualities]) for i in range(horizon))
+    s_by_turn = tuple(_mean([s[i] for s in frustrations]) for i in range(horizon))
     trap_fields: dict[str, Optional[float]] = {
         "trap_turn": None,
         "trap_quality_drop": None,
@@ -238,9 +239,9 @@ def aggregate_run(
         policy=policy.value,
         horizon=horizon,
         episodes=len(trajectories),
-        mean_quality=_mean([_mean(t.qualities()) for t in trajectories]),
+        mean_quality=_mean([_mean(q) for q in qualities]),
         peak_end_quality=_mean(peq),
-        endpoint_quality=_mean([t.qualities()[-1] for t in trajectories]),
+        endpoint_quality=_mean([q[-1] for q in qualities]),
         reuse_probability=_mean(reuse_vals),
         reuse_per_cost=_mean(rpc),
         avg_frustration=_mean(frs),
@@ -257,6 +258,9 @@ def aggregate_run(
         **trap_fields,
         stream_version=STREAM_VERSION if block.executor == "abm" else None,
     )
+
+
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
 class RunStore:
@@ -310,13 +314,23 @@ class RunStore:
         return self._records.get(key)
 
     def append(self, record: RunRecord) -> None:
+        """Persist one record as one line, handed to the OS in a single write."""
+        line = (json.dumps(record.to_dict(), sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             if record.run_key in self._records:
                 raise ValueError(f"duplicate run key {record.run_key}")
             self._records[record.run_key] = record
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            try:
+                fd = os.open(self.path, _APPEND_FLAGS, 0o666)
+            except FileNotFoundError:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.path, _APPEND_FLAGS, 0o666)
+            try:
+                written = os.write(fd, line)
+                while written < len(line):  # a short write, e.g. on a full disk
+                    written += os.write(fd, line[written:])
+            finally:
+                os.close(fd)
 
     def records(self) -> list[RunRecord]:
         return list(self._records.values())

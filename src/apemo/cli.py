@@ -190,6 +190,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     cfg, blocks, report_dir = opened
     stats_seed = args.stats_seed if args.stats_seed is not None else cfg.stats_seed
 
+    compared = 0
     for name in sorted(blocks):
         records = blocks[name]
         policies = sorted({r.policy for r in records})
@@ -204,6 +205,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                 baselines.append(baseline)
             else:
                 print(f"block {name}: baseline {baseline!r} absent; skipping it")
+        if not baselines:
+            print(f"block {name}: no baseline to compare {args.target!r} with; skipping its report")
+            continue
+        compared += 1
         metrics = list(REPORT_METRICS)
         is_trap = any(r.trap_turn is not None for r in records)
         if is_trap:
@@ -239,6 +244,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         if is_trap:
             _write_trap_series(report_dir / f"{name}.trap_series.csv", records)
 
+    if not compared:
+        requested = args.baselines or "any other policy"
+        print(
+            f"error: no block compares target {args.target!r} with baselines {requested}",
+            file=sys.stderr,
+        )
+        return EXIT_EMPTY
     _emit_frontier(blocks, report_dir, args.target)
     print(f"reports: {report_dir}")
     return EXIT_OK

@@ -25,7 +25,7 @@ class ExecutorError(RuntimeError):
     tokens_used: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TurnContext:
     """Everything an executor may condition on for one execution attempt.
 
@@ -44,7 +44,7 @@ class TurnContext:
     history: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TurnOutcome:
     """Result of one execution attempt.
 

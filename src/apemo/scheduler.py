@@ -12,8 +12,9 @@ overdrawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .executor import Executor, ExecutorError, TurnContext, TurnOutcome, fallback_outcome
@@ -123,7 +124,7 @@ class SchedulerConfig:
             raise ValueError(f"repair_factor must be > 0, got {self.repair_factor}")
 
 
-@dataclass
+@dataclass(slots=True)
 class BudgetLedger:
     """Running coordination-cost decomposition against a hard cap.
 
@@ -149,13 +150,15 @@ class BudgetLedger:
         return self.cap - self.total_spent - self.reserve_end
 
     def _check(self) -> None:
-        if self.total_spent > self.cap:
-            raise BudgetError(f"spent {self.total_spent} exceeds cap {self.cap}")
-        if self.reserve_end < 0 or self.reserve_end > self.cap - self.total_spent:
-            raise BudgetError(
-                f"reserve {self.reserve_end} invalid against cap {self.cap}, "
-                f"spent {self.total_spent}"
-            )
+        spent = self.total_spent
+        # a reserve in [0, cap - spent] also bounds spent by the cap
+        if 0 <= self.reserve_end <= self.cap - spent:
+            return
+        if spent > self.cap:
+            raise BudgetError(f"spent {spent} exceeds cap {self.cap}")
+        raise BudgetError(
+            f"reserve {self.reserve_end} invalid against cap {self.cap}, spent {spent}"
+        )
 
     def charge_policy(self, tokens: int) -> None:
         if tokens < 0:
@@ -231,10 +234,10 @@ def plan_turn_budget(
     if traits.peak_end and horizon >= 3 and turn <= horizon - 2:
         skim_amount = int(base * cfg.skim_fraction)
         alloc = base - skim_amount
-    alloc = min(alloc, ledger.unreserved_remaining())
-    alloc = max(alloc, 0)
+    remaining = ledger.unreserved_remaining()
+    alloc = max(min(alloc, remaining), 0)
     if skim_amount > 0:
-        bankable = min(skim_amount, ledger.unreserved_remaining() - alloc)
+        bankable = min(skim_amount, remaining - alloc)
         if bankable > 0:
             ledger.add_reserve(bankable)
     return alloc
@@ -297,6 +300,12 @@ def _critique_note(phase: str, quality: float) -> str:
     )
 
 
+@lru_cache(maxsize=64)
+def _task_digest(task: str, order: int) -> TextDigest:
+    """Digest of the task wording, built once per (task, order); digests are immutable."""
+    return TextDigest.from_text(task, order)
+
+
 def run_trajectory(
     policy: PolicyKind,
     executor: Executor,
@@ -328,10 +337,15 @@ def run_trajectory(
 
     traits = POLICY_TRAITS[policy]
     detection = effective_detection(traits, cfg.detection)
+    detects = traits.detect_quality or traits.detect_frustration
+    overhead = cfg.monitor_overhead if traits.monitors else 0
+    # the first turn that gets ending re-executions; past the horizon when none does
+    ending_from = horizon - 1 if traits.peak_end and horizon >= 2 else horizon + 1
     ledger = BudgetLedger(cap=budget_cap)
     base = turn_base_budget(policy, budget_cap, horizon, cfg)
-    order = cfg.signal.ngram_order
-    task_digest = TextDigest.from_text(cfg.task, order)
+    signal = cfg.signal
+    order = signal.ngram_order
+    task_digest = _task_digest(cfg.task, order)
 
     turns: list[TurnRecord] = []
     kept_texts: list[str] = []
@@ -357,7 +371,15 @@ def run_trajectory(
         """
         nonlocal kept, spent, tries, repaired, fallback
         if phase != "normal":
-            ctx = replace(ctx, attempt=tries, critique=_critique_note(phase, kept.quality))
+            ctx = TurnContext(
+                task=ctx.task,
+                turn=ctx.turn,
+                horizon=ctx.horizon,
+                attempt=tries,
+                prior_quality=ctx.prior_quality,
+                critique=_critique_note(phase, kept.quality),
+                history=ctx.history,
+            )
         tries += 1
         ok = True
         try:
@@ -388,11 +410,11 @@ def run_trajectory(
 
     def score_signal(digest: TextDigest) -> float:
         proxies = compute_proxies(digest, digest_history, task_digest, length_history)
-        return frustration_score(proxies, cfg.signal, prev_score)
+        return frustration_score(proxies, signal, prev_score)
 
     for turn in range(1, horizon + 1):
-        if traits.monitors and cfg.monitor_overhead > 0:
-            ledger.charge_overhead(min(cfg.monitor_overhead, ledger.unreserved_remaining()))
+        if overhead:
+            ledger.charge_overhead(min(overhead, ledger.unreserved_remaining()))
         alloc = plan_turn_budget(policy, ledger, turn, horizon, cfg)
         ctx = TurnContext(
             task=cfg.task,
@@ -408,7 +430,7 @@ def run_trajectory(
         first = kept
 
         score: Optional[float] = None
-        if ok and (traits.detect_quality or traits.detect_frustration):
+        if ok and detects:
             digest = TextDigest.from_tokens(first.tokens, order)
             score = score_signal(digest)
             trigger = detect_negative_peak(
@@ -419,7 +441,7 @@ def run_trajectory(
                 if try_repair(ctx, RepairReason.NEGATIVE_PEAK, want):
                     repairs_used += 1
 
-        if ok and traits.peak_end and horizon >= 2 and turn >= horizon - 1:
+        if ok and turn >= ending_from:
             if kept.quality < cfg.ending_threshold:
                 passes_left = horizon - turn + 1
                 want = ledger.reserve_end // passes_left

@@ -9,7 +9,6 @@ optionally smoothed combination yields the per-turn frustration score.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,12 +32,14 @@ def tokenize(text: str) -> list[str]:
 
 def ngram_set(tokens: Sequence[Token], order: int) -> frozenset[tuple[Token, ...]]:
     """Distinct n-grams of the given order, each a tuple of consecutive tokens."""
+    if order == 2:
+        return frozenset(zip(tokens, tokens[1:]))
     if order < 1:
         raise ValueError(f"ngram order must be >= 1, got {order}")
     return frozenset(zip(*(tokens[i:] for i in range(order))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextDigest:
     """Order-free text statistics: token count, token set, n-gram set."""
 
@@ -59,7 +60,7 @@ class TextDigest:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProxyVector:
     """One turn's proxy readings, each in [0, 1]."""
 
@@ -68,6 +69,12 @@ class ProxyVector:
     length_anomaly: float
 
     def __post_init__(self) -> None:
+        if (
+            0.0 <= self.repetition_similarity <= 1.0
+            and 0.0 <= self.context_drift <= 1.0
+            and 0.0 <= self.length_anomaly <= 1.0
+        ):
+            return
         _check_unit("repetition_similarity", self.repetition_similarity)
         _check_unit("context_drift", self.context_drift)
         _check_unit("length_anomaly", self.length_anomaly)
@@ -112,7 +119,13 @@ def repetition_similarity(current: TextDigest, history: Sequence[TextDigest]) ->
     """
     if not history:
         return 0.0
-    return max(jaccard(current.ngrams, past.ngrams) for past in history)
+    cur = current.ngrams
+    best = 0.0
+    for past in history:
+        value = jaccard(cur, past.ngrams)
+        if value > best:
+            best = value
+    return best
 
 
 def context_drift(current: TextDigest, task: TextDigest) -> float:
@@ -134,7 +147,9 @@ def length_anomaly(current_count: int, history_counts: Sequence[int]) -> float:
     """Relative deviation of the output length from the running median, clamped to [0, 1]."""
     if not history_counts:
         return 0.0
-    med = statistics.median(history_counts)
+    ordered = sorted(history_counts)
+    mid = len(ordered) // 2
+    med = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
     if med <= 0:
         return 1.0 if current_count > 0 else 0.0
     return min(abs(current_count - med) / med, 1.0)
@@ -144,7 +159,7 @@ def frustration_score(
     proxies: ProxyVector, cfg: SignalConfig, prev: Optional[float] = None
 ) -> float:
     """Weighted proxy combination, exponentially smoothed against the prior score."""
-    if prev is not None:
+    if prev is not None and not 0.0 <= prev <= 1.0:
         _check_unit("prev", prev)
     w_rep, w_drift, w_len = cfg.proxy_weights
     raw = (

@@ -64,7 +64,7 @@ class CostBreakdown:
         return self.policy_cost + self.repair_cost + self.overhead_cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TurnRecord:
     """One executed turn. Repair cost is attributed to the turn it repaired."""
 
@@ -76,6 +76,13 @@ class TurnRecord:
     trapped: bool = False
 
     def __post_init__(self) -> None:
+        if (
+            self.index >= 1
+            and 0.0 <= self.quality <= 1.0
+            and 0.0 <= self.frustration <= 1.0
+            and self.tokens_spent >= 0
+        ):
+            return
         if self.index < 1:
             raise ValueError(f"turn index must be >= 1, got {self.index}")
         _check_unit("quality", self.quality)

@@ -332,3 +332,52 @@ def test_store_still_rejects_malformed_complete_line(tmp_path):
     with pytest.raises(json.JSONDecodeError):
         RunStore(path)
     assert path.read_bytes() == intact[:-40] + b"\n" + intact  # nothing cut
+
+
+def _one_record(seed: int = 1) -> RunRecord:
+    return run_block(sim_block(seeds=(seed,), policies=(PolicyKind.APEMO,)), RuntimeSettings())[0]
+
+
+def test_store_append_is_one_write_of_one_line(tmp_path, monkeypatch):
+    records = [_one_record(1), _one_record(2)]
+    path = tmp_path / "w.runs.jsonl"
+    store = RunStore(path)
+    writes = []
+    real_write = benchmark.os.write
+
+    def recording_write(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(benchmark.os, "write", recording_write)
+    for record in records:
+        store.append(record)
+    expected = [(json.dumps(r.to_dict(), sort_keys=True) + "\n").encode("utf-8") for r in records]
+    assert writes == expected
+    assert all(w.count(b"\n") == 1 and w.endswith(b"\n") for w in writes)
+    assert path.read_bytes() == b"".join(expected)
+
+
+def test_store_makes_a_missing_directory_again(tmp_path):
+    records = [_one_record(1), _one_record(2)]
+    parent = tmp_path / "deep" / "er"
+    path = parent / "d.runs.jsonl"
+    store = RunStore(path)
+    assert not parent.exists()
+    store.append(records[0])
+    assert path.read_bytes().count(b"\n") == 1
+    # the directory vanishes between two appends: the next append makes it again
+    path.unlink()
+    parent.rmdir()
+    store.append(records[1])
+    assert path.read_bytes() == (json.dumps(records[1].to_dict(), sort_keys=True) + "\n").encode()
+
+
+def test_reopened_store_reads_the_appended_lines(tmp_path):
+    path = tmp_path / "r.runs.jsonl"
+    records = run_block(sim_block(seeds=(1, 2, 3)), RuntimeSettings(), store=RunStore(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == len(records)
+    reopened = RunStore(path)
+    assert [r.to_dict() for r in reopened.records()] == [r.to_dict() for r in records]
+    assert path.read_bytes() == b"".join(lines)

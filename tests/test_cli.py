@@ -325,6 +325,33 @@ def test_report_skips_absent_baselines_and_rejects_unknown_ones(config_path, tmp
         assert "invalid choice: 'zigzag'" in capsys.readouterr().err
 
 
+def test_report_block_without_baseline_writes_no_report(config_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)])
+    main(["simulate", "--config", config_path, "--block", "tiny_trap", "--out", str(out)])
+    capsys.readouterr()
+    reports = out / "reports"
+
+    # uniform is in tiny only: tiny_trap is left with no baseline
+    assert main(["report", "--config", config_path, "--records", str(out),
+                 "--baselines", "uniform"]) == 0
+    printed = capsys.readouterr().out
+    assert "block tiny_trap: no baseline to compare 'apemo' with; skipping its report" in printed
+    assert (reports / "tiny.report.txt").exists()
+    assert (reports / "tiny.deltas.jsonl").exists()
+    assert not (reports / "tiny_trap.report.txt").exists()
+    assert not (reports / "tiny_trap.deltas.jsonl").exists()
+
+    # the target as its own only baseline leaves no block with a comparison
+    for path in reports.iterdir():
+        path.unlink()
+    assert main(["report", "--config", config_path, "--records", str(out),
+                 "--baselines", "apemo"]) == 4
+    captured = capsys.readouterr()
+    assert "error: no block compares target 'apemo' with baselines ['apemo']" in captured.err
+    assert list(reports.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, flag", [
     (["report", "--stats-seed", "-1"], "--stats-seed"),
     (["simulate", "--block", "tiny", "--workers", "0"], "--workers"),

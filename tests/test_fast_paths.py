@@ -1,0 +1,173 @@
+"""The turn path's fast forms equal the definitions they replace.
+
+Each check runs a seeded stdlib fuzz against a plain reference: the proxy
+loops against max/jaccard and statistics.median, the ledger against the
+two invariant checks in their original order, and the slotted record types
+against the frozen-dataclass behaviour callers rely on.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import statistics
+
+import pytest
+
+from apemo.executor import TurnContext, TurnOutcome
+from apemo.scheduler import BudgetError, BudgetLedger
+from apemo.signals import (
+    ProxyVector,
+    SignalConfig,
+    TextDigest,
+    frustration_score,
+    jaccard,
+    length_anomaly,
+    repetition_similarity,
+)
+from apemo.trajectory import TurnRecord
+
+
+def _random_tokens(rng: random.Random) -> list:
+    """Mixed str/int tokens from a small vocabulary, empty about one time in eight."""
+    if rng.random() < 0.125:
+        return []
+    return [
+        rng.choice("abcdef") if rng.random() < 0.6 else rng.randrange(8)
+        for _ in range(rng.randrange(1, 12))
+    ]
+
+
+def test_repetition_similarity_equals_max_jaccard_fuzz():
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        order = rng.choice((1, 2, 2, 3))
+        current = TextDigest.from_tokens(_random_tokens(rng), order)
+        history = [
+            TextDigest.from_tokens(_random_tokens(rng), order) for _ in range(rng.randrange(6))
+        ]
+        expected = (
+            max(jaccard(current.ngrams, past.ngrams) for past in history) if history else 0.0
+        )
+        got = repetition_similarity(current, history)
+        assert got == expected
+        assert type(got) is float
+
+
+def _reference_length_anomaly(current: int, history: list[int]) -> float:
+    if not history:
+        return 0.0
+    med = statistics.median(history)
+    if med <= 0:
+        return 1.0 if current > 0 else 0.0
+    return min(abs(current - med) / med, 1.0)
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_length_anomaly_equals_statistics_median_fuzz(parity):
+    rng = random.Random(f"length|{parity}")
+    for _ in range(2000):
+        n = rng.randrange(0, 9) * 2 + (1 if parity == "odd" else 2)
+        # zeros often, so a zero or half-zero median comes up
+        history = [0 if rng.random() < 0.3 else rng.randrange(1, 60) for _ in range(n)]
+        current = rng.choice((0, rng.randrange(1, 90)))
+        assert length_anomaly(current, history) == _reference_length_anomaly(current, history)
+    assert length_anomaly(5, []) == 0.0
+    assert length_anomaly(0, [0, 0, 3]) == 0.0  # zero median, empty output
+    assert length_anomaly(2, [0, 0, 0, 4]) == 1.0  # zero median, some output
+    assert length_anomaly(2, [0, 1, 3, 4]) == _reference_length_anomaly(2, [0, 1, 3, 4])
+
+
+def _reference_check(cap: int, spent: int, reserve: int) -> str | None:
+    """The invariant checks in their original order; the message, or None when valid."""
+    if spent > cap:
+        return f"spent {spent} exceeds cap {cap}"
+    if reserve < 0 or reserve > cap - spent:
+        return f"reserve {reserve} invalid against cap {cap}, spent {spent}"
+    return None
+
+
+def test_ledger_raises_exactly_when_the_invariant_breaks_fuzz():
+    rng = random.Random(99)
+    for _ in range(5000):
+        cap = rng.randrange(0, 60)
+        ledger = BudgetLedger(cap=cap)
+        ledger.policy_cost = rng.randrange(0, 40)
+        ledger.repair_cost = rng.randrange(0, 30)
+        ledger.overhead_cost = rng.randrange(0, 20)
+        ledger.reserve_end = rng.randrange(-5, 60)
+        spent = ledger.policy_cost + ledger.repair_cost + ledger.overhead_cost
+        expected = _reference_check(cap, spent, ledger.reserve_end)
+        if expected is None:
+            ledger.charge_policy(0)
+        else:
+            with pytest.raises(BudgetError) as info:
+                ledger.charge_policy(0)
+            assert str(info.value) == expected
+
+
+def test_ledger_mutators_raise_the_old_messages():
+    ledger = BudgetLedger(cap=10)
+    with pytest.raises(BudgetError, match=r"^spent 11 exceeds cap 10$"):
+        ledger.charge_policy(11)
+    ledger = BudgetLedger(cap=10)
+    ledger.charge_overhead(4)
+    with pytest.raises(BudgetError, match=r"^reserve 7 invalid against cap 10, spent 4$"):
+        ledger.add_reserve(7)
+
+
+SLOTTED = [
+    TurnContext(task="t", turn=1, horizon=2),
+    TurnOutcome(tokens=("a", 1), tokens_used=3, quality=0.5),
+    TextDigest.from_tokens(["a", "b"], 2),
+    ProxyVector(repetition_similarity=0.1, context_drift=0.2, length_anomaly=0.3),
+    TurnRecord(index=1, quality=0.5, frustration=0.2, tokens_spent=3),
+]
+
+
+@pytest.mark.parametrize("value", SLOTTED, ids=lambda v: type(v).__name__)
+def test_slotted_records_stay_frozen(value):
+    assert not hasattr(value, "__dict__")
+    name = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, getattr(value, name))
+    assert dataclasses.replace(value) == value
+
+
+def test_replace_on_turn_context_keeps_the_other_fields():
+    ctx = TurnContext(task="t", turn=2, horizon=4, prior_quality=0.4, history=("x",))
+    retry = dataclasses.replace(ctx, attempt=1, critique="again")
+    assert (retry.task, retry.turn, retry.horizon, retry.prior_quality, retry.history) == (
+        "t", 2, 4, 0.4, ("x",)
+    )
+    assert (retry.attempt, retry.critique) == (1, "again")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"index": 0}, "turn index must be >= 1, got 0"),
+    ({"quality": 1.5}, "quality must be in [0, 1], got 1.5"),
+    ({"frustration": float("nan")}, "frustration must be in [0, 1], got nan"),
+    ({"tokens_spent": -1}, "tokens_spent must be >= 0, got -1"),
+])
+def test_turn_record_validation_keeps_its_messages(kwargs, message):
+    args = {"index": 1, "quality": 0.5, "frustration": 0.5, "tokens_spent": 0, **kwargs}
+    with pytest.raises(ValueError) as info:
+        TurnRecord(**args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", ["repetition_similarity", "context_drift", "length_anomaly"])
+@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+def test_proxy_vector_validation_keeps_its_messages(field, bad):
+    args = {"repetition_similarity": 0.5, "context_drift": 0.5, "length_anomaly": 0.5, field: bad}
+    with pytest.raises(ValueError) as info:
+        ProxyVector(**args)
+    assert str(info.value) == f"{field} must be in [0, 1], got {bad}"
+
+
+@pytest.mark.parametrize("prev", [-0.1, 1.1, float("nan")])
+def test_frustration_prev_validation_keeps_its_message(prev):
+    proxies = ProxyVector(repetition_similarity=0.5, context_drift=0.5, length_anomaly=0.5)
+    with pytest.raises(ValueError) as info:
+        frustration_score(proxies, SignalConfig(), prev)
+    assert str(info.value) == f"prev must be in [0, 1], got {prev}"
