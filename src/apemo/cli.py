@@ -169,9 +169,14 @@ def _load_records(cfg: AppConfig, records_dir: Path) -> dict[str, list[RunRecord
 
 
 def _open_records(
-    args: argparse.Namespace,
+    args: argparse.Namespace, writes: Sequence[str]
 ) -> Optional[tuple[AppConfig, dict[str, list[RunRecord]], Path]]:
-    """Config, records by block and the (made) reports directory; None when there are none."""
+    """Config, records by block and the (made) reports directory; None when there are none.
+
+    Once the records have loaded, the files matching the `writes` patterns
+    that an earlier run left in the reports directory are deleted, so none
+    outlives a run that no longer writes it.
+    """
     cfg = load_config(args.config)
     records_dir = Path(args.records or args.out or cfg.output_dir)
     blocks = _load_records(cfg, records_dir)
@@ -180,17 +185,23 @@ def _open_records(
         return None
     report_dir = Path(args.out or records_dir) / "reports"
     report_dir.mkdir(parents=True, exist_ok=True)
+    for pattern in writes:
+        for path in report_dir.glob(pattern):
+            path.unlink()
     return cfg, blocks, report_dir
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    opened = _open_records(args)
+    opened = _open_records(
+        args, ("*.report.txt", "*.deltas.jsonl", "*.trap_series.csv", "frontier.*")
+    )
     if opened is None:
         return EXIT_EMPTY
     cfg, blocks, report_dir = opened
     stats_seed = args.stats_seed if args.stats_seed is not None else cfg.stats_seed
 
-    compared = 0
+    # each compared block, narrowed to the target and its chosen baselines
+    compared: dict[str, list[RunRecord]] = {}
     for name in sorted(blocks):
         records = blocks[name]
         policies = sorted({r.policy for r in records})
@@ -208,7 +219,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not baselines:
             print(f"block {name}: no baseline to compare {args.target!r} with; skipping its report")
             continue
-        compared += 1
+        kept = {args.target, *baselines}
+        compared[name] = [r for r in records if r.policy in kept]
         metrics = list(REPORT_METRICS)
         is_trap = any(r.trap_turn is not None for r in records)
         if is_trap:
@@ -225,8 +237,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         table = format_block_table(report)
         print(table)
-        if report.directional_only:
-            print(f"block {name}: gate {report.gate:.4f} < 1.0 -- directional evidence\n")
         (report_dir / f"{name}.report.txt").write_text(table, encoding="utf-8")
         with (report_dir / f"{name}.deltas.jsonl").open("w", encoding="utf-8") as fh:
             header = {
@@ -251,7 +261,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_EMPTY
-    _emit_frontier(blocks, report_dir, args.target)
+    _emit_frontier(compared, report_dir, args.target)
     print(f"reports: {report_dir}")
     return EXIT_OK
 
@@ -305,7 +315,7 @@ def _emit_frontier(
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
-    opened = _open_records(args)
+    opened = _open_records(args, ("frontier.*",))
     if opened is None:
         return EXIT_EMPTY
     _, blocks, report_dir = opened

@@ -2,8 +2,9 @@
 
 Each block comparison becomes one point: relative quality gain (percent)
 against relative realized total-cost increase (percent). The frontier
-keeps the non-dominated set under maximize-gain / minimize-cost; a point
-is economically viable when its gain strictly exceeds its cost increase.
+files list every point; a point is economically viable when its gain
+strictly exceeds its cost increase. pareto_front picks the non-dominated
+points under maximize-gain / minimize-cost.
 """
 
 from __future__ import annotations
@@ -37,32 +38,10 @@ def dominates(a: FrontierPoint, b: FrontierPoint) -> bool:
 
 
 def pareto_front(points: Sequence[FrontierPoint]) -> list[FrontierPoint]:
-    """Non-dominated subset; exact ties on both axes are all retained.
-
-    Single cost-ascending sweep: within a cost group only the max-gain
-    points survive, and a group survives only if it strictly improves on
-    every cheaper point's gain.
-    """
+    """Non-dominated subset in input order; exact ties on both axes are all retained."""
     if not points:
         raise ValueError("pareto_front needs at least one point")
-    order = sorted(range(len(points)), key=lambda i: (points[i].cost_increase, -points[i].gain))
-    survivors: list[FrontierPoint] = []
-    best_gain_cheaper = -math.inf
-    i = 0
-    while i < len(order):
-        j = i
-        cost = points[order[i]].cost_increase
-        while j < len(order) and points[order[j]].cost_increase == cost:
-            j += 1
-        group = [points[order[k]] for k in range(i, j)]
-        group_max = max(p.gain for p in group)
-        if group_max > best_gain_cheaper:
-            survivors.extend(p for p in group if p.gain == group_max)
-            best_gain_cheaper = group_max
-        i = j
-    # restore input order for stable output
-    kept = {id(p) for p in survivors}
-    return [p for p in points if id(p) in kept]
+    return [p for p in points if not any(dominates(q, p) for q in points if q is not p)]
 
 
 @dataclass(frozen=True)

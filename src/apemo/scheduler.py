@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .executor import Executor, ExecutorError, TurnContext, TurnOutcome, fallback_outcome
 from .signals import SignalConfig, TextDigest, compute_proxies, frustration_score
@@ -244,27 +244,22 @@ def plan_turn_budget(
 
 
 def detect_negative_peak(
-    q_history: Sequence[float],
-    s_history: Sequence[float],
-    cfg: DetectionConfig,
-) -> Optional[int]:
-    """Return the current (1-based) index when the trigger fires, else None.
+    prior_quality: Optional[float], quality: float, score: float, cfg: DetectionConfig
+) -> bool:
+    """Whether the current turn is a negative peak.
 
-    Quality clause: q_t below the floor AND a one-turn drop of at least
-    drop_threshold (needs t >= 2). Frustration clause: S_f(t) at or above
-    the threshold. Sustained-low quality without a drop is not a peak.
+    Quality clause: quality below the floor AND a drop of at least
+    drop_threshold from the prior turn's (so never on the first turn).
+    Frustration clause: the score at or above the threshold. Sustained-low
+    quality without a drop is not a peak.
     """
-    if not q_history or len(q_history) != len(s_history):
-        raise ValueError("quality and frustration histories must be aligned and non-empty")
-    t = len(q_history)
-    q_now = q_history[-1]
-    if t >= 2:
-        drop = q_history[-2] - q_now
-        if q_now < cfg.quality_floor and drop >= cfg.drop_threshold:
-            return t
-    if s_history[-1] >= cfg.frustration_threshold:
-        return t
-    return None
+    if (
+        prior_quality is not None
+        and quality < cfg.quality_floor
+        and prior_quality - quality >= cfg.drop_threshold
+    ):
+        return True
+    return score >= cfg.frustration_threshold
 
 
 def request_repair(
@@ -288,8 +283,8 @@ def effective_detection(traits: PolicyTraits, cfg: DetectionConfig) -> Detection
     )
 
 
-def _critique_note(phase: str, quality: float) -> str:
-    if phase == "repair":
+def _critique_note(reason: RepairReason, quality: float) -> str:
+    if reason is RepairReason.NEGATIVE_PEAK:
         return (
             f"The previous attempt scored {quality:.2f} and drifted off course. "
             "Re-answer the task directly, avoid repeating yourself, and finish cleanly."
@@ -351,8 +346,7 @@ def run_trajectory(
     kept_texts: list[str] = []
     digest_history: list[TextDigest] = []
     length_history: list[int] = []
-    q_history: list[float] = []
-    s_history: list[float] = []
+    prior_quality: Optional[float] = None
     prev_score: Optional[float] = None
     repairs_used = 0
     fallback = False
@@ -362,22 +356,22 @@ def run_trajectory(
     spent = tries = 0
     repaired = False
 
-    def attempt(ctx: TurnContext, alloc: int, phase: str = "normal") -> bool:
+    def attempt(ctx: TurnContext, alloc: int, reason: Optional[RepairReason] = None) -> bool:
         """Run one execution attempt of the current turn; return whether it succeeded.
 
-        A retry (phase repair or ending) re-executes with a critique of the
-        kept output, spends a grant of alloc tokens and refunds its unused
-        part; the first pass is charged to policy cost.
+        The first pass (no reason) is charged to policy cost. A retry
+        re-executes with a critique of the kept output for its reason,
+        spends a grant of alloc tokens and refunds its unused part.
         """
         nonlocal kept, spent, tries, repaired, fallback
-        if phase != "normal":
+        if reason is not None:
             ctx = TurnContext(
                 task=ctx.task,
                 turn=ctx.turn,
                 horizon=ctx.horizon,
                 attempt=tries,
                 prior_quality=ctx.prior_quality,
-                critique=_critique_note(phase, kept.quality),
+                critique=_critique_note(reason, kept.quality),
                 history=ctx.history,
             )
         tries += 1
@@ -389,13 +383,13 @@ def run_trajectory(
             ok = False
             outcome = fallback_outcome(exc.tokens_used)
         used = min(outcome.tokens_used, alloc)
-        if phase != "normal":
+        if reason is None:
+            ledger.charge_policy(used)
+        else:
             ledger.refund_repair(alloc - used)
             repaired = repaired or ok
-        else:
-            ledger.charge_policy(used)
         spent += used
-        if phase == "normal" or outcome.quality > kept.quality:
+        if reason is None or outcome.quality > kept.quality:
             kept = outcome
         return ok
 
@@ -404,8 +398,7 @@ def run_trajectory(
         decision = request_repair(ledger, reason, want, ctx.turn)
         if decision.granted_tokens <= 0:
             return False
-        phase = "repair" if reason is RepairReason.NEGATIVE_PEAK else "ending"
-        attempt(ctx, decision.granted_tokens, phase)
+        attempt(ctx, decision.granted_tokens, reason)
         return True
 
     def score_signal(digest: TextDigest) -> float:
@@ -421,7 +414,7 @@ def run_trajectory(
             turn=turn,
             horizon=horizon,
             attempt=0,
-            prior_quality=q_history[-1] if q_history else None,
+            prior_quality=prior_quality,
             history=tuple(kept_texts),
         )
         spent = tries = 0
@@ -433,10 +426,10 @@ def run_trajectory(
         if ok and detects:
             digest = TextDigest.from_tokens(first.tokens, order)
             score = score_signal(digest)
-            trigger = detect_negative_peak(
-                q_history + [first.quality], s_history + [score], detection
-            )
-            if trigger is not None and repairs_used < cfg.max_repairs:
+            if (
+                detect_negative_peak(ctx.prior_quality, first.quality, score, detection)
+                and repairs_used < cfg.max_repairs
+            ):
                 want = max(1, math.ceil(cfg.repair_factor * max(alloc, base)))
                 if try_repair(ctx, RepairReason.NEGATIVE_PEAK, want):
                     repairs_used += 1
@@ -453,8 +446,7 @@ def run_trajectory(
         if score is None or kept is not first:
             digest = TextDigest.from_tokens(kept.tokens, order)
             score = score_signal(digest)
-        q_history.append(kept.quality)
-        s_history.append(score)
+        prior_quality = kept.quality
         prev_score = score
         kept_texts.append(kept.text)
         digest_history.append(digest)

@@ -7,7 +7,7 @@ seeded and chunked so results replay exactly regardless of machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Sequence
 
@@ -46,16 +46,7 @@ class DeltaReport:
             raise ValueError(f"ci_low {self.ci_low} above ci_high {self.ci_high}")
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "mean_delta": self.mean_delta,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "sign_p": self.sign_p,
-            "n": self.n,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

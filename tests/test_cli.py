@@ -341,15 +341,41 @@ def test_report_block_without_baseline_writes_no_report(config_path, tmp_path, c
     assert (reports / "tiny.deltas.jsonl").exists()
     assert not (reports / "tiny_trap.report.txt").exists()
     assert not (reports / "tiny_trap.deltas.jsonl").exists()
+    # the frontier lists only the comparison the report made
+    rows = (reports / "frontier.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["tiny (vs uniform)"]
 
-    # the target as its own only baseline leaves no block with a comparison
-    for path in reports.iterdir():
-        path.unlink()
+    # the target as its own only baseline leaves no block with a comparison,
+    # and no file of the earlier report outlives it
     assert main(["report", "--config", config_path, "--records", str(out),
                  "--baselines", "apemo"]) == 4
     captured = capsys.readouterr()
     assert "error: no block compares target 'apemo' with baselines ['apemo']" in captured.err
     assert list(reports.iterdir()) == []
+
+
+def test_frontier_and_refusals_leave_other_files_alone(config_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)])
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 0
+    reports = out / "reports"
+    (reports / "notes.txt").write_text("kept\n", encoding="utf-8")
+    before = sorted(p.name for p in reports.iterdir())
+
+    # no records: refused before anything is deleted
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["report", "--config", config_path, "--records", str(empty),
+                 "--out", str(out)]) == 4
+    assert sorted(p.name for p in reports.iterdir()) == before
+
+    # an absent target gives no frontier point: only the frontier files go
+    assert main(["frontier", "--config", config_path, "--records", str(out),
+                 "--target", "task_affect"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in reports.iterdir()) == [
+        name for name in before if not name.startswith("frontier.")
+    ]
 
 
 @pytest.mark.parametrize("args, flag", [

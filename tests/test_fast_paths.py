@@ -2,20 +2,22 @@
 
 Each check runs a seeded stdlib fuzz against a plain reference: the proxy
 loops against max/jaccard and statistics.median, the ledger against the
-two invariant checks in their original order, and the slotted record types
-against the frozen-dataclass behaviour callers rely on.
+two invariant checks in their original order, negative-peak detection on
+the current turn against the definition over whole histories, and the
+slotted record types against the frozen-dataclass behaviour callers rely on.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import statistics
 
 import pytest
 
 from apemo.executor import TurnContext, TurnOutcome
-from apemo.scheduler import BudgetError, BudgetLedger
+from apemo.scheduler import BudgetError, BudgetLedger, DetectionConfig, detect_negative_peak
 from apemo.signals import (
     ProxyVector,
     SignalConfig,
@@ -114,6 +116,57 @@ def test_ledger_mutators_raise_the_old_messages():
     ledger.charge_overhead(4)
     with pytest.raises(BudgetError, match=r"^reserve 7 invalid against cap 10, spent 4$"):
         ledger.add_reserve(7)
+
+
+def _reference_detect(q_history: list, s_history: list, cfg: DetectionConfig):
+    """Detection over aligned histories: the current 1-based index when it fires, else None."""
+    if not q_history or len(q_history) != len(s_history):
+        raise ValueError("quality and frustration histories must be aligned and non-empty")
+    t = len(q_history)
+    q_now = q_history[-1]
+    if t >= 2:
+        drop = q_history[-2] - q_now
+        if q_now < cfg.quality_floor and drop >= cfg.drop_threshold:
+            return t
+    if s_history[-1] >= cfg.frustration_threshold:
+        return t
+    return None
+
+
+def _near(rng: random.Random, value: float) -> float:
+    """The value itself, a float next to it, or a point up to 0.05 away."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return value
+    if pick == 1:
+        return math.nextafter(value, math.inf)
+    if pick == 2:
+        return math.nextafter(value, -math.inf)
+    return value + rng.uniform(-0.05, 0.05)
+
+
+def test_detection_on_the_current_turn_equals_the_history_definition_fuzz():
+    rng = random.Random(1919)
+    fired = 0
+    for _ in range(20000):
+        cfg = DetectionConfig(
+            quality_floor=rng.choice((0.0, 0.5, rng.random())),
+            drop_threshold=rng.choice((0.2, rng.random())),
+            frustration_threshold=rng.choice((0.7, 2.0, rng.random())),
+        )
+        quality = _near(rng, cfg.quality_floor) if rng.random() < 0.7 else rng.random()
+        if rng.random() < 0.2:
+            prior = None
+        else:
+            prior = _near(rng, quality + cfg.drop_threshold)
+        score = _near(rng, cfg.frustration_threshold) if rng.random() < 0.7 else rng.random()
+        earlier = [rng.random() for _ in range(rng.randrange(3))] if prior is not None else []
+        q_history = earlier + ([prior] if prior is not None else []) + [quality]
+        s_history = [rng.random() for _ in q_history[:-1]] + [score]
+        expected = _reference_detect(q_history, s_history, cfg) is not None
+        assert detect_negative_peak(prior, quality, score, cfg) is expected
+        fired += expected
+    assert 4000 < fired < 16000  # both outcomes are well represented
 
 
 SLOTTED = [

@@ -24,7 +24,6 @@ from apemo.llm import (
     chat_complete,
     heuristic_quality,
     ping,
-    split_allocation,
 )
 from apemo.mock_server import MockModelServer, default_script
 from apemo.scheduler import PolicyKind, SchedulerConfig, run_trajectory
@@ -142,16 +141,6 @@ def test_critic_parse_failure_falls_back_to_heuristic():
     assert flow.quality == single.quality == heuristic_quality(FLOW_TASK, reply)
 
 
-def test_split_allocation_ratio_example():
-    assert split_allocation(1000, (0.25, 0.6, 0.15)) == [250, 600, 150]
-
-
-def test_split_allocation_leftover_to_largest_share():
-    shares = split_allocation(999, (0.25, 0.6, 0.15))
-    assert sum(shares) == 999
-    assert shares[1] >= shares[0] and shares[1] >= shares[2]
-
-
 def test_run_flow_turn_role_sequence_and_usage():
     with MockModelServer() as server:
         out = flow_turn(server, 1000)
@@ -163,6 +152,19 @@ def test_run_flow_turn_role_sequence_and_usage():
         assert out.quality == heuristic_quality(FLOW_TASK, out.text)
         reported = sum(min(cap, 10**9) for cap in caps)  # upper bound only
         assert 0 < out.tokens_used <= reported
+
+
+@pytest.mark.parametrize("allocated", [1, 3, 4, 999, 1000])
+def test_flow_turn_gives_the_planner_its_share_rounded_down(allocated):
+    plan = int(allocated * 0.25)
+    with MockModelServer() as server:
+        flow_turn(server, allocated)
+        caps = [b["options"]["num_predict"] for b in server.transcript]
+        roles = ["planner" if is_planner(b) else "executor" for b in server.transcript]
+    if plan == 0:  # a zero planner share is skipped
+        assert (roles, caps) == (["executor"], [allocated])
+    else:
+        assert (roles, caps) == (["planner", "executor"], [plan, allocated - plan])
 
 
 def test_flow_transport_error_propagates_for_fallback():

@@ -76,28 +76,24 @@ def test_monitor_overhead_prorated_out_of_base():
 
 def test_detection_stable_trajectory_none():
     cfg = DetectionConfig()
-    assert detect_negative_peak([0.8, 0.8, 0.8], [0.1, 0.1, 0.1], cfg) is None
+    assert detect_negative_peak(0.8, 0.8, 0.1, cfg) is False
 
 
 def test_detection_fires_on_drop_into_low_regime():
     cfg = DetectionConfig(quality_floor=0.5, drop_threshold=0.2)
-    assert detect_negative_peak([0.8, 0.75, 0.35], [0.1, 0.1, 0.1], cfg) == 3
+    assert detect_negative_peak(0.75, 0.35, 0.1, cfg) is True
+    assert detect_negative_peak(None, 0.0, 0.1, cfg) is False  # the first turn has no drop
 
 
 def test_detection_sustained_low_is_not_a_peak():
     cfg = DetectionConfig(quality_floor=0.5, drop_threshold=0.2)
-    assert detect_negative_peak([0.45, 0.44], [0.1, 0.1], cfg) is None
+    assert detect_negative_peak(0.45, 0.44, 0.1, cfg) is False
 
 
 def test_detection_frustration_clause():
     cfg = DetectionConfig(frustration_threshold=0.7)
-    assert detect_negative_peak([0.9, 0.9], [0.2, 0.75], cfg) == 2
-    assert detect_negative_peak([0.9], [0.75], cfg) == 1
-
-
-def test_detection_requires_aligned_histories():
-    with pytest.raises(ValueError):
-        detect_negative_peak([0.5], [], DetectionConfig())
+    assert detect_negative_peak(0.9, 0.9, 0.75, cfg) is True
+    assert detect_negative_peak(None, 0.9, 0.75, cfg) is True
 
 
 # ------------------------------------------------------------------- repairs
