@@ -2,11 +2,12 @@
 
 The dataclasses are the schema. Each YAML section builds one dataclass, its
 keys are the field names (under weights they drop the "_weight" suffix) and
-its defaults are the field defaults, so every command runs without a file;
-a file only overrides what it names. Unknown keys and bad values are
-rejected with their key path so typos fail loudly. The server URL may come
-from the APEMO_SERVER_URL environment variable, but an explicit
-endpoint.base_url in the file wins.
+its defaults are the field defaults, so every command runs without a file.
+The loader reads the file in one pass: each dataclass is built straight from
+the file's mapping, and the field defaults fill whatever the file does not
+name. Unknown keys and bad values are rejected with their key path so typos
+fail loudly. The server URL may come from the APEMO_SERVER_URL environment
+variable, but an explicit endpoint.base_url in the file wins.
 """
 
 from __future__ import annotations
@@ -162,31 +163,13 @@ _SECTIONS: dict[str, type] = {
 
 @lru_cache(maxsize=None)
 def _keys(cls: type) -> dict[str, tuple[Any, Any]]:
-    """YAML key -> (field, resolved type) for each init field of cls."""
+    """YAML key -> (field, resolved type) for each init field of cls but the _PER_RUN ones."""
     hints = get_type_hints(cls)
     suffix = "_weight" if cls is ObjectiveWeights else ""
-    return {f.name.removesuffix(suffix): (f, hints[f.name]) for f in fields(cls) if f.init}
-
-
-def _defaults(cls: type) -> dict[str, Any]:
-    """Key -> default of each field of cls that a top-level key or a section sets.
-
-    Fields without a plain default are filled by the loader, and so is a field
-    named after a section; a _PER_RUN field is set by the run.
-    """
     return {
-        key: f.default
-        for key, (f, _) in _keys(cls).items()
-        if f.default is not MISSING and f.name not in _SECTIONS and (cls, f.name) not in _PER_RUN
+        f.name.removesuffix(suffix): (f, hints[f.name])
+        for f in fields(cls) if f.init and (cls, f.name) not in _PER_RUN
     }
-
-
-DEFAULTS: dict[str, Any] = {
-    **_defaults(AppConfig),
-    **_defaults(RuntimeSettings),
-    **{name: _defaults(cls) for name, cls in _SECTIONS.items()},
-    "blocks": {},
-}
 
 
 def _join(path: str, key: Any) -> str:
@@ -240,9 +223,9 @@ def _build(cls: type, raw: Any, path: str, /, base: Any = None, **given: Any) ->
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{path} must be a mapping")
     keys = _keys(cls)
-    unknown = [k for k in raw if k not in keys or keys[k][0].name in given]
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(map(str, unknown))}")
+    for k in raw:
+        if k not in keys or keys[k][0].name in given:
+            raise ConfigError(f"unknown config key: {_join(path, k)}")
     for key, (f, _) in keys.items():
         required = f.default is MISSING and f.default_factory is MISSING
         if required and base is None and key not in raw and f.name not in given:
@@ -254,26 +237,11 @@ def _build(cls: type, raw: Any, path: str, /, base: Any = None, **given: Any) ->
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
-def _merge(base: dict, override: Mapping, path: str = "") -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        here = _join(path, key)
-        if key not in base:
-            raise ConfigError(f"unknown config key: {here}")
-        if isinstance(base[key], dict) and key != "blocks":
-            if not isinstance(value, Mapping):
-                raise ConfigError(f"{here} must be a mapping")
-            out[key] = _merge(base[key], value, here)
-        else:
-            out[key] = value
-    return out
-
-
 def _seed_range(raw: Mapping, path: str) -> list[int]:
     """Expand the {count, start} shorthand into a list of seeds."""
-    unknown = set(raw) - {"count", "start"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown seed keys {sorted(unknown)}")
+    for k in raw:
+        if k not in ("count", "start"):
+            raise ConfigError(f"unknown config key: {_join(path, k)}")
     count = _coerce(raw.get("count", 0), int, f"{path}.count")
     start = _coerce(raw.get("start", 1), int, f"{path}.start")
     if count < 1:
@@ -299,16 +267,9 @@ def _nested(cls: type, built: Mapping[str, Any]) -> dict[str, Any]:
     return {f.name: built[f.name] for f in fields(cls) if f.name in built}
 
 
-def _top(cls: type, merged: Mapping[str, Any]) -> dict[str, Any]:
-    """The top-level keys that set fields of cls."""
-    return {key: merged[key] for key in _defaults(cls)}
-
-
 def load_config(path: Optional[str] = None, include_default_blocks: bool = True) -> AppConfig:
     """Resolve defaults, optional YAML file, and environment into an AppConfig."""
-    merged = dict(DEFAULTS)
-    merged["blocks"] = dict(DEFAULT_BLOCKS) if include_default_blocks else {}
-    file_sets_url = False
+    raw: Mapping[str, Any] = {}
     if path is not None:
         p = Path(path)
         if not p.exists():
@@ -319,23 +280,22 @@ def load_config(path: Optional[str] = None, include_default_blocks: bool = True)
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
         if not isinstance(raw, Mapping):
             raise ConfigError("config file must contain a mapping at the top level")
-        file_sets_url = isinstance(raw.get("endpoint"), Mapping) and "base_url" in raw["endpoint"]
-        file_blocks = raw.get("blocks") or {}
-        merged = _merge(merged, {k: v for k, v in raw.items() if k != "blocks"})
-        if not isinstance(file_blocks, Mapping):
-            raise ConfigError("blocks must be a mapping of name -> block definition")
-        merged["blocks"] = {**merged["blocks"], **file_blocks}
+    file_blocks = raw.get("blocks") or {}
+    if not isinstance(file_blocks, Mapping):
+        raise ConfigError("blocks must be a mapping of name -> block definition")
 
+    endpoint = raw.get("endpoint", {})
     env_url = os.environ.get(ENV_SERVER_URL)
-    if env_url and not file_sets_url:
-        merged["endpoint"] = {**merged["endpoint"], "base_url": env_url}
+    if env_url and isinstance(endpoint, Mapping) and "base_url" not in endpoint:
+        endpoint = {**endpoint, "base_url": env_url}
 
     built: dict[str, Any] = {}
     for name, cls in _SECTIONS.items():
-        built[name] = _build(cls, merged[name], name, **_nested(cls, built))
-    settings = _build(RuntimeSettings, _top(RuntimeSettings, merged), "",
-                      **_nested(RuntimeSettings, built))
-    blocks = {name: _parse_block(name, spec, built["abm"]) for name, spec in merged["blocks"].items()}
-    return _build(AppConfig, _top(AppConfig, merged), "", settings=settings, blocks=blocks,
-                  source_path=path, **_nested(AppConfig, built))
-
+        section = endpoint if name == "endpoint" else raw.get(name, {})
+        built[name] = _build(cls, section, name, **_nested(cls, built))
+    settings = RuntimeSettings(**_nested(RuntimeSettings, built))
+    specs = {**DEFAULT_BLOCKS, **file_blocks} if include_default_blocks else file_blocks
+    blocks = {name: _parse_block(name, spec, built["abm"]) for name, spec in specs.items()}
+    top = {k: v for k, v in raw.items() if k not in _SECTIONS and k != "blocks"}
+    return _build(AppConfig, top, "", settings=settings, blocks=blocks, source_path=path,
+                  **_nested(AppConfig, built))
