@@ -66,7 +66,6 @@ class BlockConfig:
     seeds: tuple[int, ...]
     trap: Optional[TrapSpec] = None
     abm: AbmConfig = field(default_factory=AbmConfig)
-    strict: bool = False
 
     def __post_init__(self) -> None:
         if self.executor not in ("abm", "llm"):

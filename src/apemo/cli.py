@@ -225,7 +225,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         is_trap = any(r.trap_turn is not None for r in records)
         if is_trap:
             metrics.extend(TRAP_METRICS)
-        block_cfg = cfg.blocks.get(name)
         report = block_report(
             records,
             baselines=baselines,
@@ -233,7 +232,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             target=args.target,
             resamples=cfg.resamples,
             stats_seed=stats_seed,
-            strict=bool(block_cfg.strict) if block_cfg else False,
         )
         table = format_block_table(report)
         print(table)
@@ -245,7 +243,6 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "gate": report.gate,
                 "stats_seed": report.stats_seed,
                 "directional_only": report.directional_only,
-                "strict": report.strict,
                 "schema_version": SCHEMA_VERSION,
             }
             fh.write(json.dumps(header, sort_keys=True) + "\n")

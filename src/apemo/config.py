@@ -80,7 +80,6 @@ DEFAULT_BLOCKS: dict[str, dict[str, Any]] = {
         "policies": ["task_peak_end", "apemo"],
         "seeds": {"count": 20, "start": 1},
         "trap": {"trap_turn": 4, "severity": 0.4, "recovery_rate": 0.3},
-        "strict": True,
     },
     "llm_long": {
         "executor": "llm",
@@ -186,7 +185,7 @@ def _kind(typ: Any) -> tuple[bool, Any, tuple]:
 
 
 def _coerce(value: Any, typ: Any, path: str) -> Any:
-    """Convert one YAML value to a field type; a YAML boolean fills only a bool."""
+    """Convert one YAML value to a field type; a YAML boolean fills no field."""
     if type(value) is typ:  # already right: the common case, kept cheap
         return value
     optional, typ, items = _kind(typ)
@@ -200,9 +199,8 @@ def _coerce(value: Any, typ: Any, path: str) -> Any:
         return tuple(_coerce(v, items[0], f"{path}[{i}]") for i, v in enumerate(value))
     if is_dataclass(typ):
         return _build(typ, value, path)
-    if isinstance(value, bool) is not (typ is bool):
-        raise ConfigError(f"{path} must be {'true or false' if typ is bool else typ.__name__}, "
-                          f"got {value!r}")
+    if isinstance(value, bool):
+        raise ConfigError(f"{path} must be {typ.__name__}, got {value!r}")
     if typ is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     try:

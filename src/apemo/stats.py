@@ -210,7 +210,6 @@ class BlockReport:
     stats_seed: int
     rows: tuple[DeltaReport, ...]
     orphan_keys: tuple[str, ...] = ()
-    strict: bool = False
 
     @property
     def directional_only(self) -> bool:
@@ -225,7 +224,6 @@ def block_report(
     *,
     resamples: int,
     stats_seed: int,
-    strict: bool = False,
 ) -> BlockReport:
     """Per-metric delta rows for every (target, baseline) pair in a block."""
     if not records:
@@ -269,7 +267,6 @@ def block_report(
         stats_seed=stats_seed,
         rows=tuple(rows),
         orphan_keys=tuple(orphan_keys),
-        strict=strict and gate == 1.0,
     )
 
 
@@ -281,8 +278,6 @@ def format_block_table(report: BlockReport) -> str:
     lines.append(f"no_fallback_rate = {report.gate:.4f}   stats_seed = {report.stats_seed}")
     if report.directional_only:
         lines.append("NOTE: gate below 1.0 -- directional evidence only")
-    if report.strict:
-        lines.append("strict block (gate = 1.0)")
     if report.orphan_keys:
         lines.append("unmatched runs: " + ", ".join(report.orphan_keys))
     lines.append("")

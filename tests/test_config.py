@@ -33,9 +33,9 @@ def _write(tmp_path, data) -> str:
 
 
 def test_config_hashes_are_pinned(tmp_path):
-    assert load_config(None).config_hash() == "da746c8db7ac7058"
+    assert load_config(None).config_hash() == "52acebf1f76b72df"
     assert load_config(None, include_default_blocks=False).config_hash() == "3886d1b9a4de48c8"
-    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "74560900cff61fe3"
+    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "3342e25b3d402c6b"
 
 
 def test_config_hash_leaves_out_deployment_settings(tmp_path, monkeypatch):
@@ -151,7 +151,6 @@ EVERY_KEY = {
             "trap": {"trap_turn": 3, "severity": 0.5, "recovery_rate": 0.2},
             "abm": {"initial_quality": 0.5, "drift_rate": -0.03, "noise_sd": 0.09,
                     "uplift_gain": 0.2, "uplift_half": 700.0, "digest_tokens": 16},
-            "strict": True,
         }
     },
 }
@@ -183,7 +182,6 @@ def test_every_key_lands_on_its_field(tmp_path):
             trap=TrapSpec(trap_turn=3, severity=0.5, recovery_rate=0.2),
             abm=AbmConfig(initial_quality=0.5, drift_rate=-0.03, noise_sd=0.09,
                           uplift_gain=0.2, uplift_half=700.0, digest_tokens=16),
-            strict=True,
         )
     }
 
@@ -228,8 +226,8 @@ def test_non_keys_rejected_with_path(tmp_path, text, path):
 
 
 @pytest.mark.parametrize("data, message", [
-    (_block(strict="false"), "blocks.b.strict must be true or false, got 'false'"),
-    (_block(strict="no"), "blocks.b.strict must be true or false, got 'no'"),
+    ({"scheduler": {"skim_fraction": True}}, "scheduler.skim_fraction must be float, got True"),
+    ({"endpoint": {"base_url": False}}, "endpoint.base_url must be str, got False"),
     (_block(horizon=2.9), "blocks.b.horizon must be an integer, got 2.9"),
     (_block(horizon=True), "blocks.b.horizon must be int, got True"),
     ({"scheduler": {"max_repairs": 1.5}}, "scheduler.max_repairs must be an integer, got 1.5"),
@@ -256,11 +254,9 @@ def test_bad_values_rejected_with_path(tmp_path, data, message):
     assert str(info.value).startswith(message)
 
 
-def test_integral_floats_and_yaml_booleans_accepted(tmp_path):
-    cfg = load_config(_write(tmp_path, _block(horizon=6.0, strict=False)),
-                      include_default_blocks=False)
+def test_integral_floats_accepted(tmp_path):
+    cfg = load_config(_write(tmp_path, _block(horizon=6.0)), include_default_blocks=False)
     assert cfg.blocks["b"].horizon == 6 and isinstance(cfg.blocks["b"].horizon, int)
-    assert cfg.blocks["b"].strict is False
 
 
 @pytest.mark.parametrize("policy", [

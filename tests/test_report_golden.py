@@ -17,7 +17,7 @@ from apemo.benchmark import BlockConfig, RunStore, RuntimeSettings, run_block
 from apemo.cli import main
 from apemo.scheduler import PolicyKind
 
-REPORT_GOLDEN_PREFIX = "89f828aa0cdd3ad5"
+REPORT_GOLDEN_PREFIX = "d5ebca6e19efc541"
 
 CONFIG = "stats_seed: 1234\nresamples: 10000\n"
 
