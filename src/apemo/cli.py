@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, run-llm, report, frontier, validate-config.
+"""Command-line interface: simulate, run-llm, report, validate-config.
 
 Exit codes: 0 success, 2 configuration error (or a record store of a
 config simulator block that resume or report would mix across simulator
@@ -85,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--target", default="apemo", choices=POLICIES)
     p_rep.add_argument("--stats-seed", type=_int_at_least(0), default=None)
 
-    p_fr = sub.add_parser("frontier", help="frontier table only")
-    common(p_fr)
-    p_fr.add_argument("--records", default=None)
-    p_fr.add_argument("--target", default="apemo", choices=POLICIES)
-
     p_val = sub.add_parser("validate-config", help="parse and validate a config file")
     p_val.add_argument("--config", default=None)
     return parser
@@ -168,36 +163,23 @@ def _load_records(cfg: AppConfig, records_dir: Path) -> dict[str, list[RunRecord
     return blocks
 
 
-def _open_records(
-    args: argparse.Namespace, writes: Sequence[str]
-) -> Optional[tuple[AppConfig, dict[str, list[RunRecord]], Path]]:
-    """Config, records by block and the (made) reports directory; None when there are none.
+# the files report writes; an earlier run's are deleted once the records load,
+# so none outlives a run that no longer writes it
+_REPORT_FILES = ("*.report.txt", "*.deltas.jsonl", "*.trap_series.csv", "frontier.*")
 
-    Once the records have loaded, the files matching the `writes` patterns
-    that an earlier run left in the reports directory are deleted, so none
-    outlives a run that no longer writes it.
-    """
+
+def cmd_report(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     records_dir = Path(args.records or args.out or cfg.output_dir)
     blocks = _load_records(cfg, records_dir)
     if not blocks:
         print(f"error: no run records found under {records_dir}", file=sys.stderr)
-        return None
+        return EXIT_EMPTY
     report_dir = Path(args.out or records_dir) / "reports"
     report_dir.mkdir(parents=True, exist_ok=True)
-    for pattern in writes:
+    for pattern in _REPORT_FILES:
         for path in report_dir.glob(pattern):
             path.unlink()
-    return cfg, blocks, report_dir
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    opened = _open_records(
-        args, ("*.report.txt", "*.deltas.jsonl", "*.trap_series.csv", "frontier.*")
-    )
-    if opened is None:
-        return EXIT_EMPTY
-    cfg, blocks, report_dir = opened
     stats_seed = args.stats_seed if args.stats_seed is not None else cfg.stats_seed
 
     # each compared block, narrowed to the target and its chosen baselines
@@ -311,15 +293,6 @@ def _emit_frontier(
     (report_dir / "frontier.txt").write_text(table, encoding="utf-8")
 
 
-def cmd_frontier(args: argparse.Namespace) -> int:
-    opened = _open_records(args, ("frontier.*",))
-    if opened is None:
-        return EXIT_EMPTY
-    _, blocks, report_dir = opened
-    _emit_frontier(blocks, report_dir, args.target)
-    return EXIT_OK
-
-
 def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     print(f"config ok (hash {cfg.config_hash()})")
@@ -344,8 +317,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_block_command(args, "llm")
         if args.command == "report":
             return cmd_report(args)
-        if args.command == "frontier":
-            return cmd_frontier(args)
         if args.command == "validate-config":
             return cmd_validate_config(args)
         parser.error(f"unknown command {args.command!r}")

@@ -181,10 +181,7 @@ def test_model_server_records_carry_no_stream_version_and_resume(
     assert capsys.readouterr().out.count("(resumed)") == len(runs)
 
 
-@pytest.mark.parametrize("command", ["report", "frontier"])
-def test_report_refuses_a_config_block_store_of_another_stream(
-    config_path, tmp_path, capsys, command
-):
+def test_report_refuses_a_config_block_store_of_another_stream(config_path, tmp_path, capsys):
     out = tmp_path / "runs"
     for block in ("tiny", "tiny_trap"):
         assert main(["simulate", "--config", config_path, "--block", block, "--out", str(out)]) == 0
@@ -195,11 +192,11 @@ def test_report_refuses_a_config_block_store_of_another_stream(
     trap_file.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     capsys.readouterr()
 
-    assert main([command, "--config", config_path, "--records", str(out)]) == 2
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 2
     assert str(trap_file) in capsys.readouterr().err
     assert not (out / "reports" / "frontier.csv").exists()
     # stores of blocks the loaded config does not define are reported as before
-    assert main([command, "--records", str(out)]) == 0
+    assert main(["report", "--records", str(out)]) == 0
     assert (out / "reports" / "frontier.csv").exists()
 
 
@@ -286,14 +283,6 @@ def test_run_llm_against_mock_server(config_path, tmp_path, monkeypatch, capsys)
     capsys.readouterr()
 
 
-def test_frontier_subcommand(config_path, tmp_path, capsys):
-    out = tmp_path / "runs"
-    main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)])
-    capsys.readouterr()
-    assert main(["frontier", "--config", config_path, "--records", str(out)]) == 0
-    assert (out / "reports" / "frontier.csv").exists()
-
-
 def test_validate_config_rejects_topology_policy_on_abm_block(tmp_path, capsys):
     path = tmp_path / "flow.yaml"
     path.write_text(
@@ -354,7 +343,7 @@ def test_report_block_without_baseline_writes_no_report(config_path, tmp_path, c
     assert list(reports.iterdir()) == []
 
 
-def test_frontier_and_refusals_leave_other_files_alone(config_path, tmp_path, capsys):
+def test_report_leaves_other_files_alone(config_path, tmp_path):
     out = tmp_path / "runs"
     main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)])
     assert main(["report", "--config", config_path, "--records", str(out)]) == 0
@@ -369,13 +358,9 @@ def test_frontier_and_refusals_leave_other_files_alone(config_path, tmp_path, ca
                  "--out", str(out)]) == 4
     assert sorted(p.name for p in reports.iterdir()) == before
 
-    # an absent target gives no frontier point: only the frontier files go
-    assert main(["frontier", "--config", config_path, "--records", str(out),
-                 "--target", "task_affect"]) == 0
-    capsys.readouterr()
-    assert sorted(p.name for p in reports.iterdir()) == [
-        name for name in before if not name.startswith("frontier.")
-    ]
+    # a report that runs replaces only the files it writes
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 0
+    assert sorted(p.name for p in reports.iterdir()) == before
 
 
 @pytest.mark.parametrize("args, flag", [
