@@ -191,7 +191,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"block {name}: target {args.target!r} absent; skipping deltas")
             continue
         baselines = []
-        for baseline in args.baselines or [p for p in policies if p != args.target]:
+        candidates = args.baselines or [p for p in policies if p != args.target]
+        for baseline in dict.fromkeys(candidates):  # a baseline named twice is compared once
             if baseline == args.target:
                 print(f"block {name}: baseline {baseline!r} is the target; skipping it")
             elif baseline in policies:

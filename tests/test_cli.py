@@ -10,6 +10,7 @@ from apemo.abm import STREAM_VERSION
 from apemo.cli import main
 from apemo.config import ConfigError, load_config
 from apemo.mock_server import MockModelServer
+from apemo.stats import REPORT_METRICS
 
 TINY_CONFIG = """
 stats_seed: 77
@@ -293,6 +294,36 @@ def test_validate_config_rejects_topology_policy_on_abm_block(tmp_path, capsys):
     )
     assert main(["validate-config", "--config", str(path)]) == 2
     assert "blocks.abm_flow: policies ['flow_plain'] need a role topology" in capsys.readouterr().err
+
+
+def test_block_with_a_repeated_seed_exits_2_before_any_cell_runs(tmp_path, capsys):
+    path = tmp_path / "dup.yaml"
+    path.write_text(
+        "blocks:\n  d:\n    executor: abm\n    models: [abm-a]\n    horizon: 4\n"
+        "    episodes: 1\n    budget_cap: 400\n    policies: [uniform]\n    seeds: [1, 1]\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "runs"
+    for command in (["validate-config"], ["simulate", "--block", "d", "--out", str(out)]):
+        assert main(command + ["--config", str(path)]) == 2
+        assert "config error: blocks.d: seeds lists 1 more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_compares_a_baseline_named_twice_once(config_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)])
+    capsys.readouterr()
+    reports = out / "reports"
+    runs = []
+    for baselines in (["uniform", "uniform"], ["uniform"]):
+        assert main(["report", "--config", config_path, "--records", str(out),
+                     "--baselines", *baselines]) == 0
+        runs.append((capsys.readouterr().out,
+                     {p.name: p.read_bytes() for p in reports.iterdir()}))
+    assert runs[0] == runs[1]
+    rows = (reports / "tiny.deltas.jsonl").read_text().splitlines()[1:]
+    assert [json.loads(row)["baseline"] for row in rows] == ["uniform"] * len(REPORT_METRICS)
 
 
 def test_report_skips_absent_baselines_and_rejects_unknown_ones(config_path, tmp_path, capsys):

@@ -234,6 +234,9 @@ def test_non_keys_rejected_with_path(tmp_path, text, path):
     (_block(trap={"severity": 0.4}), "blocks.b.trap: missing required key 'trap_turn'"),
     ({"blocks": {"b": 5}}, "blocks.b must be a mapping"),
     ({"scheduler": {"skim_fraction": 1.5}}, "scheduler: skim_fraction must be in [0, 1), got 1.5"),
+    (_block(models=["m", "n", "m"]), "blocks.b: models lists m more than once"),
+    (_block(seeds=[1, 1]), "blocks.b: seeds lists 1 more than once"),
+    (_block(policies=["apemo", "uniform", "apemo"]), "blocks.b: policies lists apemo more than once"),
     (_block(policies=["zigzag"]), "blocks.b.policies[0]: unknown value 'zigzag'"),
     (_block(seeds={"count": 0}), "blocks.b.seeds: seed count must be >= 1"),
     ({"signal": {"proxy_weights": [0.5, 0.5]}},
