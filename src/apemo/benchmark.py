@@ -93,9 +93,9 @@ class BlockConfig:
             raise ValueError("seeds must be non-empty")
         for name in ("models", "seeds", "policies"):  # each names one cell of the grid
             values = getattr(self, name)
-            if len(set(values)) < len(values):
-                repeated = next(v for i, v in enumerate(values) if v in values[:i])
-                raise ValueError(f"{name} lists {repeated} more than once")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} lists {repeated[0]} more than once")
         if self.trap is not None:
             if self.trap.trap_turn < 2 or self.trap.trap_turn + 2 > self.horizon:
                 raise ValueError(

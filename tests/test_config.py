@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from apemo import config
 from apemo.abm import AbmConfig, TrapSpec
 from apemo.benchmark import BlockConfig, ReuseParams, RuntimeSettings, run_block
-from apemo import config
 from apemo.config import AppConfig, ConfigError, load_config
 from apemo.llm import DecodingParams, ModelEndpoint
 from apemo.scheduler import DetectionConfig, PolicyKind, SchedulerConfig
@@ -200,7 +200,7 @@ def _block(**extra) -> dict:
     return {"blocks": {"b": {**spec, **extra}}}
 
 
-@pytest.mark.parametrize("text, path", [
+@pytest.mark.parametrize("data, path", [
     ("decoding: {max_tokens: 10}\n", "decoding.max_tokens"),
     ("scheduler: {task: plan}\n", "scheduler.task"),
     ("scheduler: {signal: {}}\n", "scheduler.signal"),
@@ -219,9 +219,9 @@ def _block(**extra) -> dict:
     (_block(trap={"trap_turn": 3, "noise_sd": 0.1}), "blocks.b.trap.noise_sd"),
     (_block(seeds={"count": 2, "step": 1}), "blocks.b.seeds.step"),
 ])
-def test_non_keys_rejected_with_path(tmp_path, text, path):
+def test_non_keys_rejected_with_path(tmp_path, data, path):
     with pytest.raises(ConfigError) as info:
-        load_config(_write(tmp_path, text))
+        load_config(_write(tmp_path, data))
     assert str(info.value) == f"unknown config key: {path}"
 
 
