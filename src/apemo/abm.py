@@ -8,15 +8,19 @@ the latent level falls, giving the affect proxies real signal.
 
 Every draw derives from (executor seed, trajectory seed, turn, attempt),
 so replays are exact and policies sharing a seed see identical noise on
-matching turns regardless of how they allocate compute. Each attempt makes
-one uniform draw from a Philox generator keyed by the two seeds with its
-counter set to (turn, attempt); every random value of the step is derived
-from that vector (see ``abm_step``).
+matching turns regardless of how they allocate compute. Each attempt's
+uniform vector is one draw from a Philox generator keyed by the two seeds
+with its counter set to (turn, attempt); every random value of the step is
+derived from that vector (see ``abm_step``). Each thread keeps one Philox and
+the vectors of its last few streams, so the policies of one (model, seed,
+episode) draw each vector once; executors hold no mutable state and may be
+shared between threads.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -34,6 +38,11 @@ STALL_TOKENS = ("again", "loop", "redo", "stuck", "same", "retry")
 _HEAD = 3
 _MAX_JITTER = 4
 _FRESH_IDS = 1_000_000
+# Streams whose vectors a thread keeps. run_block runs the policies of one
+# (model, seed) back to back over the same episodes, so a few streams serve
+# every policy after the first; the bound keeps memory flat on any grid.
+_CACHED_STREAMS = 8
+_KEY_WORD = 0xFFFF_FFFF_FFFF_FFFF
 
 
 @dataclass(frozen=True)
@@ -188,14 +197,52 @@ def _task_tokens(task: str) -> tuple[str, ...]:
     return tuple(tokenize(task))
 
 
+class _Draws(threading.local):
+    """One thread's Philox generator, its state dict and its FIFO of drawn streams."""
+
+    def __init__(self) -> None:
+        self.bitgen = np.random.Philox(0)
+        self.gen = np.random.Generator(self.bitgen)
+        self.state = self.bitgen.state
+        self.streams: dict[tuple[int, int, int], dict[tuple[int, int], tuple[float, ...]]] = {}
+
+
+_draws = _Draws()
+
+
+def _uniforms(exec_seed: int, seed: int, turn: int, attempt: int, n: int) -> tuple[float, ...]:
+    """n uniforms from Philox key (exec_seed, seed), counter (0, turn, attempt, 0).
+
+    A miss resets the thread's generator to that key and counter and makes
+    one random(n) call; the vector is kept under its stream (exec_seed, seed,
+    n) in a FIFO of _CACHED_STREAMS streams.
+    """
+    streams = _draws.streams
+    stream = streams.get((exec_seed, seed, n))
+    if stream is None:
+        if len(streams) >= _CACHED_STREAMS:
+            del streams[next(iter(streams))]
+        stream = streams[(exec_seed, seed, n)] = {}
+    u = stream.get((turn, attempt))
+    if u is None:
+        state = _draws.state
+        # a negative seed becomes its two's-complement word, as Philox(key=...)
+        # reads it; the lowest counter word counts the blocks within one draw
+        state["state"]["key"][:] = (exec_seed & _KEY_WORD, seed & _KEY_WORD)
+        counter = state["state"]["counter"]
+        counter[1] = turn
+        counter[2] = attempt
+        _draws.bitgen.state = state
+        u = stream[(turn, attempt)] = tuple(_draws.gen.random(n).tolist())
+    return u
+
+
 class AbmExecutor:
     """Deterministic simulator bound to a config, seed, and optional trap.
 
-    One Philox generator per trajectory seed is built on first use and kept
-    on the instance; each attempt only resets its counter. The outcome is
-    still a pure function of (seed, trajectory seed, turn, attempt), but an
-    instance must not run attempts from two threads at once (run_cell
-    builds one per episode).
+    The outcome of an attempt is a pure function of (seed, trajectory seed,
+    turn, attempt); the instance holds no mutable state, so one executor may
+    run attempts from several threads at once.
     """
 
     def __init__(self, cfg: AbmConfig, seed: int, trap: TrapSpec | None = None):
@@ -203,21 +250,6 @@ class AbmExecutor:
         self.seed = seed
         self.trap = trap
         self._n = uniform_count(cfg)
-        self._streams: dict[int, tuple[np.random.Generator, dict]] = {}
-
-    def _uniforms(self, seed: int, turn: int, attempt: int) -> list[float]:
-        """The attempt's uniforms: Philox key (self.seed, seed), counter (0, turn, attempt, 0)."""
-        stream = self._streams.get(seed)
-        if stream is None:
-            bitgen = np.random.Philox(key=(self.seed, seed))
-            stream = self._streams[seed] = (np.random.Generator(bitgen), bitgen.state)
-        gen, state = stream
-        # the lowest counter word counts the blocks within one attempt's draw
-        counter = state["state"]["counter"]
-        counter[1] = turn
-        counter[2] = attempt
-        gen.bit_generator.state = state
-        return gen.random(self._n).tolist()
 
     def execute_turn(
         self, ctx: TurnContext, allocated_tokens: int, seed: int
@@ -225,7 +257,7 @@ class AbmExecutor:
         prior = ctx.prior_quality if ctx.prior_quality is not None else self.cfg.initial_quality
         quality, tokens = abm_step(
             self.cfg,
-            self._uniforms(seed, ctx.turn, ctx.attempt),
+            _uniforms(self.seed, seed, ctx.turn, ctx.attempt, self._n),
             prior,
             allocated_tokens,
             ctx.turn,

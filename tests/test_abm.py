@@ -17,7 +17,7 @@ from apemo.abm import (
     trap_shift,
     uniform_count,
 )
-from apemo.benchmark import BlockConfig, RuntimeSettings, run_block
+from apemo.benchmark import BlockConfig, RuntimeSettings, derive_seed, run_block
 from apemo.executor import TurnContext
 from apemo.scheduler import PolicyKind
 from apemo.signals import TextDigest, repetition_similarity
@@ -215,24 +215,29 @@ def _outcome(executor, traj_seed, turn, attempt):
     return out.quality, out.tokens
 
 
+def _defined_outcome(cfg, exec_seed, traj_seed, turn, attempt):
+    """_outcome by definition: abm_step on Philox key (exec, traj), counter (0, turn, attempt, 0)."""
+    bitgen = np.random.Philox(key=(exec_seed, traj_seed), counter=(0, turn, attempt, 0))
+    u = np.random.Generator(bitgen).random(uniform_count(cfg)).tolist()
+    return abm_step(cfg, u, 0.5, 200, turn, abm._task_tokens("plan the route"),
+                    apply_trap_impulse=(attempt == 0))
+
+
 def test_attempt_outcome_is_a_function_of_its_four_seeds_only():
     # (exec seed, traj seed, turn, attempt) fixes the outcome, whatever ran before it
     cfg = AbmConfig(noise_sd=0.12)
     keys = [(traj, turn, attempt) for traj in (5, 6) for turn in (1, 2, 7) for attempt in (0, 1, 2)]
-    fresh = {k: _outcome(AbmExecutor(cfg, seed=9), *k) for k in keys}
+    expected = {k: _defined_outcome(cfg, 9, *k) for k in keys}
+    assert len(set(expected.values())) == len(keys)
+    for k in keys:
+        # a fresh executor on an empty draw cache draws the vector itself
+        abm._draws.streams.clear()
+        assert _outcome(AbmExecutor(cfg, seed=9), *k) == expected[k]
     reused = AbmExecutor(cfg, seed=9)
     shuffled = list(keys)
     np.random.default_rng(3).shuffle(shuffled)
     for k in shuffled + keys[::-1]:
-        assert _outcome(reused, *k) == fresh[k]
-    assert len(set(fresh.values())) == len(keys)
-    # the stream is Philox keyed by the two seeds, counter (0, turn, attempt, 0)
-    traj, turn, attempt = keys[4]
-    bitgen = np.random.Philox(key=(9, traj), counter=(0, turn, attempt, 0))
-    u = np.random.Generator(bitgen).random(uniform_count(cfg)).tolist()
-    expected = abm_step(cfg, u, 0.5, 200, turn, abm._task_tokens("plan the route"),
-                        apply_trap_impulse=(attempt == 0))
-    assert fresh[keys[4]] == expected
+        assert _outcome(reused, *k) == expected[k]
 
 
 def test_retry_leaves_later_first_attempts_unchanged():
@@ -253,7 +258,7 @@ def test_thread_workers_write_the_same_records():
         horizon=6,
         episodes=2,
         budget_cap=500,
-        policies=(PolicyKind.TASK_PEAK_END, PolicyKind.APEMO),
+        policies=(PolicyKind.TASK_AFFECT, PolicyKind.TASK_PEAK_END, PolicyKind.APEMO),
         seeds=(1, 2, 3),
         trap=TrapSpec(3, 0.4),
     )
@@ -262,7 +267,34 @@ def test_thread_workers_write_the_same_records():
         records = run_block(block, RuntimeSettings(), workers=workers)
         return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
 
-    assert lines(2) == lines(1)
+    # at 3 workers the policies of one (model, seed) run on different threads
+    assert lines(3) == lines(1)
+
+
+def test_draw_cache_holds_at_most_its_bound_after_a_larger_block():
+    # 2 models x 16 seeds x 2 episodes = 64 streams, more than one abm_sweep pass (60)
+    block = BlockConfig(
+        name="many_streams",
+        executor="abm",
+        models=("abm-a", "abm-b"),
+        horizon=4,
+        episodes=2,
+        budget_cap=400,
+        policies=(PolicyKind.TASK_PEAK_END, PolicyKind.APEMO),
+        seeds=tuple(range(1, 17)),
+    )
+    run_block(block, RuntimeSettings())
+    n = uniform_count(block.abm)
+    streams = [
+        (s, s, n)
+        for model in block.models
+        for seed in block.seeds
+        for s in (derive_seed(model, seed, e) for e in range(block.episodes))
+    ]
+    assert len(set(streams)) > 60
+    # the FIFO keeps the last streams only, so a next pass starts on misses
+    assert list(abm._draws.streams) == streams[-abm._CACHED_STREAMS:]
+    assert streams[0] not in abm._draws.streams
 
 
 def test_digest_token_count_is_output_length():

@@ -3,7 +3,8 @@
 Each check runs a seeded stdlib fuzz against a plain reference: the proxy
 loops against max/jaccard and statistics.median, the ledger against the
 two invariant checks in their original order, negative-peak detection on
-the current turn against the definition over whole histories, and the
+the current turn against the definition over whole histories, the
+simulator's cached draws against a fresh Philox per attempt, and the
 slotted record types against the frozen-dataclass behaviour callers rely on.
 """
 
@@ -13,9 +14,14 @@ import dataclasses
 import math
 import random
 import statistics
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from apemo import abm
+from apemo.abm import AbmConfig, AbmExecutor, abm_step, uniform_count
 from apemo.executor import TurnContext, TurnOutcome
 from apemo.scheduler import BudgetError, BudgetLedger, DetectionConfig, detect_negative_peak
 from apemo.signals import (
@@ -167,6 +173,69 @@ def test_detection_on_the_current_turn_equals_the_history_definition_fuzz():
         assert detect_negative_peak(prior, quality, score, cfg) is expected
         fired += expected
     assert 4000 < fired < 16000  # both outcomes are well represented
+
+
+def _philox_uniforms(exec_seed, seed, turn, attempt, n):
+    """The definition: a fresh Philox keyed (exec_seed, seed) at counter (0, turn, attempt, 0)."""
+    bitgen = np.random.Philox(key=(exec_seed, seed), counter=(0, turn, attempt, 0))
+    return tuple(np.random.Generator(bitgen).random(n).tolist())
+
+
+def test_simulator_draws_equal_a_fresh_philox_fuzz():
+    rng = random.Random(2121)
+    # three times the streams the cache holds, visited in random order, so
+    # hits, misses and evictions all occur; each seed pair has two lengths
+    pairs = [
+        (rng.randrange(-(2**63), 2**63), rng.randrange(-(2**63), 2**63))
+        for _ in range(3 * abm._CACHED_STREAMS // 2)
+    ]
+    streams = [
+        (exec_seed, seed, uniform_count(AbmConfig(digest_tokens=digest)))
+        for exec_seed, seed in pairs
+        for digest in rng.sample(range(8, 64), 2)
+    ]
+    for _ in range(3000):
+        exec_seed, seed, n = rng.choice(streams)
+        turn, attempt = rng.randrange(1, 13), rng.randrange(4)
+        u = abm._uniforms(exec_seed, seed, turn, attempt, n)
+        assert u == _philox_uniforms(exec_seed, seed, turn, attempt, n)
+    assert len(abm._draws.streams) == abm._CACHED_STREAMS
+
+
+def test_one_simulator_executor_runs_from_two_threads_at_once():
+    cfg = AbmConfig(noise_sd=0.12)
+    shared = AbmExecutor(cfg, seed=31)
+    task = "plan the route"
+    keys = [(traj, turn, attempt) for traj in range(40) for turn in range(1, 9) for attempt in (0, 1)]
+    expected = {
+        (traj, turn, attempt): abm_step(
+            cfg, _philox_uniforms(31, traj, turn, attempt, uniform_count(cfg)), 0.5, 200,
+            turn, abm._task_tokens(task), apply_trap_impulse=(attempt == 0),
+        )
+        for traj, turn, attempt in keys
+    }
+    start = threading.Barrier(2)
+
+    def run(order):
+        start.wait()
+        got = {}
+        for traj, turn, attempt in order:
+            ctx = TurnContext(task=task, turn=turn, horizon=8, attempt=attempt, prior_quality=0.5)
+            out = shared.execute_turn(ctx, 200, seed=traj)
+            got[(traj, turn, attempt)] = (out.quality, out.tokens)
+        return got
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(run, [keys, keys[::-1]]))
+    assert results == [expected, expected]
+
+
+def test_cached_draws_cannot_be_changed_by_a_consumer():
+    u = abm._uniforms(7, 8, 3, 1, 39)
+    assert type(u) is tuple
+    with pytest.raises(TypeError):
+        u[0] = 0.5  # type: ignore[index]
+    assert abm._uniforms(7, 8, 3, 1, 39) == _philox_uniforms(7, 8, 3, 1, 39)
 
 
 SLOTTED = [
