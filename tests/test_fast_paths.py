@@ -14,6 +14,7 @@ import dataclasses
 import math
 import random
 import statistics
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -202,7 +203,7 @@ def test_simulator_draws_equal_a_fresh_philox_fuzz():
     assert len(abm._draws.streams) == abm._CACHED_STREAMS
 
 
-def test_one_simulator_executor_runs_from_two_threads_at_once():
+def test_one_simulator_executor_runs_from_several_threads_at_once():
     cfg = AbmConfig(noise_sd=0.12)
     shared = AbmExecutor(cfg, seed=31)
     task = "plan the route"
@@ -214,10 +215,11 @@ def test_one_simulator_executor_runs_from_two_threads_at_once():
         )
         for traj, turn, attempt in keys
     }
-    start = threading.Barrier(2)
+    orders = [keys, keys[::-1]] + [random.Random(i).sample(keys, len(keys)) for i in (1, 2)]
+    start = threading.Barrier(len(orders))
 
     def run(order):
-        start.wait()
+        start.wait(timeout=30)
         got = {}
         for traj, turn, attempt in order:
             ctx = TurnContext(task=task, turn=turn, horizon=8, attempt=attempt, prior_quality=0.5)
@@ -225,9 +227,15 @@ def test_one_simulator_executor_runs_from_two_threads_at_once():
             got[(traj, turn, attempt)] = (out.quality, out.tokens)
         return got
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(run, [keys, keys[::-1]]))
-    assert results == [expected, expected]
+    # more threads than cores, switching often, so draws interleave mid-attempt
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            results = list(pool.map(run, orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * len(orders)
 
 
 def test_cached_draws_cannot_be_changed_by_a_consumer():
