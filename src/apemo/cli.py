@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error (or a record store of a
 config simulator block that resume or report would mix across simulator
-stream versions), 3 transport/preflight error, 4 empty input. All artifacts
+stream versions, or records that report cannot file under one block per
+store), 3 transport/preflight error, 4 empty input. All artifacts
 carry the schema version; report outputs are deterministic given (config,
 seeds, stats seed), so reruns are byte-identical and safe to diff.
 """
@@ -149,17 +150,38 @@ def _run_block_command(args: argparse.Namespace, executor_kind: str) -> int:
     return EXIT_OK
 
 
+class MixedRecordsError(ValueError):
+    """Records that report cannot file under one block per store: a store that
+    holds two blocks, or two stores that hold one block."""
+
+
 def _load_records(cfg: AppConfig, records_dir: Path) -> dict[str, list[RunRecord]]:
-    """Records by block; a store of a config simulator block must hold this stream's records."""
+    """Records by block, one store each; a store of a config simulator block
+    must hold this stream's records."""
     blocks: dict[str, list[RunRecord]] = {}
+    paths: dict[str, Path] = {}
     for path in sorted(records_dir.glob("*.runs.jsonl")):
         store = RunStore(path)
         records = store.records()
-        if records:
-            block = cfg.blocks.get(records[0].block)
-            if block is not None:
-                check_stream(block, store)
-            blocks[records[0].block] = records
+        if not records:
+            continue
+        name = records[0].block
+        other = next((r.block for r in records if r.block != name), None)
+        if other is not None:
+            raise MixedRecordsError(
+                f"{path} holds records of block {name!r} and of block {other!r}; "
+                "report reads one block per store, so split the file"
+            )
+        if name in paths:
+            raise MixedRecordsError(
+                f"{paths[name]} and {path} both hold records of block {name!r}; "
+                "report reads one store per block, so move or merge one of them"
+            )
+        block = cfg.blocks.get(name)
+        if block is not None:
+            check_stream(block, store)
+        blocks[name] = records
+        paths[name] = path
     return blocks
 
 
@@ -326,6 +348,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except StaleStoreError as exc:
         print(f"stale store: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MixedRecordsError as exc:
+        print(f"mixed records: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)

@@ -2,12 +2,15 @@
 
 Everything here consumes run-level records only; episode rows never reach
 the statistics, which keeps runs the unit of analysis. Resampling is
-seeded and chunked so results replay exactly regardless of machine.
+seeded and chunked so results replay exactly regardless of machine. A block
+draws its resample indices once per pair count, and resample means are
+summed in numpy's pairwise order, so each interval equals the one a
+separate call on its row alone returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
@@ -46,7 +49,8 @@ class DeltaReport:
             raise ValueError(f"ci_low {self.ci_low} above ci_high {self.ci_high}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is flat, so a shallow copy serializes exactly like asdict
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,38 @@ def metric_deltas(pairing: Pairing, metric: str) -> list[float]:
 
 # Largest resample-index matrix drawn at once (elements); bounds draw memory.
 _DRAW_ELEMENTS = 10_000_000
-# Resample rows gathered per step; bounds the gathered copy of a sample row.
-_GATHER_ROWS = 2048
+# Largest gathered block, n samples x resamples x rows (elements); bounds its copy.
+_GATHER_ELEMENTS = 65_536
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order numpy's pairwise summation adds one row.
+
+    ``x[idx].sum(axis=1)`` sums each resample along a contiguous axis with
+    numpy's pairwise loop: 8 partial sums over spans of at most 128, combined
+    as ``((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))`` with the rest added after,
+    and a split at ``n//2`` rounded down to a multiple of 8 above that. Doing
+    the same adds on whole slices of ``x[idx.T]`` gives the same bits for
+    every resample at once. The caller adds the reduction's ``+0.0`` start.
+    """
+    n = x.shape[0]
+    if n < 8:
+        res = x[0].copy()
+        for i in range(1, n):
+            res += x[i]
+        return res
+    if n <= 128:
+        r = x[:8].copy()
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            r += x[i : i + 8]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(whole, n):
+            res += x[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
 def bootstrap_ci(
@@ -123,10 +157,11 @@ def bootstrap_ci(
 
     ``samples`` is one vector ``(n,)`` or a stack of equal-length rows
     ``(k, n)``. Resample indices are drawn in fixed-size chunks from a single
-    seeded generator, and every row is gathered from the same draw, so each
-    row's interval equals the one a 1-D call on that row returns, bit for
-    bit, and neither depends on parallelism. A vector gives ``(low, high)``;
-    a stack gives one ``(low, high)`` per row.
+    seeded generator, and every row is gathered from the same draw. Each
+    resample mean is summed in numpy's pairwise order (``_pairwise_sum``),
+    so each row's interval equals the one a 1-D call on that row returns, bit
+    for bit, and neither depends on parallelism. A vector gives
+    ``(low, high)``; a stack gives one ``(low, high)`` per row.
     """
     arr = np.asarray(samples, dtype=float)  # ragged rows raise ValueError here
     if arr.ndim not in (1, 2):
@@ -150,17 +185,19 @@ def bootstrap_ci(
     if live:
         rng = np.random.default_rng(seed)
         chunk = max(1, min(resamples, _DRAW_ELEMENTS // n))
+        # one resample index picks one row of this table: every live sample at it
+        table = np.ascontiguousarray(rows[live].T)
+        step = max(1, _GATHER_ELEMENTS // table.size)
         means = np.empty((len(live), resamples), dtype=float)
         done = 0
         while done < resamples:
             take = min(chunk, resamples - done)
-            idx = rng.integers(0, n, size=(take, n))
-            for j, i in enumerate(live):
-                # a per-row gather; one rows[:, idx] gather is not bit-identical
-                row = rows[i]
-                for lo in range(0, take, _GATHER_ROWS):
-                    hi = min(lo + _GATHER_ROWS, take)
-                    means[j, done + lo : done + hi] = row[idx[lo:hi]].mean(axis=1)
+            cols = rng.integers(0, n, size=(take, n)).T
+            for lo in range(0, take, step):
+                hi = min(lo + step, take)
+                block = np.take(table, cols[:, lo:hi], axis=0)  # (n, hi - lo, live)
+                # + 0.0 is the reduction's start: numpy's sum of zeros is +0.0
+                means[:, done + lo : done + hi] = ((_pairwise_sum(block) + 0.0) / n).T
             done += take
         alpha = (1.0 - coverage) / 2.0
         for j, i in enumerate(live):
@@ -225,7 +262,11 @@ def block_report(
     resamples: int,
     stats_seed: int,
 ) -> BlockReport:
-    """Per-metric delta rows for every (target, baseline) pair in a block."""
+    """Per-metric delta rows for every (target, baseline) pair in a block.
+
+    Comparisons with equal pair counts share one ``bootstrap_ci`` call, so a
+    block draws its resample indices once per distinct pair count.
+    """
     if not records:
         raise ValueError("block_report needs at least one record")
     gate = no_fallback_rate(records)
@@ -233,7 +274,7 @@ def block_report(
     target_records = [r for r in records if r.policy == target]
     if not target_records:
         raise ValueError(f"no records for target policy {target!r} in block {block_name!r}")
-    rows = []
+    comparisons = []
     orphan_keys: list[str] = []
     for baseline in baselines:
         base_records = [r for r in records if r.policy == baseline]
@@ -243,10 +284,21 @@ def block_report(
         orphan_keys.extend(
             f"{r.policy}:{r.model_id}/seed={r.seed}/T={r.horizon}" for r in pairing.orphans
         )
-        all_deltas = [metric_deltas(pairing, metric) for metric in metrics]
-        # one resample draw per comparison, shared by every metric row
-        cis = bootstrap_ci(all_deltas, resamples=resamples, seed=stats_seed) if metrics else []
-        for metric, deltas, (low, high) in zip(metrics, all_deltas, cis):
+        comparisons.append((baseline, pairing.n, [metric_deltas(pairing, m) for m in metrics]))
+    # one resample draw per pair count, shared by every metric row of every
+    # comparison with that many pairs; the intervals come back in stacking order
+    stacks: dict[int, list[list[float]]] = {}
+    for _, n, all_deltas in comparisons:
+        stacks.setdefault(n, []).extend(all_deltas)
+    cis = {
+        n: iter(bootstrap_ci(stack, resamples=resamples, seed=stats_seed))
+        for n, stack in stacks.items()
+        if stack
+    }
+    rows = []
+    for baseline, n, all_deltas in comparisons:
+        for metric, deltas in zip(metrics, all_deltas):
+            low, high = next(cis[n])
             test = sign_test(deltas)
             rows.append(
                 DeltaReport(
@@ -256,7 +308,7 @@ def block_report(
                     ci_low=low,
                     ci_high=high,
                     sign_p=test.p_value,
-                    n=pairing.n,
+                    n=n,
                     degenerate=test.degenerate,
                 )
             )

@@ -201,6 +201,40 @@ def test_report_refuses_a_config_block_store_of_another_stream(config_path, tmp_
     assert (out / "reports" / "frontier.csv").exists()
 
 
+def test_report_refuses_two_stores_of_one_block(config_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)]) == 0
+    runs_file = out / "tiny.runs.jsonl"
+    rows = [json.loads(line) for line in runs_file.read_text().splitlines()]
+    copy_file = out / "zz_copy.runs.jsonl"  # sorts after the original store
+    half = rows[: len(rows) // 2]
+    for row in half:
+        row["mean_quality"] += 1.0
+    copy_file.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in half))
+    capsys.readouterr()
+
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(runs_file) in err and str(copy_file) in err and "'tiny'" in err
+    assert not (out / "reports" / "tiny.report.txt").exists()
+
+
+def test_report_refuses_a_store_of_two_blocks(config_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    for block in ("tiny", "tiny_trap"):
+        assert main(["simulate", "--config", config_path, "--block", block, "--out", str(out)]) == 0
+    runs_file = out / "tiny.runs.jsonl"
+    trap_file = out / "tiny_trap.runs.jsonl"
+    runs_file.write_text(runs_file.read_text() + trap_file.read_text())
+    trap_file.unlink()
+    capsys.readouterr()
+
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(runs_file) in err and "'tiny'" in err and "'tiny_trap'" in err
+    assert not (out / "reports" / "tiny.report.txt").exists()
+
+
 @pytest.mark.parametrize("url", ["http://127.0.0.1:abc", "http://", "http://:8080",
                                  "http://127.0.0.1:99999", "http://127.0.0.1:0",
                                  "http://127.0.0.1 :8080", "ftp://127.0.0.1"])

@@ -146,7 +146,7 @@ def stacked_rows(n, seed):
     return rows.tolist()
 
 
-@pytest.mark.parametrize("n", [2, 7, 30])
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 17, 30, 129, 257])
 @pytest.mark.parametrize("resamples", [4097, 10_000])
 def test_bootstrap_stack_rows_equal_one_vector_calls(n, resamples):
     rows = stacked_rows(n, seed=n)
@@ -160,13 +160,45 @@ def test_bootstrap_stack_rows_equal_one_vector_calls(n, resamples):
 
 
 def test_bootstrap_stack_multi_chunk_path(monkeypatch):
-    # 50 elements per draw gives n=7 a 7-resample chunk: 143 draws for 1001 resamples
+    # 50 elements per draw gives n=7 a 7-resample chunk: 143 draws for 1001 resamples;
+    # 4 live rows of 7 samples in 100 elements gather 3 resamples a block: 3, 3, then 1
     monkeypatch.setattr(stats, "_DRAW_ELEMENTS", 50)
-    monkeypatch.setattr(stats, "_GATHER_ROWS", 3)
+    monkeypatch.setattr(stats, "_GATHER_ELEMENTS", 100)
     rows = stacked_rows(7, seed=3)
     got = bootstrap_ci(rows, resamples=1001, seed=9)
     for row, interval in zip(rows, got):
         assert interval == reference_bootstrap_ci(row, resamples=1001, seed=9, draw_elements=50)
+
+
+def fuzz_rows(n, rng):
+    """Named sample rows whose resample sums stress the summation order."""
+    normal = rng.normal(size=n)
+    heavy_neg_zero = normal.copy()
+    heavy_neg_zero[rng.random(n) < 0.6] = -0.0
+    with_inf = normal.copy()
+    with_inf[rng.integers(n)] = np.inf
+    return {
+        "normal": normal,
+        "scaled 1e12": normal * 1e12,
+        "scaled 1e-12": normal * 1e-12,
+        "heavy in -0.0": heavy_neg_zero,
+        "all +-0.0": np.where(rng.random(n) < 0.5, -0.0, 0.0),
+        "one +inf": with_inf,
+    }
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 41), 64, 127, 128, 129, 136, 255, 256, 257, 1000, 1031]
+)
+def test_pairwise_sum_matches_numpy_mean_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    idx = rng.integers(0, n, size=(64, n))
+    for kind, x in fuzz_rows(n, rng).items():
+        expected = x[idx].mean(axis=1)
+        got = (stats._pairwise_sum(x[idx.T]) + 0.0) / n
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (
+            f"{kind} row, n={n}: summation order differs from numpy {np.__version__}"
+        )
 
 
 def test_bootstrap_stack_rejects_ragged_and_empty_rows():
@@ -268,7 +300,7 @@ def test_block_report_rows_and_ci_ordering():
     assert "task_peak_end" in table and "mean_quality" in table
 
 
-def test_block_report_draws_once_per_baseline(monkeypatch):
+def test_block_report_draws_once_per_pair_count(monkeypatch):
     records = records_for(
         [PolicyKind.APEMO, PolicyKind.TASK_PEAK_END, PolicyKind.UNIFORM], seeds=range(1, 7)
     )
@@ -280,16 +312,24 @@ def test_block_report_draws_once_per_baseline(monkeypatch):
         return bootstrap_ci(samples, **kwargs)
 
     monkeypatch.setattr(stats, "bootstrap_ci", counting)
-    report = block_report(records, ["task_peak_end", "uniform"], metrics,
-                          resamples=1000, stats_seed=4)
+    full = block_report(records, ["task_peak_end", "uniform"], metrics,
+                        resamples=1000, stats_seed=4)
+    assert calls == [2 * len(metrics)]
+    # uniform without seed 6 leaves an orphan: 5 pairs against 6, so two draws
+    calls.clear()
+    orphaned = [r for r in records if (r.policy, r.seed) != ("uniform", 6)]
+    partial = block_report(orphaned, ["task_peak_end", "uniform"], metrics,
+                           resamples=1000, stats_seed=4)
     assert calls == [len(metrics), len(metrics)]
-    for row in report.rows:
-        pairing = pair_runs(
-            [r for r in records if r.policy == "apemo"],
-            [r for r in records if r.policy == row.baseline],
-        )
-        deltas = metric_deltas(pairing, row.metric)
-        assert (row.ci_low, row.ci_high) == bootstrap_ci(deltas, resamples=1000, seed=4)
+    assert [row.n for row in partial.rows] == [6] * len(metrics) + [5] * len(metrics)
+    for report, block_records in ((full, records), (partial, orphaned)):
+        for row in report.rows:
+            pairing = pair_runs(
+                [r for r in block_records if r.policy == "apemo"],
+                [r for r in block_records if r.policy == row.baseline],
+            )
+            deltas = metric_deltas(pairing, row.metric)
+            assert (row.ci_low, row.ci_high) == bootstrap_ci(deltas, resamples=1000, seed=4)
 
 
 def test_block_report_gate_annotation():
