@@ -47,9 +47,9 @@ SCHEMA_VERSION = 1
 RunKey = tuple[str, int, str, int]  # (model, seed, policy, horizon)
 
 
-class StaleStoreError(ValueError):
-    """A store holds simulator records from another stream version; resuming or
-    reporting it would mix them."""
+class StoreError(ValueError):
+    """A record store that resume or report cannot use; the message names the
+    file, and the line where there is one."""
 
 
 @dataclass(frozen=True)
@@ -152,14 +152,15 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        d = dict(d)  # a JSON value that is not an object raises TypeError or ValueError
         if int(d.get("schema_version", -1)) != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported schema_version {d.get('schema_version')!r}; "
                 f"this reader handles {SCHEMA_VERSION}"
             )
-        d = dict(d)
-        d["quality_by_turn"] = tuple(d["quality_by_turn"])
-        d["frustration_by_turn"] = tuple(d["frustration_by_turn"])
+        for name in ("quality_by_turn", "frustration_by_turn"):
+            if name in d:  # a missing one is named by the TypeError below
+                d[name] = tuple(d[name])
         return cls(**d)
 
 
@@ -268,12 +269,13 @@ _APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
 class RunStore:
-    """Append-only JSONL store of run records, resumable by run key."""
+    """Append-only JSONL store of one block's run records, resumable by run key."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[RunKey, RunRecord] = {}
+        self.block: Optional[str] = None  # every stored record's block; None while empty
         if self.path.exists():
             self._load()
 
@@ -282,24 +284,29 @@ class RunStore:
 
         A final line with no newline that does not parse is the tail of an
         interrupted append: it is dropped with a warning and cut from the
-        file. A malformed line that does end in a newline still raises.
+        file. Any other line that is not a record, or that _admit refuses,
+        raises StoreError naming path:line and changes nothing.
         """
         offset = 0
         torn_at = None
         complete = True
         with self.path.open("rb") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
+                where = f"{self.path}:{number}"
                 complete = line.endswith(b"\n")
                 if line.strip():
                     try:
                         data = json.loads(line.decode("utf-8"))
-                    except ValueError:
+                    except ValueError as exc:
                         if complete:
-                            raise
+                            raise StoreError(f"{where}: not a JSON line ({exc})") from None
                         torn_at = offset
                         break
-                    record = RunRecord.from_dict(data)
-                    self._records[record.run_key] = record
+                    try:
+                        record = RunRecord.from_dict(data)
+                    except (TypeError, ValueError) as exc:
+                        raise StoreError(f"{where}: not a run record ({exc})") from None
+                    self._admit(record, where)
                 offset += len(line)
         if torn_at is not None:
             log.warning(
@@ -311,8 +318,17 @@ class RunStore:
             with self.path.open("ab") as fh:
                 fh.write(b"\n")
 
-    def __contains__(self, key: RunKey) -> bool:
-        return key in self._records
+    def _admit(self, record: RunRecord, where: str) -> None:
+        """File one record, refusing another block's (checked first, so both
+        blocks are named even when the run keys are equal) or a stored run key."""
+        if self.block is not None and record.block != self.block:
+            raise StoreError(f"{where}: a record of block {record.block!r} in a store of "
+                             f"block {self.block!r}; a store holds one block")
+        if record.run_key in self._records:
+            raise StoreError(f"{where}: run key {record.run_key} is stored twice; a store "
+                             "holds one record per run key")
+        self._records[record.run_key] = record
+        self.block = record.block
 
     def get(self, key: RunKey) -> Optional[RunRecord]:
         return self._records.get(key)
@@ -321,9 +337,7 @@ class RunStore:
         """Persist one record as one line, handed to the OS in a single write."""
         line = (json.dumps(record.to_dict(), sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            if record.run_key in self._records:
-                raise ValueError(f"duplicate run key {record.run_key}")
-            self._records[record.run_key] = record
+            self._admit(record, str(self.path))
             try:
                 fd = os.open(self.path, _APPEND_FLAGS, 0o666)
             except FileNotFoundError:
@@ -340,13 +354,17 @@ class RunStore:
         return list(self._records.values())
 
 
-def check_stream(block: BlockConfig, store: RunStore) -> None:
-    """Refuse a simulator block's store that holds another stream's records."""
+def check_store(block: BlockConfig, store: RunStore) -> None:
+    """Refuse a store that resuming or reporting `block` would mix: records of
+    another block, or simulator records of another stream."""
+    if store.block not in (None, block.name):
+        raise StoreError(f"{store.path}: holds records of block {store.block!r}, "
+                         f"not {block.name!r}; move the file")
     if block.executor != "abm":
         return
     for record in store.records():
         if record.stream_version != STREAM_VERSION:
-            raise StaleStoreError(
+            raise StoreError(
                 f"{store.path}: record {record.run_key} has stream_version "
                 f"{record.stream_version!r}, but this simulator writes stream "
                 f"{STREAM_VERSION}; resuming or reporting it would mix them, so rerun "
@@ -420,13 +438,13 @@ def run_block(
     """Execute every (model x seed x policy) cell, resuming from the store.
 
     Completed cells are returned from the store without re-execution; new
-    records are persisted as they complete. A stored simulator record from
-    another stream version raises StaleStoreError, and an unreachable LLM
-    endpoint aborts, before any cell runs; per-turn executor failures only
-    mark runs.
+    records are persisted as they complete. A store of another block, or of
+    another simulator stream, raises StoreError (see check_store), and an
+    unreachable LLM endpoint aborts, before any cell runs; per-turn executor
+    failures only mark runs.
     """
     if store is not None:
-        check_stream(block, store)
+        check_store(block, store)
     if block.executor == "llm":
         if settings.endpoint is None:
             raise ValueError(f"block {block.name!r} needs an LLM endpoint configuration")
@@ -442,9 +460,8 @@ def run_block(
     pending = []
     for model, seed, policy in cells:
         key = (model, seed, policy.value, block.horizon)
-        if store is not None and key in store:
-            record = store.get(key)
-            assert record is not None
+        record = store.get(key) if store is not None else None
+        if record is not None:
             results[key] = record
             if on_record:
                 on_record(record, True)

@@ -1,11 +1,11 @@
 """Command-line interface: simulate, run-llm, report, validate-config.
 
-Exit codes: 0 success, 2 configuration error (or a record store of a
-config simulator block that resume or report would mix across simulator
-stream versions, or records that report cannot file under one block per
-store), 3 transport/preflight error, 4 empty input. All artifacts
-carry the schema version; report outputs are deterministic given (config,
-seeds, stats seed), so reruns are byte-identical and safe to diff.
+Exit codes: 0 success, 2 configuration or store error (a store holds one
+block, one record per run key, and this stream's records for a simulator
+block; report reads one store per block), 3 transport/preflight error, 4
+empty input. All artifacts carry the schema version; report outputs are
+deterministic given (config, seeds, stats seed), so reruns are
+byte-identical and safe to diff.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .benchmark import (
     RunRecord,
     RunStore,
     SCHEMA_VERSION,
-    StaleStoreError,
-    check_stream,
+    StoreError,
+    check_store,
     no_fallback_rate,
     run_block,
 )
@@ -129,7 +129,7 @@ def _run_block_command(args: argparse.Namespace, executor_kind: str) -> int:
         runs_path.unlink()
     out_dir.mkdir(parents=True, exist_ok=True)
     store = RunStore(runs_path)
-    check_stream(block, store)  # before the manifest names this build's stream
+    check_store(block, store)  # before the manifest names this build's stream
     _write_manifest(cfg, out_dir, workers)
 
     def on_record(record: RunRecord, resumed: bool) -> None:
@@ -150,39 +150,24 @@ def _run_block_command(args: argparse.Namespace, executor_kind: str) -> int:
     return EXIT_OK
 
 
-class MixedRecordsError(ValueError):
-    """Records that report cannot file under one block per store: a store that
-    holds two blocks, or two stores that hold one block."""
-
-
 def _load_records(cfg: AppConfig, records_dir: Path) -> dict[str, list[RunRecord]]:
-    """Records by block, one store each; a store of a config simulator block
-    must hold this stream's records."""
-    blocks: dict[str, list[RunRecord]] = {}
-    paths: dict[str, Path] = {}
+    """Records by block, one store each; a store of a config block must pass
+    check_store."""
+    stores: dict[str, RunStore] = {}
     for path in sorted(records_dir.glob("*.runs.jsonl")):
         store = RunStore(path)
-        records = store.records()
-        if not records:
+        name = store.block
+        if name is None:
             continue
-        name = records[0].block
-        other = next((r.block for r in records if r.block != name), None)
-        if other is not None:
-            raise MixedRecordsError(
-                f"{path} holds records of block {name!r} and of block {other!r}; "
-                "report reads one block per store, so split the file"
-            )
-        if name in paths:
-            raise MixedRecordsError(
-                f"{paths[name]} and {path} both hold records of block {name!r}; "
+        if name in stores:
+            raise StoreError(
+                f"{stores[name].path} and {path} both hold records of block {name!r}; "
                 "report reads one store per block, so move or merge one of them"
             )
-        block = cfg.blocks.get(name)
-        if block is not None:
-            check_stream(block, store)
-        blocks[name] = records
-        paths[name] = path
-    return blocks
+        if name in cfg.blocks:
+            check_store(cfg.blocks[name], store)
+        stores[name] = store
+    return {name: store.records() for name, store in stores.items()}
 
 
 # the files report writes; an earlier run's are deleted once the records load,
@@ -346,11 +331,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StaleStoreError as exc:
-        print(f"stale store: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MixedRecordsError as exc:
-        print(f"mixed records: {exc}", file=sys.stderr)
+    except StoreError as exc:
+        print(f"store error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)

@@ -58,7 +58,6 @@ class TurnOutcome:
     tokens_used: int
     quality: float
     text: str = ""
-    prompt_tokens: int = 0
     trapped: bool = False
 
     def __post_init__(self) -> None:

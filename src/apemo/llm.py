@@ -7,7 +7,7 @@ accounting counts server-reported completion tokens (eval_count), which
 the per-request num_predict cap bounds by the scheduler's allocation; a
 reply whose eval_count exceeds num_predict, or with a negative count, is a
 protocol error, and one over its cap is charged num_predict. Prompt tokens
-are recorded for reference but are not budgeted.
+(prompt_eval_count) are returned per call in ChatResult but are not budgeted.
 
 The transport is a small HTTP/1.1 client over a stdlib socket: each
 thread keeps one connection per server, opened directly (no proxy is
@@ -527,7 +527,6 @@ class LlmExecutor:
         call_seed = self._seed_for(seed, ctx)
 
         answer = ""
-        prompt_total = 0
         completion_total = 0
         work_ctx = ctx
         for role, share in calls:
@@ -541,7 +540,6 @@ class LlmExecutor:
             except ExecutorError as exc:
                 exc.tokens_used = completion_total + exc.tokens_used
                 raise
-            prompt_total += result.prompt_tokens
             completion_total += result.completion_tokens
             answer = result.text
             if role == "planner" and answer:
@@ -553,6 +551,5 @@ class LlmExecutor:
             tokens_used=completion_total,
             quality=heuristic_quality(ctx.task, answer, tokens),
             text=answer,
-            prompt_tokens=prompt_total,
             trapped=trapped,
         )

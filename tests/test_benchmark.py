@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from apemo.benchmark import (
     RunRecord,
     RunStore,
     RuntimeSettings,
-    StaleStoreError,
+    StoreError,
     derive_seed,
     no_fallback_rate,
     run_block,
@@ -105,7 +106,7 @@ def test_resume_refuses_records_of_another_stream(tmp_path):
     stale = RunStore(store_path)
     assert stale.records()[0].stream_version is None
     ran = []
-    with pytest.raises(StaleStoreError, match=re.escape(str(store_path))):
+    with pytest.raises(StoreError, match=re.escape(str(store_path))):
         run_block(block, RuntimeSettings(), store=stale,
                   on_record=lambda rec, resumed: ran.append(rec))
     assert ran == []
@@ -329,13 +330,28 @@ def test_store_still_rejects_malformed_complete_line(tmp_path):
     run_block(sim_block(seeds=(1,)), RuntimeSettings(), store=RunStore(path))
     intact = path.read_bytes()
     path.write_bytes(intact[:-40] + b"\n" + intact)
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(StoreError, match=re.escape(f"{path}:2: ")):
         RunStore(path)
     assert path.read_bytes() == intact[:-40] + b"\n" + intact  # nothing cut
 
 
 def _one_record(seed: int = 1) -> RunRecord:
     return run_block(sim_block(seeds=(seed,), policies=(PolicyKind.APEMO,)), RuntimeSettings())[0]
+
+
+def test_store_append_refuses_a_record_of_another_block(tmp_path):
+    path = tmp_path / "a.runs.jsonl"
+    store = RunStore(path)
+    assert store.block is None
+    store.append(_one_record(1))
+    assert store.block == "blocktest"
+    intact = path.read_bytes()
+    other = replace(_one_record(2), block="other")
+    with pytest.raises(StoreError, match=re.escape(str(path)) + ".*'other'.*'blocktest'"):
+        store.append(other)
+    assert path.read_bytes() == intact
+    assert store.get(other.run_key) is None and store.block == "blocktest"
+    assert [r.block for r in RunStore(path).records()] == ["blocktest"]
 
 
 def test_store_append_is_one_write_of_one_line(tmp_path, monkeypatch):

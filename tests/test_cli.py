@@ -235,6 +235,95 @@ def test_report_refuses_a_store_of_two_blocks(config_path, tmp_path, capsys):
     assert not (out / "reports" / "tiny.report.txt").exists()
 
 
+def _tree(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+LINE_DEFECTS = {
+    "malformed complete line": lambda row: json.dumps(row)[:40],
+    "unknown schema_version": lambda row: json.dumps({"schema_version": 99}),
+    "record missing a field": lambda row: json.dumps(
+        {k: v for k, v in row.items() if k != "mean_quality"}),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize("defect", sorted(LINE_DEFECTS))
+def test_a_store_line_that_is_not_a_record_exits_2_naming_it(
+    config_path, tmp_path, capsys, command, defect
+):
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)]) == 0
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 0
+    runs_file = out / "tiny.runs.jsonl"
+    lines = runs_file.read_text().splitlines(keepends=True)
+    lines[2] = LINE_DEFECTS[defect](json.loads(lines[2])) + "\n"
+    runs_file.write_text("".join(lines))
+    before = _tree(out)  # the store, the manifest and reports/
+    capsys.readouterr()
+
+    args = {"simulate": ["simulate", "--block", "tiny", "--out", str(out)],
+            "report": ["report", "--records", str(out)]}[command]
+    assert main(args + ["--config", config_path]) == 2
+    captured = capsys.readouterr()
+    assert f"store error: {runs_file}:3: " in captured.err
+    assert "(resumed)" not in captured.out
+    assert _tree(out) == before
+
+
+TWO_CAPS_CONFIG = """
+blocks:
+  a: {executor: abm, models: [abm-a], horizon: 4, episodes: 1, budget_cap: 600,
+      policies: [uniform, apemo], seeds: [1, 2, 3]}
+  b: {executor: abm, models: [abm-a], horizon: 4, episodes: 1, budget_cap: 900,
+      policies: [uniform, apemo], seeds: [1, 2, 3]}
+"""
+
+
+@pytest.fixture
+def two_caps(tmp_path):
+    """A config of blocks a and b with equal run keys, and both blocks' stores."""
+    config = tmp_path / "caps.yaml"
+    config.write_text(TWO_CAPS_CONFIG, encoding="utf-8")
+    out = tmp_path / "runs"
+    for block in ("a", "b"):
+        assert main(["simulate", "--config", str(config), "--block", block,
+                     "--out", str(out)]) == 0
+    return str(config), out
+
+
+def test_simulate_refuses_a_store_of_another_block(two_caps, capsys):
+    config, out = two_caps
+    runs_file = out / "a.runs.jsonl"
+    (out / "b.runs.jsonl").replace(runs_file)  # b's records under a's name
+    before = _tree(out)
+    capsys.readouterr()
+
+    assert main(["simulate", "--config", config, "--block", "a", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"store error: {runs_file}: " in captured.err
+    assert "'a'" in captured.err and "'b'" in captured.err
+    assert "(resumed)" not in captured.out
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("repeated", ["another block's records", "its own first record"])
+def test_report_refuses_a_store_holding_a_run_key_twice(two_caps, capsys, repeated):
+    config, out = two_caps
+    assert main(["report", "--config", config, "--records", str(out)]) == 0
+    runs_file, b_file = out / "a.runs.jsonl", out / "b.runs.jsonl"
+    stored = runs_file.read_text()
+    extra = b_file.read_text() if repeated == "another block's records" else stored.splitlines(True)[0]
+    runs_file.write_text(stored + extra)
+    b_file.unlink()
+    before = _tree(out)
+    capsys.readouterr()
+
+    assert main(["report", "--config", config, "--records", str(out)]) == 2
+    assert f"store error: {runs_file}:7: " in capsys.readouterr().err
+    assert _tree(out) == before
+
+
 @pytest.mark.parametrize("url", ["http://127.0.0.1:abc", "http://", "http://:8080",
                                  "http://127.0.0.1:99999", "http://127.0.0.1:0",
                                  "http://127.0.0.1 :8080", "ftp://127.0.0.1"])
