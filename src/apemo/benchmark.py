@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_type_hints
 
 from .abm import STREAM_VERSION, AbmConfig, AbmExecutor, TrapSpec
 from .executor import Executor
@@ -152,19 +153,60 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        """Build a record from its JSON object, checking every field against
+        its annotation; a failure raises TypeError or ValueError naming it."""
         d = dict(d)  # a JSON value that is not an object raises TypeError or ValueError
-        if int(d.get("schema_version", -1)) != SCHEMA_VERSION:
+        version = d.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(
-                f"unsupported schema_version {d.get('schema_version')!r}; "
-                f"this reader handles {SCHEMA_VERSION}"
+                f"unsupported schema_version {version!r}; this reader handles {SCHEMA_VERSION}"
             )
-        for name in ("quality_by_turn", "frustration_by_turn"):
-            if name in d:  # a missing one is named by the TypeError below
-                d[name] = tuple(d[name])
+        for name, is_kind, kind in _FIELD_CHECKS:
+            value = d.get(name)
+            if not is_kind(value):
+                raise TypeError(f"field {name!r} is missing" if name not in d
+                                else f"field {name!r} is {value!r}, not {kind}")
+        for name in _TURN_FIELDS:
+            if len(d[name]) != d["horizon"]:
+                raise ValueError(f"field {name!r} holds {len(d[name])} values, "
+                                 f"not one per turn of horizon {d['horizon']}")
+            d[name] = tuple(d[name])
         return cls(**d)
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+_TURN_FIELDS = ("quality_by_turn", "frustration_by_turn")
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(v) -> bool:
+    """A finite float, or an int a float can hold; a bool is not a number here."""
+    return (type(v) is float or type(v) is int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+# annotation -> (check, what a failure names). A record is read from JSON,
+# whose values have exactly these types; per-turn tuples hold one number a turn.
+_KIND_CHECKS = {
+    int: (_is_int, "an int"),
+    float: (_is_number, "a finite number"),
+    str: (lambda v: type(v) is str, "a string"),
+    bool: (lambda v: type(v) is bool, "a bool"),
+    tuple[float, ...]: (
+        lambda v: type(v) in (list, tuple) and all(map(_is_number, v)),
+        "a list of finite numbers",
+    ),
+    Optional[int]: (lambda v: v is None or _is_int(v), "an int or null"),
+    Optional[float]: (lambda v: v is None or _is_number(v), "a finite number or null"),
+}
+_FIELD_CHECKS = tuple(
+    (name, *_KIND_CHECKS[annotation])
+    for name, annotation in get_type_hints(RunRecord).items()
+    if name != "schema_version"
+)
 
 
 def derive_seed(model_id: str, seed: int, episode: int) -> int:

@@ -5,7 +5,9 @@ the statistics, which keeps runs the unit of analysis. Resampling is
 seeded and chunked so results replay exactly regardless of machine. A block
 draws its resample indices once per pair count, and resample means are
 summed in numpy's pairwise order, so each interval equals the one a
-separate call on its row alone returns.
+separate call on its row alone returns. The interval ends are read from one
+sort of the resample means at the ranks of numpy's "linear" quantile, with
+its interpolation, so they equal ``np.quantile``'s bits.
 """
 
 from __future__ import annotations
@@ -160,8 +162,13 @@ def bootstrap_ci(
     seeded generator, and every row is gathered from the same draw. Each
     resample mean is summed in numpy's pairwise order (``_pairwise_sum``),
     so each row's interval equals the one a 1-D call on that row returns, bit
-    for bit, and neither depends on parallelism. A vector gives
-    ``(low, high)``; a stack gives one ``(low, high)`` per row.
+    for bit, and neither depends on parallelism. Every row's means are sorted
+    in place at once, and both ends are interpolated between the order
+    statistics numpy's "linear" quantile picks, with its arithmetic: a mean
+    is never -0.0, so the sort holds the same values at those ranks as the
+    partition inside ``np.quantile``, and the ends equal its bits (a row whose
+    means hold a NaN gives NaN). A vector gives ``(low, high)``; a stack gives
+    one ``(low, high)`` per row.
     """
     arr = np.asarray(samples, dtype=float)  # ragged rows raise ValueError here
     if arr.ndim not in (1, 2):
@@ -200,10 +207,20 @@ def bootstrap_ci(
                 means[:, done + lo : done + hi] = ((_pairwise_sum(block) + 0.0) / n).T
             done += take
         alpha = (1.0 - coverage) / 2.0
+        means.sort(axis=1)
+        # numpy's "linear" quantile (Hyndman & Fan type 7), step for step, at both ends
+        virtual = (resamples - 1) * np.array([alpha, 1.0 - alpha])
+        below = np.floor(virtual)
+        above = below + 1
+        top = virtual >= resamples - 1
+        below[top] = above[top] = -1
+        gamma = virtual - below
+        low, high = means[:, below.astype(np.intp)], means[:, above.astype(np.intp)]
+        diff = high - low
+        ends = np.where(gamma >= 0.5, high - diff * (1 - gamma), low + diff * gamma)
+        ends[np.isnan(means[:, -1])] = np.nan  # NaN sorts last; a row holding one gives NaN
         for j, i in enumerate(live):
-            # per row: a quantile over the whole matrix copies all of it at once
-            low, high = np.quantile(means[j], [alpha, 1.0 - alpha])
-            intervals[i] = (float(low), float(high))
+            intervals[i] = (float(ends[j, 0]), float(ends[j, 1]))
     return intervals[0] if arr.ndim == 1 else intervals
 
 

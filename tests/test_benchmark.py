@@ -296,6 +296,47 @@ def test_record_round_trip():
     assert RunRecord.from_dict(json.loads(json.dumps(r.to_dict()))) == r
 
 
+MISSING = object()
+BAD_FIELDS = [
+    ("schema_version", "1"), ("schema_version", 1.0), ("schema_version", True),
+    ("schema_version", MISSING),
+    ("seed", True), ("seed", 1.5), ("seed", "3"), ("horizon", None),
+    ("block", 3), ("policy", None), ("fallback", 0), ("fallback", "false"),
+    ("mean_quality", "high"), ("mean_quality", True), ("mean_quality", None),
+    ("mean_quality", float("nan")), ("mean_quality", float("inf")), ("total_cost", 10**400),
+    ("mean_quality", MISSING),
+    ("quality_by_turn", [0.5, "x", 0.5, 0.5, 0.5, 0.5]), ("quality_by_turn", [0.5] * 5),
+    ("quality_by_turn", "0.5"), ("frustration_by_turn", [True] * 6),
+    ("frustration_by_turn", [0.1] * 5 + [float("-inf")]), ("frustration_by_turn", None),
+    ("trap_turn", 4.0), ("trap_quality_drop", "0.1"), ("stream_version", "2"),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_FIELDS, ids=lambda v: repr(v)[:24])
+def test_record_of_a_wrong_field_type_is_refused_naming_the_field(name, value):
+    records = run_block(sim_block(seeds=(1,), policies=(PolicyKind.APEMO,)), RuntimeSettings())
+    d = records[0].to_dict()
+    if value is MISSING:
+        del d[name]
+    else:
+        d[name] = value
+    with pytest.raises((TypeError, ValueError), match=name):
+        RunRecord.from_dict(d)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("mean_quality", 1), ("total_cost", -0.0), ("quality_by_turn", (1, 0.5, 0, 0.5, 0.5, 0.5)),
+    ("trap_turn", None), ("trap_quality_drop", -2), ("stream_version", None),
+])
+def test_record_fields_take_ints_for_floats_and_null_for_optionals(name, value):
+    records = run_block(sim_block(seeds=(1,), policies=(PolicyKind.APEMO,)), RuntimeSettings())
+    d = records[0].to_dict()
+    d[name] = value
+    assert RunRecord.from_dict(d) == replace(records[0], **{name: value})
+    del d["trap_turn"], d["stream_version"]  # optional fields may be left out
+    assert RunRecord.from_dict(d).trap_turn is None
+
+
 def test_store_drops_torn_final_line(tmp_path, caplog):
     path = tmp_path / "t.runs.jsonl"
     records = run_block(sim_block(seeds=(1, 2, 3)), RuntimeSettings(), store=RunStore(path))

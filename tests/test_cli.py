@@ -244,6 +244,10 @@ LINE_DEFECTS = {
     "unknown schema_version": lambda row: json.dumps({"schema_version": 99}),
     "record missing a field": lambda row: json.dumps(
         {k: v for k, v in row.items() if k != "mean_quality"}),
+    "schema_version as a string": lambda row: json.dumps({**row, "schema_version": "1"}),
+    "mean_quality not a number": lambda row: json.dumps({**row, "mean_quality": "high"}),
+    "a per-turn value not a number": lambda row: json.dumps(
+        {**row, "quality_by_turn": [0.5, "x"] + row["quality_by_turn"][2:]}),
 }
 
 

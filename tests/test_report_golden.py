@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
 from apemo.abm import AbmConfig, TrapSpec
 from apemo.benchmark import BlockConfig, RunStore, RuntimeSettings, run_block
 from apemo.cli import main
@@ -55,15 +57,14 @@ def _tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def test_report_files_are_pinned(tmp_path, capsys):
+def _report_digest(tmp_path: Path) -> str:
+    """Run both grids into stores, report them, and hash every report file."""
     records_dir = tmp_path / "records"
     for grid in GRIDS:
         run_block(grid, RuntimeSettings(), store=RunStore(records_dir / f"{grid.name}.runs.jsonl"))
     config = tmp_path / "config.yaml"
     config.write_text(CONFIG, encoding="utf-8")
-    code = main(["report", "--config", str(config), "--records", str(records_dir)])
-    capsys.readouterr()
-    assert code == 0
+    assert main(["report", "--config", str(config), "--records", str(records_dir)]) == 0
     reports = records_dir / "reports"
     assert {p.name for p in reports.iterdir()} >= {
         "golden_long.report.txt",
@@ -71,5 +72,18 @@ def test_report_files_are_pinned(tmp_path, capsys):
         "golden_trap.trap_series.csv",
         "frontier.csv",
     }
-    digest = _tree_digest(reports)
+    return _tree_digest(reports)
+
+
+def test_report_files_are_pinned(tmp_path):
+    digest = _report_digest(tmp_path)
+    assert digest[:16] == REPORT_GOLDEN_PREFIX, f"report files changed: sha256 {digest}"
+
+
+def test_report_reads_interval_ends_without_np_quantile(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.quantile called on the report path")
+
+    monkeypatch.setattr(np, "quantile", refuse)
+    digest = _report_digest(tmp_path)
     assert digest[:16] == REPORT_GOLDEN_PREFIX, f"report files changed: sha256 {digest}"

@@ -201,6 +201,45 @@ def test_pairwise_sum_matches_numpy_mean_bit_for_bit(n):
         )
 
 
+def percentile_rows(n, rng):
+    """Named sample rows whose resample means stress the interval ends."""
+    normal = rng.normal(size=n)
+    one_inf = normal.copy()
+    one_inf[rng.integers(n)] = np.inf
+    both_inf = normal.copy()
+    both_inf[:2] = np.inf, -np.inf
+    return {
+        "normal": normal,
+        "scaled 1e12": normal * 1e12,
+        "scaled 1e-12": normal * 1e-12,
+        "rounded to 0.1": np.round(normal, 1),  # equal means: ties at the ranks
+        "one +inf": one_inf,
+        "+inf and -inf": both_inf,
+    }
+
+
+RANDOM_COVERAGE = float(np.random.default_rng(24).uniform(0.01, 0.99))
+TOP_COVERAGE = 1.0 - 2.0**-53  # 1 - alpha rounds to 1.0: the upper rank is the last mean
+
+
+@pytest.mark.parametrize("coverage", [0.5, 0.8, 0.95, 0.99, RANDOM_COVERAGE, TOP_COVERAGE])
+@pytest.mark.parametrize("resamples", [1, 2, 3, 4097, 10_000])
+def test_bootstrap_interval_ends_match_numpy_quantile_bit_for_bit(resamples, coverage):
+    named = percentile_rows(30, np.random.default_rng(resamples))
+    with np.errstate(invalid="ignore"):  # +inf + -inf in a resample sum is NaN, as meant
+        got = bootstrap_ci(list(named.values()), resamples=resamples, coverage=coverage, seed=5)
+        expected_ends = [reference_bootstrap_ci(row, resamples, coverage, seed=5)
+                         for row in named.values()]
+    for kind, interval, expected in zip(named, got, map(np.array, expected_ends)):
+        ends = np.array(interval)
+        where = (f"{kind} row, resamples={resamples}, coverage={coverage}: interval {interval} "
+                 f"is not np.quantile's {tuple(expected)} in numpy {np.__version__}")
+        # a NaN's sign bit depends on sort versus partition, so NaN is only required to be NaN
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(ends), nan), where
+        assert np.array_equal(ends[~nan].view(np.int64), expected[~nan].view(np.int64)), where
+
+
 def test_bootstrap_stack_rejects_ragged_and_empty_rows():
     with pytest.raises(ValueError):
         bootstrap_ci([[0.1, 0.2, 0.3], [0.1, 0.2]], resamples=100)
