@@ -11,10 +11,12 @@ so replays are exact and policies sharing a seed see identical noise on
 matching turns regardless of how they allocate compute. Each attempt's
 uniform vector is one draw from a Philox generator keyed by the two seeds
 with its counter set to (turn, attempt); every random value of the step is
-derived from that vector (see ``abm_step``). Each thread keeps one Philox and
-the vectors of its last few streams, so the policies of one (model, seed,
-episode) draw each vector once; executors hold no mutable state and may be
-shared between threads.
+derived from that vector (see ``abm_step``). Each thread keeps one Philox,
+built at its first draw (so importing this module loads no numpy), and the
+vectors of its last few streams. ``run_block`` runs the policies of one
+(model, seed) on one thread, so they draw each vector of an episode once at
+any worker count; executors hold no mutable state and may be shared between
+threads.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .executor import TurnContext, TurnOutcome
 from .signals import Token, tokenize
@@ -198,13 +198,19 @@ def _task_tokens(task: str) -> tuple[str, ...]:
 
 
 class _Draws(threading.local):
-    """One thread's Philox generator, its state dict and its FIFO of drawn streams."""
+    """One thread's FIFO of drawn streams, and the Philox generator with its
+    state dict that the thread builds at its first miss."""
 
     def __init__(self) -> None:
+        self.bitgen = None
+        self.streams: dict[tuple[int, int, int], dict[tuple[int, int], tuple[float, ...]]] = {}
+
+    def build(self) -> None:
+        import numpy as np  # only a simulator draw needs numpy
+
         self.bitgen = np.random.Philox(0)
         self.gen = np.random.Generator(self.bitgen)
         self.state = self.bitgen.state
-        self.streams: dict[tuple[int, int, int], dict[tuple[int, int], tuple[float, ...]]] = {}
 
 
 _draws = _Draws()
@@ -213,9 +219,9 @@ _draws = _Draws()
 def _uniforms(exec_seed: int, seed: int, turn: int, attempt: int, n: int) -> tuple[float, ...]:
     """n uniforms from Philox key (exec_seed, seed), counter (0, turn, attempt, 0).
 
-    A miss resets the thread's generator to that key and counter and makes
-    one random(n) call; the vector is kept under its stream (exec_seed, seed,
-    n) in a FIFO of _CACHED_STREAMS streams.
+    A miss resets the thread's generator (built at its first miss) to that
+    key and counter and makes one random(n) call; the vector is kept under
+    its stream (exec_seed, seed, n) in a FIFO of _CACHED_STREAMS streams.
     """
     streams = _draws.streams
     stream = streams.get((exec_seed, seed, n))
@@ -225,6 +231,8 @@ def _uniforms(exec_seed: int, seed: int, turn: int, attempt: int, n: int) -> tup
         stream = streams[(exec_seed, seed, n)] = {}
     u = stream.get((turn, attempt))
     if u is None:
+        if _draws.bitgen is None:
+            _draws.build()
         state = _draws.state
         # a negative seed becomes its two's-complement word, as Philox(key=...)
         # reads it; the lowest counter word counts the blocks within one draw

@@ -7,7 +7,8 @@ The loader reads the file in one pass: each dataclass is built straight from
 the file's mapping, and the field defaults fill whatever the file does not
 name. Unknown keys and bad values are rejected with their key path so typos
 fail loudly. The server URL may come from the APEMO_SERVER_URL environment
-variable, but an explicit endpoint.base_url in the file wins.
+variable, but an explicit endpoint.base_url in the file wins. PyYAML loads
+only when a file is read.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from functools import lru_cache
 from pathlib import Path
 from types import UnionType
 from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
-
-import yaml
 
 from .abm import AbmConfig
 from .benchmark import BlockConfig, RuntimeSettings, SCHEMA_VERSION
@@ -272,6 +271,8 @@ def load_config(path: Optional[str] = None, include_default_blocks: bool = True)
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
+        import yaml  # only a config file needs PyYAML
+
         try:
             raw = yaml.safe_load(p.read_text(encoding="utf-8")) or {}
         except yaml.YAMLError as exc:

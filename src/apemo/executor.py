@@ -4,9 +4,10 @@ An executor is a pure function of (context, allocated tokens, seed): the
 scheduler owns all cross-turn state and passes the kept history forward
 through the context. This keeps replays exact and lets many trajectories
 run concurrently. What an executor keeps between calls only saves work:
-the simulator keeps, per thread, the uniform vectors it has drawn, each a
-pure function of its key. Executors return the output's tokens; the
-scheduler reads the behavioral proxies from them.
+the simulator keeps, per thread, a Philox generator built at the thread's
+first draw and the uniform vectors it has drawn, each a pure function of its
+key. Executors return the output's tokens; the scheduler reads the
+behavioral proxies from them.
 """
 
 from __future__ import annotations

@@ -7,18 +7,20 @@ draws its resample indices once per pair count, and resample means are
 summed in numpy's pairwise order, so each interval equals the one a
 separate call on its row alone returns. The interval ends are read from one
 sort of the resample means at the ranks of numpy's "linear" quantile, with
-its interpolation, so they equal ``np.quantile``'s bits.
+its interpolation, so they equal ``np.quantile``'s bits. numpy loads at the
+first ``bootstrap_ci`` or ``block_report`` call, not at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .benchmark import RunRecord, no_fallback_rate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REPORT_METRICS = (
     "mean_quality",
@@ -170,6 +172,8 @@ def bootstrap_ci(
     means hold a NaN gives NaN). A vector gives ``(low, high)``; a stack gives
     one ``(low, high)`` per row.
     """
+    import numpy as np
+
     arr = np.asarray(samples, dtype=float)  # ragged rows raise ValueError here
     if arr.ndim not in (1, 2):
         raise ValueError(f"bootstrap_ci takes a vector or a stack of rows, got shape {arr.shape}")
@@ -284,6 +288,8 @@ def block_report(
     Comparisons with equal pair counts share one ``bootstrap_ci`` call, so a
     block draws its resample indices once per distinct pair count.
     """
+    import numpy as np
+
     if not records:
         raise ValueError("block_report needs at least one record")
     gate = no_fallback_rate(records)

@@ -250,25 +250,55 @@ def test_retry_leaves_later_first_attempts_unchanged():
         assert _outcome(retried, 4, turn, 0) == _outcome(plain, 4, turn, 0)
 
 
-def test_thread_workers_write_the_same_records():
-    block = BlockConfig(
-        name="threads",
-        executor="abm",
-        models=("abm-a", "abm-b"),
-        horizon=6,
-        episodes=2,
-        budget_cap=500,
-        policies=(PolicyKind.TASK_AFFECT, PolicyKind.TASK_PEAK_END, PolicyKind.APEMO),
-        seeds=(1, 2, 3),
-        trap=TrapSpec(3, 0.4),
-    )
+THREADS_BLOCK = BlockConfig(
+    name="threads",
+    executor="abm",
+    models=("abm-a", "abm-b"),
+    horizon=6,
+    episodes=2,
+    budget_cap=500,
+    policies=(PolicyKind.TASK_AFFECT, PolicyKind.TASK_PEAK_END, PolicyKind.APEMO),
+    seeds=(1, 2, 3),
+    trap=TrapSpec(3, 0.4),
+)
 
+
+def test_thread_workers_write_the_same_records():
     def lines(workers):
-        records = run_block(block, RuntimeSettings(), workers=workers)
+        records = run_block(THREADS_BLOCK, RuntimeSettings(), workers=workers)
         return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
 
-    # at 3 workers the policies of one (model, seed) run on different threads
+    # at 3 workers the (model, seed) groups run on different threads, and their
+    # records still come back in grid order
     assert lines(3) == lines(1)
+
+
+def test_thread_workers_draw_each_vector_as_often_as_one_worker(monkeypatch):
+    calls = []
+    misses = []
+    real = abm._uniforms
+
+    def counting(exec_seed, seed, turn, attempt, n):
+        # the calling thread's cache, read before the draw fills it
+        stream = abm._draws.streams.get((exec_seed, seed, n))
+        calls.append(1)
+        if stream is None or (turn, attempt) not in stream:
+            misses.append(1)
+        return real(exec_seed, seed, turn, attempt, n)
+
+    monkeypatch.setattr(abm, "_uniforms", counting)
+
+    def count(workers):
+        abm._draws.streams.clear()  # pool threads start with empty caches
+        calls.clear()
+        misses.clear()
+        run_block(THREADS_BLOCK, RuntimeSettings(), workers=workers)
+        return len(misses)
+
+    once = count(1)
+    assert 0 < once < len(calls)  # the policies after the first reuse the vectors
+    assert count(2) == once
+    assert count(3) == once
 
 
 def test_draw_cache_holds_at_most_its_bound_after_a_larger_block():

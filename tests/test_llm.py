@@ -607,13 +607,53 @@ def test_stopped_server_answers_nothing():
         ping(endpoint)
 
 
-def test_import_leaves_requests_unloaded():
+# Run in a fresh interpreter: the model-server path and validate-config load
+# neither numpy nor PyYAML; a config file loads PyYAML, a simulator draw numpy.
+LAZY_IMPORTS = """
+import os, sys
+from pathlib import Path
+
+def unloaded(*names):
+    loaded = set(names) & set(sys.modules)
+    assert not loaded, loaded
+
+import apemo, apemo.cli, apemo.mock_server
+unloaded("requests", "http.client", "numpy", "yaml")
+
+from apemo import cli, config
+from apemo.mock_server import MockModelServer
+assert cli.main(["validate-config"]) == 0
+unloaded("numpy", "yaml")
+
+out = Path(sys.argv[1])
+config.DEFAULT_BLOCKS["tiny_llm"] = {
+    "executor": "llm", "models": ["m"], "horizon": 3, "episodes": 1, "budget_cap": 600,
+    "policies": ["task_peak_end", "apemo"], "seeds": {"count": 1, "start": 1},
+}
+with MockModelServer() as server:
+    os.environ["APEMO_SERVER_URL"] = server.url
+    assert cli.main(["run-llm", "--block", "tiny_llm", "--out", str(out / "runs")]) == 0
+assert len((out / "runs" / "tiny_llm.runs.jsonl").read_text().splitlines()) == 2
+unloaded("numpy", "yaml")
+
+(out / "c.yaml").write_text("workers: 2")
+assert cli.main(["validate-config", "--config", str(out / "c.yaml")]) == 0
+assert "yaml" in sys.modules
+unloaded("numpy")
+
+from apemo.abm import AbmConfig, AbmExecutor
+from apemo.executor import TurnContext
+AbmExecutor(AbmConfig(), seed=1).execute_turn(TurnContext(task="t", turn=1, horizon=2), 10, 1)
+assert "numpy" in sys.modules
+"""
+
+
+def test_import_leaves_requests_unloaded(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, apemo; loaded = {'requests', 'http.client'} & set(sys.modules); "
-            "assert not loaded, loaded")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60)
+    env.pop("APEMO_SERVER_URL", None)
+    out = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr[-500:]
 
 
