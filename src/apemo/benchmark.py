@@ -18,9 +18,9 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
-from typing import Callable, Optional, Sequence, get_type_hints
+from typing import Callable, Iterator, Optional, Sequence, get_type_hints
 
 from .abm import STREAM_VERSION, AbmConfig, AbmExecutor, TrapSpec
 from .executor import Executor
@@ -146,8 +146,7 @@ class RunRecord:
         return (self.model_id, self.seed, self.policy, self.horizon)
 
     def to_dict(self) -> dict:
-        # every field is flat, so a shallow copy serializes exactly like asdict;
-        # the keys come in sorted order, so json.dumps needs no sort_keys
+        # every field is flat, so a shallow copy serializes exactly like asdict
         d = {name: getattr(self, name) for name in _RECORD_FIELDS}
         d["quality_by_turn"] = list(self.quality_by_turn)
         d["frustration_by_turn"] = list(self.frustration_by_turn)
@@ -176,7 +175,7 @@ class RunRecord:
         return cls(**d)
 
 
-_RECORD_FIELDS = tuple(sorted(f.name for f in fields(RunRecord)))
+_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 _TURN_FIELDS = ("quality_by_turn", "frustration_by_turn")
 _FLOAT_MAX = sys.float_info.max
 
@@ -379,7 +378,7 @@ class RunStore:
 
     def append(self, record: RunRecord) -> None:
         """Persist one record as one line, handed to the OS in a single write."""
-        line = (json.dumps(record.to_dict()) + "\n").encode("utf-8")
+        line = (json.dumps(record.to_dict(), sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             self._admit(record, str(self.path))
             try:
@@ -483,12 +482,14 @@ def run_block(
 
     Completed cells are returned from the store without re-execution; new
     records are persisted, and passed to on_record, in grid order at any
-    worker count. On a simulator block a worker runs the pending cells of one
-    (model, seed) as one task, so its policies share that thread's draw
-    cache; a model-server block hands out one cell a task. A store of
-    another block, or of another simulator stream, raises StoreError (see
-    check_store), and an unreachable LLM endpoint aborts, before any cell
-    runs; per-turn executor failures only mark runs.
+    worker count. A task is the pending cells of one (model, seed), so its
+    policies share one thread's draw cache on a simulator block. At
+    workers = 1 each record is stored as its cell completes; at workers > 1
+    a task's records are stored together, so an interrupted run keeps whole
+    (model, seed) groups. A store of another block, or of another simulator
+    stream, raises StoreError (see check_store), and an unreachable LLM
+    endpoint aborts, before any cell runs; per-turn executor failures only
+    mark runs.
     """
     if store is not None:
         check_store(block, store)
@@ -515,23 +516,21 @@ def run_block(
         else:
             pending.append((model, seed, policy))
 
-    def execute(task: list[tuple[str, int, PolicyKind]]) -> list[RunRecord]:
-        return [run_cell(block, settings, model, seed, policy) for model, seed, policy in task]
+    def execute(task: list[tuple[str, int, PolicyKind]]) -> Iterator[RunRecord]:
+        for model, seed, policy in task:
+            yield run_cell(block, settings, model, seed, policy)
 
+    # one task per (model, seed): its policies share one thread's draw cache
+    tasks = [list(group) for _, group in groupby(pending, key=lambda cell: cell[:2])]
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    if pool and block.executor == "abm":
-        # one task per (model, seed): its policies share one thread's draw cache
-        tasks = [list(group) for _, group in groupby(pending, key=lambda cell: cell[:2])]
-    else:
-        tasks = [[cell] for cell in pending]
     with pool or nullcontext():
-        for records in pool.map(execute, tasks) if pool else map(execute, tasks):
-            for record in records:
-                if store is not None:
-                    store.append(record)
-                results[record.run_key] = record
-                if on_record:
-                    on_record(record, False)
+        batches = pool.map(lambda task: list(execute(task)), tasks) if pool else map(execute, tasks)
+        for record in chain.from_iterable(batches):
+            if store is not None:
+                store.append(record)
+            results[record.run_key] = record
+            if on_record:
+                on_record(record, False)
 
     ordered = [
         results[(model, seed, policy.value, block.horizon)]

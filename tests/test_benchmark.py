@@ -415,21 +415,6 @@ def test_store_append_is_one_write_of_one_line(tmp_path, monkeypatch):
     assert path.read_bytes() == b"".join(expected)
 
 
-def test_appended_line_equals_the_sorted_key_encoding(tmp_path):
-    # to_dict emits its keys in sorted order, so append encodes without sort_keys
-    trapped = run_block(
-        sim_block(name="t", horizon=8, episodes=1, budget_cap=1600, trap=TrapSpec(4, 0.4),
-                  seeds=(1,), policies=(PolicyKind.APEMO,)),
-        RuntimeSettings(),
-    )[0]
-    assert trapped.trap_turn == 4 and _one_record().trap_turn is None
-    for record in (trapped, _one_record()):
-        path = tmp_path / f"{record.block}.runs.jsonl"
-        RunStore(path).append(record)
-        assert list(record.to_dict()) == sorted(record.to_dict())
-        assert path.read_text() == json.dumps(record.to_dict(), sort_keys=True) + "\n"
-
-
 def test_store_makes_a_missing_directory_again(tmp_path):
     records = [_one_record(1), _one_record(2)]
     parent = tmp_path / "deep" / "er"
