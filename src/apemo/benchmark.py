@@ -17,8 +17,9 @@ import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import chain, groupby
+from math import fsum, isfinite
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, get_type_hints
 
@@ -154,57 +155,78 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        """Build a record from its JSON object, checking every field against
-        its annotation; a failure raises TypeError or ValueError naming it."""
-        d = dict(d)  # a JSON value that is not an object raises TypeError or ValueError
+        """Build a record from its JSON object in one pass over _FIELD_CHECKS.
+
+        Every field must have one of its annotation's exact types, and a
+        number must be finite; a missing optional field takes its default,
+        and a key that is not a field is refused. A failure raises TypeError
+        or ValueError naming the field. The record is built without calling
+        __init__, so it is equal to, and as frozen as, one built normally.
+        """
+        if type(d) is not dict:
+            d = dict(d)  # a JSON value that is not an object raises TypeError or ValueError
         version = d.get("schema_version")
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported schema_version {version!r}; this reader handles {SCHEMA_VERSION}"
             )
-        for name, is_kind, kind in _FIELD_CHECKS:
-            value = d.get(name)
-            if not is_kind(value):
-                raise TypeError(f"field {name!r} is missing" if name not in d
+        values = {**_DEFAULTS, **d}
+        for name, accepted, finite, kind in _FIELD_CHECKS:
+            value = values.get(name)
+            ok = type(value) in accepted
+            if ok and finite and value is not None:
+                ok = (_all_finite(value) if type(value) in _SEQUENCES
+                      else -_FLOAT_MAX <= value <= _FLOAT_MAX)
+            if not ok:
+                raise TypeError(f"field {name!r} is missing" if name not in values
                                 else f"field {name!r} is {value!r}, not {kind}")
         for name in _TURN_FIELDS:
-            if len(d[name]) != d["horizon"]:
-                raise ValueError(f"field {name!r} holds {len(d[name])} values, "
-                                 f"not one per turn of horizon {d['horizon']}")
-            d[name] = tuple(d[name])
-        return cls(**d)
+            turns = values[name]
+            if len(turns) != values["horizon"]:
+                raise ValueError(f"field {name!r} holds {len(turns)} values, "
+                                 f"not one per turn of horizon {values['horizon']}")
+            values[name] = tuple(turns)
+        if len(values) != len(_RECORD_FIELDS):  # every field is present, so a key is extra
+            extra = next(key for key in values if key not in _RECORD_FIELDS)
+            raise TypeError(f"field {extra!r} is not a field of a run record")
+        record = object.__new__(cls)
+        object.__setattr__(record, "__dict__", values)
+        return record
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+_DEFAULTS = {f.name: f.default for f in fields(RunRecord) if f.default is not MISSING}
 _TURN_FIELDS = ("quality_by_turn", "frustration_by_turn")
 _FLOAT_MAX = sys.float_info.max
+_SEQUENCES = (list, tuple)
+_NUMBERS = (float, int)
 
 
-def _is_number(v) -> bool:
-    """A finite float, or an int a float can hold; a bool is not a number here."""
-    return (type(v) is float or type(v) is int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+def _all_finite(values: Sequence) -> bool:
+    """Whether every value is a finite float or an int a float can hold."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        try:  # the exact sum of floats is finite unless one of them is NaN or infinite
+            return isfinite(fsum(values))
+        except (OverflowError, ValueError):  # a sum beyond the float range; inf + -inf
+            pass
+    return kinds.issubset(_NUMBERS) and all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in values)
 
 
-def _is_int(v) -> bool:
-    return type(v) is int
-
-
-# annotation -> (check, what a failure names). A record is read from JSON,
-# whose values have exactly these types; per-turn tuples hold one number a turn.
-_KIND_CHECKS = {
-    int: (_is_int, "an int"),
-    float: (_is_number, "a finite number"),
-    str: (lambda v: type(v) is str, "a string"),
-    bool: (lambda v: type(v) is bool, "a bool"),
-    tuple[float, ...]: (
-        lambda v: type(v) in (list, tuple) and all(map(_is_number, v)),
-        "a list of finite numbers",
-    ),
-    Optional[int]: (lambda v: v is None or _is_int(v), "an int or null"),
-    Optional[float]: (lambda v: v is None or _is_number(v), "a finite number or null"),
+# annotation -> (accepted exact types, whether a number must be finite, what a
+# failure names). A record is read from JSON, whose values have exactly these
+# types, so a bool is not an int; per-turn tuples hold one number a turn.
+_KINDS = {
+    int: ((int,), False, "an int"),
+    float: (_NUMBERS, True, "a finite number"),
+    str: ((str,), False, "a string"),
+    bool: ((bool,), False, "a bool"),
+    tuple[float, ...]: (_SEQUENCES, True, "a list of finite numbers"),
+    Optional[int]: ((int, type(None)), False, "an int or null"),
+    Optional[float]: ((*_NUMBERS, type(None)), True, "a finite number or null"),
 }
 _FIELD_CHECKS = tuple(
-    (name, *_KIND_CHECKS[annotation])
+    (name, *_KINDS[annotation])
     for name, annotation in get_type_hints(RunRecord).items()
     if name != "schema_version"
 )

@@ -30,7 +30,7 @@ from .config import AppConfig, ConfigError, load_config
 from .frontier import format_frontier_table, frontier_csv, frontier_table, viability
 from .llm import TransportError
 from .scheduler import PolicyKind
-from .stats import REPORT_METRICS, TRAP_METRICS, block_report, format_block_table
+from .stats import REPORT_METRICS, TRAP_METRICS, block_report, format_block_table, pair_key
 from .tasks import TASKS_VERSION
 
 EXIT_OK = 0
@@ -191,21 +191,27 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     # each compared block, narrowed to the target and its chosen baselines
     compared: dict[str, list[RunRecord]] = {}
+    draws: dict = {}  # resample indices by (pairs, resamples, seed), for this report only
     for name in sorted(blocks):
         records = blocks[name]
-        policies = sorted({r.policy for r in records})
-        if args.target not in policies:
+        runs: dict[str, set[tuple]] = {}  # policy -> the pair keys of its runs
+        for r in records:
+            runs.setdefault(r.policy, set()).add(pair_key(r))
+        if args.target not in runs:
             print(f"block {name}: target {args.target!r} absent; skipping deltas")
             continue
         baselines = []
-        candidates = args.baselines or [p for p in policies if p != args.target]
+        candidates = args.baselines or [p for p in sorted(runs) if p != args.target]
         for baseline in dict.fromkeys(candidates):  # a baseline named twice is compared once
             if baseline == args.target:
                 print(f"block {name}: baseline {baseline!r} is the target; skipping it")
-            elif baseline in policies:
-                baselines.append(baseline)
-            else:
+            elif baseline not in runs:
                 print(f"block {name}: baseline {baseline!r} absent; skipping it")
+            elif runs[baseline].isdisjoint(runs[args.target]):
+                print(f"block {name}: baseline {baseline!r} shares no (model, seed, horizon, "
+                      "episodes) run with the target; skipping it")
+            else:
+                baselines.append(baseline)
         if not baselines:
             print(f"block {name}: no baseline to compare {args.target!r} with; skipping its report")
             continue
@@ -222,6 +228,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             target=args.target,
             resamples=cfg.resamples,
             stats_seed=stats_seed,
+            draws=draws,
         )
         table = format_block_table(report)
         print(table)

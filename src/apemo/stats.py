@@ -1,21 +1,22 @@
 """Run-level statistics: paired deltas, bootstrap CIs, exact sign tests.
 
 Everything here consumes run-level records only; episode rows never reach
-the statistics, which keeps runs the unit of analysis. Resampling is
-seeded and chunked so results replay exactly regardless of machine. A block
-draws its resample indices once per pair count, and resample means are
-summed in numpy's pairwise order, so each interval equals the one a
-separate call on its row alone returns. The interval ends are read from one
-sort of the resample means at the ranks of numpy's "linear" quantile, with
-its interpolation, so they equal ``np.quantile``'s bits. numpy loads at the
-first ``bootstrap_ci`` or ``block_report`` call, not at import.
+the statistics, which keeps runs the unit of analysis. Resampling is seeded
+and chunked so results replay exactly regardless of machine. A report draws
+its resample indices once per pair count, for every block it compares, and
+resample means are summed in numpy's pairwise order, so each interval
+equals the one a separate call on its row alone returns. The interval ends
+are read from one sort of the resample means at the ranks of numpy's
+"linear" quantile, with its interpolation, so they equal ``np.quantile``'s
+bits. numpy loads at the first ``bootstrap_ci`` or ``block_report`` call,
+not at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .benchmark import RunRecord, no_fallback_rate
 
@@ -69,7 +70,8 @@ class Pairing:
         return len(self.pairs)
 
 
-def _pair_key(record: RunRecord) -> tuple:
+def pair_key(record: RunRecord) -> tuple:
+    """What pair_runs matches runs on: (model, seed, horizon, episode count)."""
     return (record.model_id, record.seed, record.horizon, record.episodes)
 
 
@@ -81,12 +83,12 @@ def pair_runs(
     Unmatched records on either side are returned as orphans, never dropped
     silently. Zero matches is an error.
     """
-    baseline_by_key = {_pair_key(r): r for r in baseline_records}
+    baseline_by_key = {pair_key(r): r for r in baseline_records}
     pairs = []
     orphans = []
     matched_keys = set()
-    for rec in sorted(target_records, key=_pair_key):
-        key = _pair_key(rec)
+    for rec in sorted(target_records, key=pair_key):
+        key = pair_key(rec)
         other = baseline_by_key.get(key)
         if other is None:
             orphans.append(rec)
@@ -94,7 +96,7 @@ def pair_runs(
             pairs.append((rec, other))
             matched_keys.add(key)
     orphans.extend(
-        r for r in sorted(baseline_records, key=_pair_key) if _pair_key(r) not in matched_keys
+        r for r in sorted(baseline_records, key=pair_key) if pair_key(r) not in matched_keys
     )
     if not pairs:
         raise ValueError("no matched run pairs between target and baseline records")
@@ -151,11 +153,23 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
+def _index_chunks(n: int, resamples: int, seed: int) -> Iterator[np.ndarray]:
+    """The resample indices of one seeded draw, as transposed ``(n, take)``
+    chunks of at most ``_DRAW_ELEMENTS`` indices, in draw order."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    chunk = max(1, min(resamples, _DRAW_ELEMENTS // n))
+    for done in range(0, resamples, chunk):
+        yield rng.integers(0, n, size=(min(chunk, resamples - done), n)).T
+
+
 def bootstrap_ci(
     samples: Sequence[float] | Sequence[Sequence[float]],
     resamples: int = 10_000,
     coverage: float = 0.95,
     seed: int = 0,
+    draws: Optional[dict] = None,
 ) -> tuple[float, float] | list[tuple[float, float]]:
     """Percentile bootstrap interval of the mean, deterministic per seed.
 
@@ -171,6 +185,12 @@ def bootstrap_ci(
     partition inside ``np.quantile``, and the ends equal its bits (a row whose
     means hold a NaN gives NaN). A vector gives ``(low, high)``; a stack gives
     one ``(low, high)`` per row.
+
+    ``draws`` is a dict the caller owns for the span of one report: a draw
+    that fits in one chunk is kept there under ``(n, resamples, seed)``, and
+    a later call with that key gathers from it instead of drawing the same
+    indices again. A larger draw is never kept, so memory stays bounded by
+    one chunk per key.
     """
     import numpy as np
 
@@ -194,16 +214,19 @@ def bootstrap_ci(
         else:
             live.append(i)
     if live:
-        rng = np.random.default_rng(seed)
-        chunk = max(1, min(resamples, _DRAW_ELEMENTS // n))
+        key = (n, resamples, seed)
+        chunks = draws.get(key) if draws is not None else None
+        if chunks is None:
+            chunks = _index_chunks(n, resamples, seed)
+            if draws is not None and resamples * n <= _DRAW_ELEMENTS:
+                chunks = draws[key] = list(chunks)  # the whole draw is one chunk
         # one resample index picks one row of this table: every live sample at it
         table = np.ascontiguousarray(rows[live].T)
         step = max(1, _GATHER_ELEMENTS // table.size)
         means = np.empty((len(live), resamples), dtype=float)
         done = 0
-        while done < resamples:
-            take = min(chunk, resamples - done)
-            cols = rng.integers(0, n, size=(take, n)).T
+        for cols in chunks:
+            take = cols.shape[1]
             for lo in range(0, take, step):
                 hi = min(lo + step, take)
                 block = np.take(table, cols[:, lo:hi], axis=0)  # (n, hi - lo, live)
@@ -282,11 +305,14 @@ def block_report(
     *,
     resamples: int,
     stats_seed: int,
+    draws: Optional[dict] = None,
 ) -> BlockReport:
     """Per-metric delta rows for every (target, baseline) pair in a block.
 
-    Comparisons with equal pair counts share one ``bootstrap_ci`` call, so a
-    block draws its resample indices once per distinct pair count.
+    Comparisons with equal pair counts share one ``bootstrap_ci`` call. A
+    report passes the same ``draws`` dict to every block it compares, so
+    resample indices are drawn once per distinct pair count per report, and
+    each block's rows equal those of a call without it.
     """
     import numpy as np
 
@@ -314,7 +340,7 @@ def block_report(
     for _, n, all_deltas in comparisons:
         stacks.setdefault(n, []).extend(all_deltas)
     cis = {
-        n: iter(bootstrap_ci(stack, resamples=resamples, seed=stats_seed))
+        n: iter(bootstrap_ci(stack, resamples=resamples, seed=stats_seed, draws=draws))
         for n, stack in stacks.items()
         if stack
     }

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from apemo.abm import STREAM_VERSION
+from apemo import stats
 from apemo.cli import main
 from apemo.config import ConfigError, load_config
 from apemo.mock_server import MockModelServer
@@ -275,6 +276,28 @@ def test_a_store_line_that_is_not_a_record_exits_2_naming_it(
     assert _tree(out) == before
 
 
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_a_stored_key_that_is_not_a_record_field_exits_2_naming_it(
+    config_path, tmp_path, capsys, command
+):
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)]) == 0
+    runs_file = out / "tiny.runs.jsonl"
+    lines = runs_file.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), "mean_qualty": 0.5}) + "\n"
+    runs_file.write_text("".join(lines))
+    before = _tree(out)
+    capsys.readouterr()
+
+    args = {"simulate": ["simulate", "--block", "tiny", "--out", str(out)],
+            "report": ["report", "--records", str(out)]}[command]
+    assert main(args + ["--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert f"store error: {runs_file}:2: " in err
+    assert "'mean_qualty'" in err
+    assert _tree(out) == before
+
+
 TWO_CAPS_CONFIG = """
 blocks:
   a: {executor: abm, models: [abm-a], horizon: 4, episodes: 1, budget_cap: 600,
@@ -326,6 +349,67 @@ def test_report_refuses_a_store_holding_a_run_key_twice(two_caps, capsys, repeat
     assert main(["report", "--config", config, "--records", str(out)]) == 2
     assert f"store error: {runs_file}:7: " in capsys.readouterr().err
     assert _tree(out) == before
+
+
+def test_blocks_of_equal_pair_count_share_one_draw_and_report_as_alone(
+    two_caps, tmp_path, monkeypatch
+):
+    config, out = two_caps  # blocks a and b: 3 (model, seed) pairs each
+    draws = []
+    real_chunks = stats._index_chunks
+
+    def counted(n, resamples, seed):
+        draws.append((n, resamples, seed))
+        return real_chunks(n, resamples, seed)
+
+    monkeypatch.setattr(stats, "_index_chunks", counted)
+    assert main(["report", "--config", config, "--records", str(out)]) == 0
+    cfg = load_config(config)
+    assert draws == [(3, cfg.resamples, cfg.stats_seed)]  # drawn for block a, reused by b
+    for block in ("a", "b"):
+        alone = tmp_path / f"only_{block}"
+        alone.mkdir()
+        (alone / f"{block}.runs.jsonl").write_bytes((out / f"{block}.runs.jsonl").read_bytes())
+        assert main(["report", "--config", config, "--records", str(alone)]) == 0
+        for suffix in (".report.txt", ".deltas.jsonl"):
+            name = f"{block}{suffix}"
+            assert (alone / "reports" / name).read_bytes() == (out / "reports" / name).read_bytes()
+        rows = (out / "reports" / f"{block}.deltas.jsonl").read_text().splitlines()[1:]
+        assert any(json.loads(row)["ci_low"] < json.loads(row)["ci_high"] for row in rows)
+    assert len(draws) == 3  # one draw per report
+
+
+def test_report_skips_a_baseline_that_shares_no_run_with_the_target(
+    config_path, tmp_path, capsys
+):
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)]) == 0
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 0
+    runs_file = out / "tiny.runs.jsonl"
+    rows = [json.loads(line) for line in runs_file.read_text().splitlines()]
+
+    def keep(row) -> bool:  # apemo on seeds 1-2, uniform on seeds 3-4: no pair between them
+        return {"apemo": row["seed"] <= 2, "uniform": row["seed"] > 2}.get(row["policy"], True)
+
+    runs_file.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows if keep(row)))
+    capsys.readouterr()
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 0
+    note = ("block tiny: baseline 'uniform' shares no (model, seed, horizon, episodes) run "
+            "with the target; skipping it")
+    assert note in capsys.readouterr().out
+    deltas = (out / "reports" / "tiny.deltas.jsonl").read_text().splitlines()[1:]
+    assert {(json.loads(row)["baseline"], json.loads(row)["n"]) for row in deltas} == {
+        ("task_peak_end", 2)}
+
+    # with no other baseline left, nothing compares: exit 4, and no earlier report remains
+    runs_file.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows
+                                 if keep(row) and row["policy"] != "task_peak_end"))
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert note in captured.out
+    assert "block tiny: no baseline to compare 'apemo' with; skipping its report" in captured.out
+    assert "error: no block compares target 'apemo'" in captured.err
+    assert list((out / "reports").iterdir()) == []
 
 
 @pytest.mark.parametrize("url", ["http://127.0.0.1:abc", "http://", "http://:8080",

@@ -17,12 +17,14 @@ import statistics
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
 
 from apemo import abm
 from apemo.abm import AbmConfig, AbmExecutor, abm_step, uniform_count
+from apemo.benchmark import SCHEMA_VERSION, RunRecord
 from apemo.executor import TurnContext, TurnOutcome
 from apemo.scheduler import BudgetError, BudgetLedger, DetectionConfig, detect_negative_peak
 from apemo.signals import (
@@ -301,3 +303,125 @@ def test_frustration_prev_validation_keeps_its_message(prev):
     with pytest.raises(ValueError) as info:
         frustration_score(proxies, SignalConfig(), prev)
     assert str(info.value) == f"prev must be in [0, 1], got {prev}"
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _ref_is_number(v) -> bool:
+    return (type(v) is float or type(v) is int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
+def _ref_is_int(v) -> bool:
+    return type(v) is int
+
+
+# the predicate, one call per field, that RunRecord.from_dict applied before
+# its one-pass table, with what a failure names
+_REFERENCE_KINDS = {
+    int: (_ref_is_int, "an int"),
+    float: (_ref_is_number, "a finite number"),
+    str: (lambda v: type(v) is str, "a string"),
+    bool: (lambda v: type(v) is bool, "a bool"),
+    tuple[float, ...]: (
+        lambda v: type(v) in (list, tuple) and all(map(_ref_is_number, v)),
+        "a list of finite numbers",
+    ),
+    Optional[int]: (lambda v: v is None or _ref_is_int(v), "an int or null"),
+    Optional[float]: (lambda v: v is None or _ref_is_number(v), "a finite number or null"),
+}
+_HINTS = get_type_hints(RunRecord)
+_TURN_FIELDS = ("quality_by_turn", "frustration_by_turn")
+
+
+def _reference_from_dict(d: dict) -> RunRecord:
+    """RunRecord.from_dict as it was: one predicate per field, then __init__."""
+    d = dict(d)
+    version = d.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported schema_version {version!r}; this reader handles {SCHEMA_VERSION}"
+        )
+    for name, annotation in _HINTS.items():
+        if name == "schema_version":
+            continue
+        is_kind, kind = _REFERENCE_KINDS[annotation]
+        value = d.get(name)
+        if not is_kind(value):
+            raise TypeError(f"field {name!r} is missing" if name not in d
+                            else f"field {name!r} is {value!r}, not {kind}")
+    for name in _TURN_FIELDS:
+        if len(d[name]) != d["horizon"]:
+            raise ValueError(f"field {name!r} holds {len(d[name])} values, "
+                             f"not one per turn of horizon {d['horizon']}")
+        d[name] = tuple(d[name])
+    return RunRecord(**d)  # a key that is not a field raises TypeError here
+
+
+_BASE_VALUES = {
+    int: 3, float: 0.5, str: "s", bool: False, tuple[float, ...]: [0.25, 0.5, 0.75],
+    Optional[int]: 4, Optional[float]: -0.125,
+}
+BASE_RECORD = {name: _BASE_VALUES[annotation] for name, annotation in _HINTS.items()}
+BASE_RECORD["schema_version"] = SCHEMA_VERSION  # horizon 3, one value a turn
+POOL = [
+    3, 0, -7, 1.5, 0.5, -0.0, True, False, "x", "1", None, [], [0.5], {}, {"a": 1},
+    float("nan"), float("inf"), float("-inf"), 10**400, -(10**400),
+    int(_FLOAT_MAX) + 1, _FLOAT_MAX, -_FLOAT_MAX,
+]
+
+
+def _outcome(read, d: dict):
+    try:
+        return read(d)
+    except (TypeError, ValueError) as exc:
+        return exc
+
+
+def _check_reader_matches_reference(d: dict) -> None:
+    expected = _outcome(_reference_from_dict, d)
+    got = _outcome(RunRecord.from_dict, d)
+    if isinstance(expected, RunRecord):
+        assert type(got) is RunRecord and got == expected and hash(got) == hash(expected)
+        assert vars(got) == vars(expected)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.seed = 1  # type: ignore[misc]
+        return
+    assert isinstance(got, Exception), (d, expected)
+    if "unexpected keyword argument" in str(expected):
+        extra = next(key for key in d if key not in _HINTS)
+        assert type(got) is TypeError and repr(extra) in str(got)
+    else:
+        assert (type(got), str(got)) == (type(expected), str(expected))
+
+
+def test_record_reader_refuses_exactly_what_the_field_predicates_refused():
+    _check_reader_matches_reference(BASE_RECORD)
+    for name in _HINTS:  # every field x every pool value, one at a time
+        for value in POOL:
+            _check_reader_matches_reference({**BASE_RECORD, name: value})
+        _check_reader_matches_reference({k: v for k, v in BASE_RECORD.items() if k != name})
+    for name in _TURN_FIELDS:  # every pool value as one turn's value, and as every turn's
+        for value in POOL:
+            _check_reader_matches_reference({**BASE_RECORD, name: [0.5, value, 0.25]})
+            _check_reader_matches_reference({**BASE_RECORD, name: (value,) * 3})
+    _check_reader_matches_reference({**BASE_RECORD, "quality_by_turn": [_FLOAT_MAX] * 3})
+
+    rng = random.Random(20261020)
+    names = list(_HINTS)
+    for _ in range(3000):  # several faults at once, in any field order
+        d = dict(BASE_RECORD)
+        for _ in range(rng.randrange(1, 4)):
+            move = rng.random()
+            name = rng.choice(names)
+            if move < 0.5:
+                d[name] = rng.choice(POOL)
+            elif move < 0.7 and name in _TURN_FIELDS:
+                d[name] = [rng.choice(POOL) for _ in range(rng.choice((2, 3, 3, 4)))]
+            elif move < 0.85:
+                d.pop(name, None)
+            else:
+                d[rng.choice(("extra", "mean_qualty", "Seed"))] = rng.choice(POOL)
+        if rng.random() < 0.5:  # JSON order is sorted; a caller's dict may be in any order
+            d = dict(rng.sample(sorted(d.items(), key=lambda kv: kv[0]), len(d)))
+        _check_reader_matches_reference(d)
