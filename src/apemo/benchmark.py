@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import chain, groupby
-from math import fsum, isfinite
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, get_type_hints
 
@@ -204,13 +203,8 @@ _NUMBERS = (float, int)
 
 def _all_finite(values: Sequence) -> bool:
     """Whether every value is a finite float or an int a float can hold."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        try:  # the exact sum of floats is finite unless one of them is NaN or infinite
-            return isfinite(fsum(values))
-        except (OverflowError, ValueError):  # a sum beyond the float range; inf + -inf
-            pass
-    return kinds.issubset(_NUMBERS) and all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in values)
+    return (set(map(type, values)).issubset(_NUMBERS)
+            and all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in values))
 
 
 # annotation -> (accepted exact types, whether a number must be finite, what a

@@ -3,8 +3,8 @@
 Everything here consumes run-level records only; episode rows never reach
 the statistics, which keeps runs the unit of analysis. Resampling is seeded
 and chunked so results replay exactly regardless of machine. A report draws
-its resample indices once per pair count, for every block it compares, and
-resample means are summed in numpy's pairwise order, so each interval
+its resample indices once per pair count, for every block it compares,
+while the draws it keeps fit in one chunk, and resample means are summed in numpy's pairwise order, so each interval
 equals the one a separate call on its row alone returns. The interval ends
 are read from one sort of the resample means at the ranks of numpy's
 "linear" quantile, with its interpolation, so they equal ``np.quantile``'s
@@ -187,10 +187,10 @@ def bootstrap_ci(
     one ``(low, high)`` per row.
 
     ``draws`` is a dict the caller owns for the span of one report: a draw
-    that fits in one chunk is kept there under ``(n, resamples, seed)``, and
-    a later call with that key gathers from it instead of drawing the same
-    indices again. A larger draw is never kept, so memory stays bounded by
-    one chunk per key.
+    is kept there under ``(n, resamples, seed)`` while the indices kept in it
+    total at most one chunk, ``_DRAW_ELEMENTS``, and a later call with that
+    key gathers from it instead of drawing the same indices again. A draw
+    that would pass that total is streamed chunk by chunk and not kept.
     """
     import numpy as np
 
@@ -218,7 +218,8 @@ def bootstrap_ci(
         chunks = draws.get(key) if draws is not None else None
         if chunks is None:
             chunks = _index_chunks(n, resamples, seed)
-            if draws is not None and resamples * n <= _DRAW_ELEMENTS:
+            kept = sum(size * count for size, count, _ in draws) if draws is not None else 0
+            if draws is not None and kept + resamples * n <= _DRAW_ELEMENTS:
                 chunks = draws[key] = list(chunks)  # the whole draw is one chunk
         # one resample index picks one row of this table: every live sample at it
         table = np.ascontiguousarray(rows[live].T)
@@ -311,8 +312,9 @@ def block_report(
 
     Comparisons with equal pair counts share one ``bootstrap_ci`` call. A
     report passes the same ``draws`` dict to every block it compares, so
-    resample indices are drawn once per distinct pair count per report, and
-    each block's rows equal those of a call without it.
+    resample indices are drawn once per distinct pair count per report
+    while the kept draws fit in one chunk (``bootstrap_ci``), and each
+    block's rows equal those of a call without it.
     """
     import numpy as np
 

@@ -371,6 +371,30 @@ def test_block_report_draws_once_per_pair_count(monkeypatch):
             assert (row.ci_low, row.ci_high) == bootstrap_ci(deltas, resamples=1000, seed=4)
 
 
+def test_report_draws_kept_total_at_most_one_chunk(monkeypatch):
+    # each draw fits in one chunk alone, 6 x 1000 and 5 x 1000 indices, but not both
+    monkeypatch.setattr(stats, "_DRAW_ELEMENTS", 6000)
+    blocks = [records_for([PolicyKind.APEMO, PolicyKind.UNIFORM], seeds=range(1, pairs + 1))
+              for pairs in (6, 5, 6, 5)]
+    drawn = []
+    real_chunks = stats._index_chunks
+
+    def counted(n, resamples, seed):
+        drawn.append(n)
+        return real_chunks(n, resamples, seed)
+
+    monkeypatch.setattr(stats, "_index_chunks", counted)
+    draws: dict = {}
+    shared = [block_report(records, ["uniform"], ["mean_quality", "total_cost"],
+                           resamples=1000, stats_seed=4, draws=draws) for records in blocks]
+    assert list(draws) == [(6, 1000, 4)]  # the 5-pair draw would pass one chunk in total
+    assert drawn == [6, 5, 5]
+    for records, report in zip(blocks, shared):
+        alone = block_report(records, ["uniform"], ["mean_quality", "total_cost"],
+                             resamples=1000, stats_seed=4)
+        assert [row.to_dict() for row in report.rows] == [row.to_dict() for row in alone.rows]
+
+
 def test_block_report_gate_annotation():
     records = records_for([PolicyKind.APEMO, PolicyKind.UNIFORM], seeds=range(1, 5))
     flipped = []
