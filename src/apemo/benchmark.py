@@ -18,6 +18,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, get_type_hints
@@ -29,6 +30,8 @@ from .scheduler import (
     POLICY_TRAITS,
     PolicyKind,
     SchedulerConfig,
+    first_repair,
+    plain_twin,
     run_trajectory,
 )
 from .tasks import TASKS
@@ -335,6 +338,7 @@ class RunStore:
         self._lock = threading.Lock()
         self._records: dict[RunKey, RunRecord] = {}
         self.block: Optional[str] = None  # every stored record's block; None while empty
+        self.trap_turn: Optional[int] = None  # every stored record's trap turn
         if self.path.exists():
             self._load()
 
@@ -379,15 +383,21 @@ class RunStore:
 
     def _admit(self, record: RunRecord, where: str) -> None:
         """File one record, refusing another block's (checked first, so both
-        blocks are named even when the run keys are equal) or a stored run key."""
+        blocks are named even when the run keys are equal), one of another
+        trap turn, or a stored run key."""
         if self.block is not None and record.block != self.block:
             raise StoreError(f"{where}: a record of block {record.block!r} in a store of "
                              f"block {self.block!r}; a store holds one block")
+        if self.block is not None and record.trap_turn != self.trap_turn:
+            raise StoreError(f"{where}: a record with trap_turn {record.trap_turn!r} in a "
+                             f"store of trap_turn {self.trap_turn!r}; a store holds one "
+                             "trap setting")
         if record.run_key in self._records:
             raise StoreError(f"{where}: run key {record.run_key} is stored twice; a store "
                              "holds one record per run key")
         self._records[record.run_key] = record
         self.block = record.block
+        self.trap_turn = record.trap_turn
 
     def get(self, key: RunKey) -> Optional[RunRecord]:
         return self._records.get(key)
@@ -415,10 +425,20 @@ class RunStore:
 
 def check_store(block: BlockConfig, store: RunStore) -> None:
     """Refuse a store that resuming or reporting `block` would mix: records of
-    another block, or simulator records of another stream."""
-    if store.block not in (None, block.name):
+    another block, of another trap turn, or simulator records of another
+    stream."""
+    if store.block is None:
+        return
+    if store.block != block.name:
         raise StoreError(f"{store.path}: holds records of block {store.block!r}, "
                          f"not {block.name!r}; move the file")
+    trap_turn = block.trap.trap_turn if block.trap is not None else None
+    if store.trap_turn != trap_turn:
+        raise StoreError(
+            f"{store.path}: holds records of trap_turn {store.trap_turn!r}, but block "
+            f"{block.name!r} has trap_turn {trap_turn!r}; resuming or reporting it would "
+            "mix them, so rerun the block afresh (--no-resume) or move the file"
+        )
     if block.executor != "abm":
         return
     for record in store.records():
@@ -464,27 +484,59 @@ def run_cell(
     model_id: str,
     seed: int,
     policy: PolicyKind,
+    shared: Optional[dict] = None,
 ) -> RunRecord:
-    """Run all episodes of one cell and aggregate them."""
+    """Run all episodes of one cell and aggregate them.
+
+    shared, one dict per (model, seed) task of a simulator block, passes runs
+    between that task's cells. A policy that is the plain twin of another
+    policy of the block (scheduler.plain_twin) logs its episodes into it.
+    That detecting policy, run later, then copies each logged trajectory it
+    is granted no negative-peak repair on, and resumes the others from the
+    turn of their first such repair (scheduler.first_repair). The records are
+    those of full runs because the simulator is a pure function of (context,
+    allocation, seed); a model server is not, so an llm block passes no dict.
+    """
+    logged = shared.get(plain_twin(block.policies, policy)) if shared is not None else None
+    logs = shared is not None and policy in _twins(block.policies)
+    runs = []
     trajectories = []
     for episode in range(block.episodes):
         task = TASKS[episode % len(TASKS)]
         cfg = replace(settings.scheduler, task=task)
+        start = None
+        if logged is not None:
+            twin_run, twin_log = logged[episode]
+            start = first_repair(policy, twin_log, block.budget_cap, cfg)
+            if start is None:
+                trajectories.append(replace(twin_run, policy=policy.value))
+                continue
         exec_seed = derive_seed(model_id, seed, episode)
         executor = _make_executor(block, settings, model_id, exec_seed, policy)
-        trajectories.append(
-            run_trajectory(
-                policy,
-                executor,
-                block.horizon,
-                block.budget_cap,
-                seed=exec_seed,
-                cfg=cfg,
-                model_id=model_id,
-                episode_id=episode,
-            )
+        log = [] if logs else None
+        trajectory = run_trajectory(
+            policy,
+            executor,
+            block.horizon,
+            block.budget_cap,
+            seed=exec_seed,
+            cfg=cfg,
+            model_id=model_id,
+            episode_id=episode,
+            log=log,
+            start=start,
         )
+        trajectories.append(trajectory)
+        runs.append((trajectory, log))
+    if logs:
+        shared[policy] = runs
     return aggregate_run(block, model_id, seed, policy, trajectories, settings.weights, settings.reuse)
+
+
+@lru_cache(maxsize=64)
+def _twins(policies: tuple[PolicyKind, ...]) -> frozenset[PolicyKind]:
+    """The policies of a block that are the plain twin of another of its policies."""
+    return frozenset(filter(None, (plain_twin(policies, p) for p in policies)))
 
 
 def run_block(
@@ -502,8 +554,12 @@ def run_block(
     policies share one thread's draw cache on a simulator block. At
     workers = 1 each record is stored as its cell completes; at workers > 1
     a task's records are stored together, so an interrupted run keeps whole
-    (model, seed) groups. A store of another block, or of another simulator
-    stream, raises StoreError (see check_store), and an unreachable LLM
+    (model, seed) groups. On a simulator block a task also shares runs: a
+    detecting policy copies or resumes its plain twin's run (see run_cell),
+    which relies on the simulator being a pure function of (context,
+    allocation, seed); the records are those of cells run alone. A twin
+    resumed from the store shares nothing. A store of another block, trap
+    turn or simulator stream raises StoreError (see check_store), and an unreachable LLM
     endpoint aborts, before any cell runs; per-turn executor failures only
     mark runs.
     """
@@ -533,8 +589,9 @@ def run_block(
             pending.append((model, seed, policy))
 
     def execute(task: list[tuple[str, int, PolicyKind]]) -> Iterator[RunRecord]:
+        shared = {} if block.executor == "abm" else None
         for model, seed, policy in task:
-            yield run_cell(block, settings, model, seed, policy)
+            yield run_cell(block, settings, model, seed, policy, shared)
 
     # one task per (model, seed): its policies share one thread's draw cache
     tasks = [list(group) for _, group in groupby(pending, key=lambda cell: cell[:2])]

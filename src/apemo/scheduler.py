@@ -12,10 +12,10 @@ overdrawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .executor import Executor, ExecutorError, TurnContext, TurnOutcome, fallback_outcome
 from .signals import SignalConfig, TextDigest, compute_proxies, frustration_score
@@ -262,6 +262,31 @@ def detect_negative_peak(
     return score >= cfg.frustration_threshold
 
 
+def peak_repair_granted(
+    ok: bool,
+    prior_quality: Optional[float],
+    quality: float,
+    score: Optional[float],
+    detection: DetectionConfig,
+    repairs_used: int,
+    max_repairs: int,
+    headroom: int,
+) -> bool:
+    """Whether a turn's first attempt is granted a negative-peak repair.
+
+    It is when the attempt succeeded, detection fires on it, a repair is
+    left, and the cap leaves headroom (cap minus spent): the ledger grants
+    min(want, headroom) and want is at least one token. run_trajectory and
+    first_repair both decide by this test.
+    """
+    return (
+        ok
+        and detect_negative_peak(prior_quality, quality, score, detection)
+        and repairs_used < max_repairs
+        and headroom > 0
+    )
+
+
 def request_repair(
     ledger: BudgetLedger, reason: RepairReason, want_tokens: int, trigger_turn: int
 ) -> RepairDecision:
@@ -295,10 +320,108 @@ def _critique_note(reason: RepairReason, quality: float) -> str:
     )
 
 
+def _frustration(
+    digest: TextDigest,
+    digests: Sequence[TextDigest],
+    task_digest: TextDigest,
+    lengths: Sequence[int],
+    signal: SignalConfig,
+    prev_score: Optional[float],
+) -> float:
+    """Frustration score of an output's digest after the kept turns before it."""
+    proxies = compute_proxies(digest, digests, task_digest, lengths)
+    return frustration_score(proxies, signal, prev_score)
+
+
 @lru_cache(maxsize=64)
 def _task_digest(task: str, order: int) -> TextDigest:
     """Digest of the task wording, built once per (task, order); digests are immutable."""
     return TextDigest.from_text(task, order)
+
+
+def plain_twin(policies: Sequence[PolicyKind], policy: PolicyKind) -> Optional[PolicyKind]:
+    """The earlier policy of `policies` whose run `policy` can resume from, or None.
+
+    The twin has policy's traits with both detect flags off, and it monitors,
+    so both pay the same overhead and get the same allocations. Their runs on
+    one executor and seed are then the same, turn for turn, until policy is
+    first granted a negative-peak repair (see first_repair).
+    """
+    traits = POLICY_TRAITS[policy]
+    if not (traits.detect_quality or traits.detect_frustration):
+        return None
+    plain = replace(traits, detect_quality=False, detect_frustration=False)
+    if not plain.monitors or policy not in policies:
+        return None
+    earlier = policies[: policies.index(policy)]
+    return next((p for p in earlier if POLICY_TRAITS[p] == plain), None)
+
+
+class TurnLog(NamedTuple):
+    """One turn of a logged run.
+
+    ledger (policy, repair and overhead cost, then the ending reserve) and
+    fallback are the loop state at the start of the turn. ok and first are
+    the first attempt's success and outcome; score is its digest's
+    frustration score, or None when a retry replaced it (first_repair scores
+    it then); spent is the ledger's total after it. digest, text and record
+    are what the turn kept.
+    """
+
+    ledger: tuple[int, int, int, int]
+    fallback: bool
+    ok: bool
+    first: TurnOutcome
+    score: Optional[float]
+    spent: int
+    digest: TextDigest
+    text: str
+    record: TurnRecord
+
+
+class Checkpoint(NamedTuple):
+    """A turn boundary of a logged run to resume from: the turns logged before
+    it, and the log entry of the turn itself, whose ledger and fallback the
+    resumed turn starts from. No negative-peak repair precedes it."""
+
+    before: tuple[TurnLog, ...]
+    at: TurnLog
+
+
+def first_repair(
+    policy: PolicyKind, log: Sequence[TurnLog], budget_cap: int, cfg: SchedulerConfig
+) -> Optional[Checkpoint]:
+    """The checkpoint of the first turn at which `policy` would be granted a
+    negative-peak repair on `log`, or None when there is no such turn.
+
+    The log must come from a run of policy's plain twin (see plain_twin) with
+    the same executor, horizon, cap, seed and cfg. Up to that turn, policy
+    makes the same attempts and ledger moves as the twin, so its run resumed
+    from the checkpoint equals its full run; with no such turn, its run is
+    the twin's.
+    """
+    detection = effective_detection(POLICY_TRAITS[policy], cfg.detection)
+    order = cfg.signal.ngram_order
+    prior_quality: Optional[float] = None
+    prev_score: Optional[float] = None
+    for turn, entry in enumerate(log):
+        score = entry.score
+        if score is None:  # the twin kept a retry; a detecting policy reads the first attempt
+            before = log[:turn]
+            score = _frustration(
+                TextDigest.from_tokens(entry.first.tokens, order),
+                [e.digest for e in before],
+                _task_digest(cfg.task, order),
+                [e.digest.token_count for e in before],
+                cfg.signal,
+                prev_score,
+            )
+        if peak_repair_granted(entry.ok, prior_quality, entry.first.quality, score, detection,
+                               0, cfg.max_repairs, budget_cap - entry.spent):
+            return Checkpoint(tuple(log[:turn]), entry)
+        prior_quality = entry.record.quality
+        prev_score = entry.record.frustration
+    return None
 
 
 def run_trajectory(
@@ -310,6 +433,8 @@ def run_trajectory(
     cfg: SchedulerConfig,
     model_id: str = "abm",
     episode_id: int = 0,
+    log: Optional[list[TurnLog]] = None,
+    start: Optional[Checkpoint] = None,
 ) -> Trajectory:
     """Execute one full trajectory under a policy, returning the sealed record.
 
@@ -324,6 +449,11 @@ def run_trajectory(
     propagates. Signals are read once per turn from the digest of the kept
     output, built here from its tokens at cfg.signal.ngram_order; an attempt
     that is not kept is never digested.
+
+    A list passed as log receives one TurnLog per executed turn. start, a
+    checkpoint from first_repair, resumes the loop at its turn with the
+    logged state; the result equals the full run only if the executor is a
+    pure function of (context, allocation, seed), as executor.py states.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -336,20 +466,23 @@ def run_trajectory(
     overhead = cfg.monitor_overhead if traits.monitors else 0
     # the first turn that gets ending re-executions; past the horizon when none does
     ending_from = horizon - 1 if traits.peak_end and horizon >= 2 else horizon + 1
-    ledger = BudgetLedger(cap=budget_cap)
     base = turn_base_budget(policy, budget_cap, horizon, cfg)
     signal = cfg.signal
     order = signal.ngram_order
     task_digest = _task_digest(cfg.task, order)
 
-    turns: list[TurnRecord] = []
-    kept_texts: list[str] = []
-    digest_history: list[TextDigest] = []
-    length_history: list[int] = []
-    prior_quality: Optional[float] = None
-    prev_score: Optional[float] = None
+    if start is None:
+        before, ledger, fallback = (), BudgetLedger(budget_cap), False
+    else:
+        before, ledger = start.before, BudgetLedger(budget_cap, *start.at.ledger)
+        fallback = start.at.fallback
+    turns = [entry.record for entry in before]
+    kept_texts = [entry.text for entry in before]
+    digest_history = [entry.digest for entry in before]
+    length_history = [digest.token_count for digest in digest_history]
+    prior_quality = turns[-1].quality if turns else None
+    prev_score = turns[-1].frustration if turns else None
     repairs_used = 0
-    fallback = False
     # the current turn: its kept outcome, tokens spent, attempts made, and
     # whether a repair attempt succeeded
     kept: TurnOutcome
@@ -402,10 +535,13 @@ def run_trajectory(
         return True
 
     def score_signal(digest: TextDigest) -> float:
-        proxies = compute_proxies(digest, digest_history, task_digest, length_history)
-        return frustration_score(proxies, signal, prev_score)
+        return _frustration(digest, digest_history, task_digest, length_history, signal, prev_score)
 
-    for turn in range(1, horizon + 1):
+    for turn in range(len(before) + 1, horizon + 1):
+        if log is not None:
+            at_start = (ledger.policy_cost, ledger.repair_cost, ledger.overhead_cost,
+                        ledger.reserve_end)
+            fallback_at_start = fallback
         if overhead:
             ledger.charge_overhead(min(overhead, ledger.unreserved_remaining()))
         alloc = plan_turn_budget(policy, ledger, turn, horizon, cfg)
@@ -421,15 +557,14 @@ def run_trajectory(
         repaired = False
         ok = attempt(ctx, alloc)
         first = kept
+        spent_first = ledger.total_spent
 
         score: Optional[float] = None
         if ok and detects:
             digest = TextDigest.from_tokens(first.tokens, order)
             score = score_signal(digest)
-            if (
-                detect_negative_peak(ctx.prior_quality, first.quality, score, detection)
-                and repairs_used < cfg.max_repairs
-            ):
+            if peak_repair_granted(ok, ctx.prior_quality, first.quality, score, detection,
+                                   repairs_used, cfg.max_repairs, budget_cap - spent_first):
                 want = max(1, math.ceil(cfg.repair_factor * max(alloc, base)))
                 if try_repair(ctx, RepairReason.NEGATIVE_PEAK, want):
                     repairs_used += 1
@@ -443,24 +578,28 @@ def run_trajectory(
 
         # the score depends only on the kept output and the prior turns, so the
         # detection digest and score stand unless a retry replaced the outcome
+        first_score = score
         if score is None or kept is not first:
             digest = TextDigest.from_tokens(kept.tokens, order)
             score = score_signal(digest)
+        record = TurnRecord(
+            index=turn,
+            quality=kept.quality,
+            frustration=score,
+            tokens_spent=spent,
+            repaired=repaired,
+            trapped=first.trapped,
+        )
+        if log is not None:
+            log.append(TurnLog(at_start, fallback_at_start, ok, first,
+                               score if kept is first else first_score,
+                               spent_first, digest, kept.text, record))
         prior_quality = kept.quality
         prev_score = score
         kept_texts.append(kept.text)
         digest_history.append(digest)
         length_history.append(digest.token_count)
-        turns.append(
-            TurnRecord(
-                index=turn,
-                quality=kept.quality,
-                frustration=score,
-                tokens_spent=spent,
-                repaired=repaired,
-                trapped=first.trapped,
-            )
-        )
+        turns.append(record)
 
     return Trajectory(
         turns=tuple(turns),

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from dataclasses import replace
 
 import pytest
 
-from apemo import benchmark
-from apemo.abm import STREAM_VERSION, AbmConfig, TrapSpec
+from apemo import benchmark, scheduler
+from apemo.abm import STREAM_VERSION, AbmConfig, AbmExecutor, TrapSpec
+from apemo.executor import ExecutorError
 from apemo.benchmark import (
     BlockConfig,
     RunRecord,
@@ -21,8 +23,18 @@ from apemo.benchmark import (
     run_block,
     trap_metrics,
 )
-from apemo.scheduler import PolicyKind
+from apemo.llm import LlmExecutor, ModelEndpoint
+from apemo.mock_server import MockModelServer
+from apemo.scheduler import (
+    DetectionConfig,
+    PolicyKind,
+    RepairReason,
+    SchedulerConfig,
+    first_repair,
+    run_trajectory,
+)
 from apemo.trajectory import CostBreakdown, Trajectory, TurnRecord
+from hostile_executors import HOSTILE_EXECUTORS, HostileExecutor
 
 
 def sim_block(**overrides) -> BlockConfig:
@@ -438,3 +450,171 @@ def test_reopened_store_reads_the_appended_lines(tmp_path):
     reopened = RunStore(path)
     assert [r.to_dict() for r in reopened.records()] == [r.to_dict() for r in records]
     assert path.read_bytes() == b"".join(lines)
+
+
+# (plain twin, detecting policy) shares runs; the other two orders must not
+SHARING_ORDERS = (
+    (PolicyKind.TASK_PEAK_END, PolicyKind.APEMO),
+    (PolicyKind.APEMO, PolicyKind.TASK_PEAK_END),
+    (PolicyKind.UNIFORM, PolicyKind.TASK_AFFECT),
+)
+
+
+def _lines(records) -> list[str]:
+    return [json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records]
+
+
+def _cells_alone(block, settings) -> list[RunRecord]:
+    """Every cell of the grid run on its own, sharing no run, in grid order."""
+    return [benchmark.run_cell(block, settings, model, seed, policy)
+            for model in block.models for seed in block.seeds for policy in block.policies]
+
+
+def test_shared_runs_give_the_record_lines_of_cells_run_alone(tmp_path, monkeypatch):
+    outcomes = {"resumed": 0, "copied": 0}
+    real_first_repair = benchmark.first_repair
+
+    def counting(*args):
+        start = real_first_repair(*args)
+        outcomes["copied" if start is None else "resumed"] += 1
+        return start
+
+    monkeypatch.setattr(benchmark, "first_repair", counting)
+    rng = random.Random(28)
+    for case in range(60):
+        horizon = rng.randint(1, 12)
+        trap = None
+        if horizon >= 4 and rng.random() < 0.5:
+            trap = TrapSpec(trap_turn=rng.randint(2, horizon - 2),
+                            severity=rng.choice((0.2, 0.4, 0.6)))
+        block = sim_block(
+            name=f"fuzz{case}",
+            models=("abm-a", "abm-b"),
+            horizon=horizon,
+            episodes=rng.randint(1, 2),
+            budget_cap=horizon * rng.choice((1, 2, 8, 30, 85, 200)),  # down to 1 token a turn
+            policies=SHARING_ORDERS[case % len(SHARING_ORDERS)],
+            seeds=tuple(rng.sample(range(1, 10**6), 2)),
+            trap=trap,
+            abm=AbmConfig(noise_sd=rng.choice((0.05, 0.12, 0.25))),
+        )
+        settings = RuntimeSettings(scheduler=SchedulerConfig(
+            max_repairs=rng.randint(0, 3), monitor_overhead=rng.choice((0, 15, 40)),
+            detection=DetectionConfig(frustration_threshold=rng.choice((0.7, 0.3)))))
+        expected = _lines(_cells_alone(block, settings))
+        for workers in (1, 2):
+            path = tmp_path / f"{block.name}.w{workers}.runs.jsonl"
+            records = run_block(block, settings, store=RunStore(path), workers=workers)
+            assert _lines(records) == expected, (case, workers)
+            assert path.read_text().splitlines(keepends=True) == expected, (case, workers)
+    # both ways of sharing a run were taken, each many times
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+class SecondTurnFailingExecutor(HostileExecutor):
+    """Simulator whose first attempt at turn 2 raises ExecutorError."""
+
+    def execute_turn(self, ctx, allocated_tokens, seed):
+        if ctx.turn == 2 and ctx.attempt == 0:
+            self.failed = True
+            raise ExecutorError("injected first-attempt failure")
+        return self.inner.execute_turn(ctx, allocated_tokens, seed)
+
+
+@pytest.mark.parametrize("hostile", (None, *HOSTILE_EXECUTORS, SecondTurnFailingExecutor),
+                         ids=lambda h: h.__name__ if h else "simulator")
+def test_a_run_resumed_at_its_first_repair_equals_the_full_run(hostile, monkeypatch):
+    granted = []  # trigger turns of the negative-peak repairs granted in a full run
+    real_request = scheduler.request_repair
+
+    def recording(ledger, reason, want, turn):
+        decision = real_request(ledger, reason, want, turn)
+        if reason is RepairReason.NEGATIVE_PEAK and decision.granted_tokens > 0:
+            granted.append(turn)
+        return decision
+
+    monkeypatch.setattr(scheduler, "request_repair", recording)
+    starts = []
+    for seed in range(1, 121):
+        # lower frustration thresholds make the clause that reads the score fire
+        cfg = SchedulerConfig(
+            detection=DetectionConfig(frustration_threshold=(0.7, 0.45, 0.3)[seed % 3]),
+            max_repairs=(2, 0, 1, 3)[seed % 4],
+        )
+        cap = (680, 680, 200, 24, 8)[seed % 5]
+        trap = TrapSpec(trap_turn=4, severity=0.4) if seed % 2 else None
+        executor = AbmExecutor(AbmConfig(noise_sd=0.12), seed, trap=trap)
+        if hostile is not None:
+            executor = hostile(executor)
+        log: list = []
+        twin = run_trajectory(PolicyKind.TASK_PEAK_END, executor, 8, cap, seed, cfg, log=log)
+        assert twin == run_trajectory(PolicyKind.TASK_PEAK_END, executor, 8, cap, seed, cfg)
+        assert len(log) == 8
+        granted.clear()
+        full_log: list = []
+        full = run_trajectory(PolicyKind.APEMO, executor, 8, cap, seed, cfg, log=full_log)
+        start = first_repair(PolicyKind.APEMO, log, cap, cfg)
+        assert (len(start.before) + 1 if start else None) == (granted[0] if granted else None)
+        if start is None:
+            assert replace(twin, policy="apemo") == full
+        else:
+            resumed_log: list = []
+            resumed = run_trajectory(PolicyKind.APEMO, executor, 8, cap, seed, cfg,
+                                     log=resumed_log, start=start)
+            assert resumed == full
+            # every turn from the checkpoint on starts from the full run's state
+            assert resumed_log == full_log[len(start.before):]
+        starts.append(start)
+    resumed_at = [len(start.before) + 1 for start in starts if start is not None]
+    assert len(resumed_at) >= 10
+    if hostile is None:  # the simulator also copies runs and resumes late ones
+        assert None in starts and max(resumed_at) > 4
+
+
+def _count_calls(monkeypatch, owner: type) -> list[int]:
+    calls = [0]
+    real = owner.execute_turn
+
+    def counted(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, "execute_turn", counted)
+    return calls
+
+
+@pytest.mark.parametrize("policies", SHARING_ORDERS, ids=lambda p: f"{p[0].value}-{p[1].value}")
+def test_a_simulator_block_shares_runs_only_from_a_plain_twin_listed_first(
+    monkeypatch, policies
+):
+    block = sim_block(horizon=8, budget_cap=680, policies=policies, trap=TrapSpec(4, 0.4))
+    calls = _count_calls(monkeypatch, AbmExecutor)
+    alone = _cells_alone(block, RuntimeSettings())
+    unshared, calls[0] = calls[0], 0
+    shared = run_block(block, RuntimeSettings())
+    assert _lines(shared) == _lines(alone)
+    if policies == (PolicyKind.TASK_PEAK_END, PolicyKind.APEMO):
+        assert calls[0] < unshared
+    else:
+        assert calls[0] == unshared
+
+
+def test_a_model_server_block_shares_no_runs(monkeypatch):
+    block = sim_block(
+        name="llmshare", executor="llm", models=("test-model",), horizon=4, episodes=1,
+        budget_cap=600, policies=(PolicyKind.TASK_PEAK_END, PolicyKind.APEMO), seeds=(1, 2),
+    )
+    calls = _count_calls(monkeypatch, LlmExecutor)
+    with MockModelServer() as server:
+        settings = RuntimeSettings(endpoint=ModelEndpoint(
+            base_url=server.url, model_id="test-model", timeout=5.0, max_retries=0,
+            backoff_base=0.01))
+        alone = _cells_alone(block, settings)
+        unshared, calls[0] = calls[0], 0
+        transcript = list(server.transcript)
+        server.transcript.clear()
+        shared = run_block(block, settings)
+    assert _lines(shared) == _lines(alone)
+    assert calls[0] == unshared
+    # each cell sends the same requests in the same order, so each policy's do
+    assert server.transcript == transcript

@@ -334,6 +334,57 @@ def test_simulate_refuses_a_store_of_another_block(two_caps, capsys):
     assert _tree(out) == before
 
 
+TRAP_LATER_CONFIG = """
+blocks:
+  t: {{executor: abm, models: [abm-a], horizon: 6, episodes: 1, budget_cap: 900,
+      policies: [uniform, apemo], seeds: {seeds}{trap}}}
+"""
+
+
+def _trap_later_config(tmp_path, name: str, seeds: str, trap: str = "") -> str:
+    path = tmp_path / name
+    path.write_text(TRAP_LATER_CONFIG.format(seeds=seeds, trap=trap), encoding="utf-8")
+    return str(path)
+
+
+def test_resuming_a_block_under_another_trap_exits_2_before_any_cell(tmp_path, capsys):
+    # seeds 1-2 without a trap, then the block gains a trap and a seed: resume
+    # would store trapped records beside trap-less ones, so it is refused
+    out = tmp_path / "runs"
+    plain = _trap_later_config(tmp_path, "plain.yaml", "[1, 2]")
+    trapped = _trap_later_config(tmp_path, "trapped.yaml", "[1, 2, 3]",
+                                 ", trap: {trap_turn: 3, severity: 0.4}")
+    assert main(["simulate", "--config", plain, "--block", "t", "--out", str(out)]) == 0
+    before = _tree(out)
+    capsys.readouterr()
+
+    assert main(["simulate", "--config", trapped, "--block", "t", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"store error: {out / 't.runs.jsonl'}: " in captured.err
+    assert "trap_turn None" in captured.err and "trap_turn 3" in captured.err
+    assert "run model=" not in captured.out
+    assert _tree(out) == before
+
+
+def test_report_refuses_a_store_that_mixes_trap_settings(tmp_path, capsys):
+    out, trapped_out = tmp_path / "runs", tmp_path / "trapped"
+    plain = _trap_later_config(tmp_path, "plain.yaml", "[1, 2]")
+    trapped = _trap_later_config(tmp_path, "trapped.yaml", "[3]",
+                                 ", trap: {trap_turn: 3, severity: 0.4}")
+    assert main(["simulate", "--config", plain, "--block", "t", "--out", str(out)]) == 0
+    assert main(["simulate", "--config", trapped, "--block", "t", "--out", str(trapped_out)]) == 0
+    assert main(["report", "--config", plain, "--records", str(out)]) == 0
+    runs_file = out / "t.runs.jsonl"
+    runs_file.write_text(runs_file.read_text() + (trapped_out / "t.runs.jsonl").read_text())
+    before = _tree(out)  # the mixed store, the manifest and the earlier reports
+    assert any(path.parts[0] == "reports" for path in before)
+    capsys.readouterr()
+
+    assert main(["report", "--config", plain, "--records", str(out)]) == 2
+    assert f"store error: {runs_file}:5: " in capsys.readouterr().err
+    assert _tree(out) == before
+
+
 @pytest.mark.parametrize("repeated", ["another block's records", "its own first record"])
 def test_report_refuses_a_store_holding_a_run_key_twice(two_caps, capsys, repeated):
     config, out = two_caps
