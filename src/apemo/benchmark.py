@@ -18,7 +18,6 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import lru_cache
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, get_type_hints
@@ -489,16 +488,19 @@ def run_cell(
     """Run all episodes of one cell and aggregate them.
 
     shared, one dict per (model, seed) task of a simulator block, passes runs
-    between that task's cells. A policy that is the plain twin of another
-    policy of the block (scheduler.plain_twin) logs its episodes into it.
-    That detecting policy, run later, then copies each logged trajectory it
-    is granted no negative-peak repair on, and resumes the others from the
-    turn of their first such repair (scheduler.first_repair). The records are
-    those of full runs because the simulator is a pure function of (context,
-    allocation, seed); a model server is not, so an llm block passes no dict.
+    between that task's cells. Its keys are the policies of the block that
+    are the plain twin of another (scheduler.plain_twin); such a policy logs
+    its episodes into it. That detecting policy, run later, then copies each
+    logged trajectory it is granted no negative-peak repair on, and resumes
+    the others from the turn of their first such repair
+    (scheduler.first_repair). A twin that has not run (its record was
+    resumed from the store) leaves None, and the policy runs in full. The
+    records are those of full runs because the simulator is a pure function
+    of (context, allocation, seed); a model server is not, so an llm block
+    passes no dict.
     """
     logged = shared.get(plain_twin(block.policies, policy)) if shared is not None else None
-    logs = shared is not None and policy in _twins(block.policies)
+    logs = shared is not None and policy in shared
     runs = []
     trajectories = []
     for episode in range(block.episodes):
@@ -531,12 +533,6 @@ def run_cell(
     if logs:
         shared[policy] = runs
     return aggregate_run(block, model_id, seed, policy, trajectories, settings.weights, settings.reuse)
-
-
-@lru_cache(maxsize=64)
-def _twins(policies: tuple[PolicyKind, ...]) -> frozenset[PolicyKind]:
-    """The policies of a block that are the plain twin of another of its policies."""
-    return frozenset(filter(None, (plain_twin(policies, p) for p in policies)))
 
 
 def run_block(
@@ -588,8 +584,11 @@ def run_block(
         else:
             pending.append((model, seed, policy))
 
+    # the policies of the block that another one resumes from; run_cell logs their runs
+    twins = {plain_twin(block.policies, policy) for policy in block.policies} - {None}
+
     def execute(task: list[tuple[str, int, PolicyKind]]) -> Iterator[RunRecord]:
-        shared = {} if block.executor == "abm" else None
+        shared = dict.fromkeys(twins) if block.executor == "abm" else None
         for model, seed, policy in task:
             yield run_cell(block, settings, model, seed, policy, shared)
 

@@ -320,19 +320,6 @@ def _critique_note(reason: RepairReason, quality: float) -> str:
     )
 
 
-def _frustration(
-    digest: TextDigest,
-    digests: Sequence[TextDigest],
-    task_digest: TextDigest,
-    lengths: Sequence[int],
-    signal: SignalConfig,
-    prev_score: Optional[float],
-) -> float:
-    """Frustration score of an output's digest after the kept turns before it."""
-    proxies = compute_proxies(digest, digests, task_digest, lengths)
-    return frustration_score(proxies, signal, prev_score)
-
-
 @lru_cache(maxsize=64)
 def _task_digest(task: str, order: int) -> TextDigest:
     """Digest of the task wording, built once per (task, order); digests are immutable."""
@@ -363,16 +350,15 @@ class TurnLog(NamedTuple):
     ledger (policy, repair and overhead cost, then the ending reserve) and
     fallback are the loop state at the start of the turn. ok and first are
     the first attempt's success and outcome; score is its digest's
-    frustration score, or None when a retry replaced it (first_repair scores
-    it then); spent is the ledger's total after it. digest, text and record
-    are what the turn kept.
+    frustration score, also when a retry replaced it; spent is the ledger's
+    total after it. digest, text and record are what the turn kept.
     """
 
     ledger: tuple[int, int, int, int]
     fallback: bool
     ok: bool
     first: TurnOutcome
-    score: Optional[float]
+    score: float
     spent: int
     digest: TextDigest
     text: str
@@ -401,26 +387,12 @@ def first_repair(
     the twin's.
     """
     detection = effective_detection(POLICY_TRAITS[policy], cfg.detection)
-    order = cfg.signal.ngram_order
     prior_quality: Optional[float] = None
-    prev_score: Optional[float] = None
     for turn, entry in enumerate(log):
-        score = entry.score
-        if score is None:  # the twin kept a retry; a detecting policy reads the first attempt
-            before = log[:turn]
-            score = _frustration(
-                TextDigest.from_tokens(entry.first.tokens, order),
-                [e.digest for e in before],
-                _task_digest(cfg.task, order),
-                [e.digest.token_count for e in before],
-                cfg.signal,
-                prev_score,
-            )
-        if peak_repair_granted(entry.ok, prior_quality, entry.first.quality, score, detection,
-                               0, cfg.max_repairs, budget_cap - entry.spent):
+        if peak_repair_granted(entry.ok, prior_quality, entry.first.quality, entry.score,
+                               detection, 0, cfg.max_repairs, budget_cap - entry.spent):
             return Checkpoint(tuple(log[:turn]), entry)
         prior_quality = entry.record.quality
-        prev_score = entry.record.frustration
     return None
 
 
@@ -535,7 +507,8 @@ def run_trajectory(
         return True
 
     def score_signal(digest: TextDigest) -> float:
-        return _frustration(digest, digest_history, task_digest, length_history, signal, prev_score)
+        proxies = compute_proxies(digest, digest_history, task_digest, length_history)
+        return frustration_score(proxies, signal, prev_score)
 
     for turn in range(len(before) + 1, horizon + 1):
         if log is not None:
@@ -591,8 +564,11 @@ def run_trajectory(
             trapped=first.trapped,
         )
         if log is not None:
-            log.append(TurnLog(at_start, fallback_at_start, ok, first,
-                               score if kept is first else first_score,
+            if kept is first:
+                first_score = score
+            elif first_score is None:  # a detecting policy resuming this run reads it
+                first_score = score_signal(TextDigest.from_tokens(first.tokens, order))
+            log.append(TurnLog(at_start, fallback_at_start, ok, first, first_score,
                                spent_first, digest, kept.text, record))
         prior_quality = kept.quality
         prev_score = score

@@ -555,6 +555,9 @@ def test_a_run_resumed_at_its_first_repair_equals_the_full_run(hostile, monkeypa
         full = run_trajectory(PolicyKind.APEMO, executor, 8, cap, seed, cfg, log=full_log)
         start = first_repair(PolicyKind.APEMO, log, cap, cfg)
         assert (len(start.before) + 1 if start else None) == (granted[0] if granted else None)
+        # up to its first repair the detecting run logs the twin's turns, scores included
+        shared_turns = len(start.before) if start else 8
+        assert log[:shared_turns] == full_log[:shared_turns]
         if start is None:
             assert replace(twin, policy="apemo") == full
         else:
@@ -597,6 +600,21 @@ def test_a_simulator_block_shares_runs_only_from_a_plain_twin_listed_first(
         assert calls[0] < unshared
     else:
         assert calls[0] == unshared
+
+
+def test_a_twin_resumed_from_the_store_shares_no_runs(tmp_path, monkeypatch):
+    block = sim_block(horizon=8, budget_cap=680, policies=SHARING_ORDERS[0],
+                      trap=TrapSpec(4, 0.4))
+    alone = _cells_alone(block, RuntimeSettings())
+    store = RunStore(tmp_path / "runs.jsonl")
+    for record in alone:
+        if record.policy == PolicyKind.TASK_PEAK_END.value:
+            store.append(record)
+    asked = []
+    monkeypatch.setattr(benchmark, "first_repair", lambda *args: asked.append(args))
+    records = run_block(block, RuntimeSettings(), store=store)
+    assert _lines(records) == _lines(alone)
+    assert asked == []  # apemo ran every episode in full
 
 
 def test_a_model_server_block_shares_no_runs(monkeypatch):
