@@ -29,7 +29,6 @@ from .scheduler import (
     POLICY_TRAITS,
     PolicyKind,
     SchedulerConfig,
-    first_repair,
     plain_twin,
     run_trajectory,
 )
@@ -338,6 +337,7 @@ class RunStore:
         self._records: dict[RunKey, RunRecord] = {}
         self.block: Optional[str] = None  # every stored record's block; None while empty
         self.trap_turn: Optional[int] = None  # every stored record's trap turn
+        self.stream_version: Optional[int] = None  # every stored record's stream version
         if self.path.exists():
             self._load()
 
@@ -383,7 +383,7 @@ class RunStore:
     def _admit(self, record: RunRecord, where: str) -> None:
         """File one record, refusing another block's (checked first, so both
         blocks are named even when the run keys are equal), one of another
-        trap turn, or a stored run key."""
+        trap turn or simulator stream, or a stored run key."""
         if self.block is not None and record.block != self.block:
             raise StoreError(f"{where}: a record of block {record.block!r} in a store of "
                              f"block {self.block!r}; a store holds one block")
@@ -391,12 +391,17 @@ class RunStore:
             raise StoreError(f"{where}: a record with trap_turn {record.trap_turn!r} in a "
                              f"store of trap_turn {self.trap_turn!r}; a store holds one "
                              "trap setting")
+        if self.block is not None and record.stream_version != self.stream_version:
+            raise StoreError(f"{where}: a record with stream_version {record.stream_version!r} "
+                             f"in a store of stream_version {self.stream_version!r}; a store "
+                             "holds one simulator stream")
         if record.run_key in self._records:
             raise StoreError(f"{where}: run key {record.run_key} is stored twice; a store "
                              "holds one record per run key")
         self._records[record.run_key] = record
         self.block = record.block
         self.trap_turn = record.trap_turn
+        self.stream_version = record.stream_version
 
     def get(self, key: RunKey) -> Optional[RunRecord]:
         return self._records.get(key)
@@ -424,8 +429,8 @@ class RunStore:
 
 def check_store(block: BlockConfig, store: RunStore) -> None:
     """Refuse a store that resuming or reporting `block` would mix: records of
-    another block, of another trap turn, or simulator records of another
-    stream."""
+    another block, of another trap turn, or of another simulator stream (a
+    model-server block's records carry none)."""
     if store.block is None:
         return
     if store.block != block.name:
@@ -438,16 +443,14 @@ def check_store(block: BlockConfig, store: RunStore) -> None:
             f"{block.name!r} has trap_turn {trap_turn!r}; resuming or reporting it would "
             "mix them, so rerun the block afresh (--no-resume) or move the file"
         )
-    if block.executor != "abm":
-        return
-    for record in store.records():
-        if record.stream_version != STREAM_VERSION:
-            raise StoreError(
-                f"{store.path}: record {record.run_key} has stream_version "
-                f"{record.stream_version!r}, but this simulator writes stream "
-                f"{STREAM_VERSION}; resuming or reporting it would mix them, so rerun "
-                "the block afresh (--no-resume) or move the file"
-            )
+    stream_version = STREAM_VERSION if block.executor == "abm" else None
+    if store.stream_version != stream_version:
+        raise StoreError(
+            f"{store.path}: holds records of stream_version {store.stream_version!r}, but "
+            f"block {block.name!r} writes stream_version {stream_version!r}; resuming or "
+            "reporting it would mix them, so rerun the block afresh (--no-resume) or move "
+            "the file"
+        )
 
 
 @dataclass(frozen=True)
@@ -490,14 +493,13 @@ def run_cell(
     shared, one dict per (model, seed) task of a simulator block, passes runs
     between that task's cells. Its keys are the policies of the block that
     are the plain twin of another (scheduler.plain_twin); such a policy logs
-    its episodes into it. That detecting policy, run later, then copies each
-    logged trajectory it is granted no negative-peak repair on, and resumes
-    the others from the turn of their first such repair
-    (scheduler.first_repair). A twin that has not run (its record was
-    resumed from the store) leaves None, and the policy runs in full. The
-    records are those of full runs because the simulator is a pure function
-    of (context, allocation, seed); a model server is not, so an llm block
-    passes no dict.
+    its episodes into it. That detecting policy, run later, hands each
+    logged episode to run_trajectory(twin=...), the one place that copies
+    the twin's trajectory or resumes it at the first negative-peak repair.
+    A twin that has not run (its record was resumed from the store) leaves
+    None, and the policy runs in full. The records are those of full runs
+    because the simulator is a pure function of (context, allocation,
+    seed); a model server is not, so an llm block passes no dict.
     """
     logged = shared.get(plain_twin(block.policies, policy)) if shared is not None else None
     logs = shared is not None and policy in shared
@@ -506,13 +508,6 @@ def run_cell(
     for episode in range(block.episodes):
         task = TASKS[episode % len(TASKS)]
         cfg = replace(settings.scheduler, task=task)
-        start = None
-        if logged is not None:
-            twin_run, twin_log = logged[episode]
-            start = first_repair(policy, twin_log, block.budget_cap, cfg)
-            if start is None:
-                trajectories.append(replace(twin_run, policy=policy.value))
-                continue
         exec_seed = derive_seed(model_id, seed, episode)
         executor = _make_executor(block, settings, model_id, exec_seed, policy)
         log = [] if logs else None
@@ -526,7 +521,7 @@ def run_cell(
             model_id=model_id,
             episode_id=episode,
             log=log,
-            start=start,
+            twin=logged[episode] if logged is not None else None,
         )
         trajectories.append(trajectory)
         runs.append((trajectory, log))
@@ -551,13 +546,13 @@ def run_block(
     workers = 1 each record is stored as its cell completes; at workers > 1
     a task's records are stored together, so an interrupted run keeps whole
     (model, seed) groups. On a simulator block a task also shares runs: a
-    detecting policy copies or resumes its plain twin's run (see run_cell),
-    which relies on the simulator being a pure function of (context,
-    allocation, seed); the records are those of cells run alone. A twin
-    resumed from the store shares nothing. A store of another block, trap
-    turn or simulator stream raises StoreError (see check_store), and an unreachable LLM
-    endpoint aborts, before any cell runs; per-turn executor failures only
-    mark runs.
+    detecting policy's run_trajectory(twin=...) copies or resumes its plain
+    twin's run (see run_cell), which relies on the simulator being a pure
+    function of (context, allocation, seed); the records are those of cells
+    run alone. A twin resumed from the store shares nothing. A store of
+    another block, trap turn or simulator stream raises StoreError (see
+    check_store), and an unreachable LLM endpoint aborts, before any cell
+    runs; per-turn executor failures only mark runs.
     """
     if store is not None:
         check_store(block, store)

@@ -365,33 +365,23 @@ class TurnLog(NamedTuple):
     record: TurnRecord
 
 
-class Checkpoint(NamedTuple):
-    """A turn boundary of a logged run to resume from: the turns logged before
-    it, and the log entry of the turn itself, whose ledger and fallback the
-    resumed turn starts from. No negative-peak repair precedes it."""
-
-    before: tuple[TurnLog, ...]
-    at: TurnLog
-
-
 def first_repair(
     policy: PolicyKind, log: Sequence[TurnLog], budget_cap: int, cfg: SchedulerConfig
-) -> Optional[Checkpoint]:
-    """The checkpoint of the first turn at which `policy` would be granted a
-    negative-peak repair on `log`, or None when there is no such turn.
+) -> Optional[int]:
+    """The index in `log` of the first turn at which `policy` would be granted
+    a negative-peak repair, or None when there is no such turn.
 
     The log must come from a run of policy's plain twin (see plain_twin) with
     the same executor, horizon, cap, seed and cfg. Up to that turn, policy
     makes the same attempts and ledger moves as the twin, so its run resumed
-    from the checkpoint equals its full run; with no such turn, its run is
-    the twin's.
+    there equals its full run; with no such turn, its run is the twin's.
     """
     detection = effective_detection(POLICY_TRAITS[policy], cfg.detection)
     prior_quality: Optional[float] = None
     for turn, entry in enumerate(log):
         if peak_repair_granted(entry.ok, prior_quality, entry.first.quality, entry.score,
                                detection, 0, cfg.max_repairs, budget_cap - entry.spent):
-            return Checkpoint(tuple(log[:turn]), entry)
+            return turn
         prior_quality = entry.record.quality
     return None
 
@@ -406,7 +396,7 @@ def run_trajectory(
     model_id: str = "abm",
     episode_id: int = 0,
     log: Optional[list[TurnLog]] = None,
-    start: Optional[Checkpoint] = None,
+    twin: Optional[tuple[Trajectory, Sequence[TurnLog]]] = None,
 ) -> Trajectory:
     """Execute one full trajectory under a policy, returning the sealed record.
 
@@ -422,10 +412,13 @@ def run_trajectory(
     output, built here from its tokens at cfg.signal.ngram_order; an attempt
     that is not kept is never digested.
 
-    A list passed as log receives one TurnLog per executed turn. start, a
-    checkpoint from first_repair, resumes the loop at its turn with the
-    logged state; the result equals the full run only if the executor is a
-    pure function of (context, allocation, seed), as executor.py states.
+    A list passed as log receives one TurnLog per executed turn. twin is
+    the run and log of policy's plain twin (see plain_twin) on the same
+    executor and seed. The twin's run is copied when first_repair finds no
+    turn to repair on its log; otherwise the loop resumes at that turn with
+    the logged state. Either result equals the full run only if the
+    executor is a pure function of (context, allocation, seed), as
+    executor.py states.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -443,11 +436,15 @@ def run_trajectory(
     order = signal.ngram_order
     task_digest = _task_digest(cfg.task, order)
 
-    if start is None:
+    if twin is None:
         before, ledger, fallback = (), BudgetLedger(budget_cap), False
     else:
-        before, ledger = start.before, BudgetLedger(budget_cap, *start.at.ledger)
-        fallback = start.at.fallback
+        twin_run, twin_log = twin
+        at = first_repair(policy, twin_log, budget_cap, cfg)
+        if at is None:
+            return replace(twin_run, policy=policy.value)
+        before, ledger = twin_log[:at], BudgetLedger(budget_cap, *twin_log[at].ledger)
+        fallback = twin_log[at].fallback
     turns = [entry.record for entry in before]
     kept_texts = [entry.text for entry in before]
     digest_history = [entry.digest for entry in before]

@@ -125,6 +125,20 @@ def test_resume_refuses_records_of_another_stream(tmp_path):
     assert store_path.read_text() == json.dumps(row) + "\n"
 
 
+def test_store_refuses_a_line_of_another_stream_at_load(tmp_path):
+    path = tmp_path / "s.runs.jsonl"
+    run_block(sim_block(seeds=(1,)), RuntimeSettings(), store=RunStore(path))
+    first, second = path.read_text().splitlines(keepends=True)
+    row = json.loads(second)
+    row["stream_version"] = STREAM_VERSION - 1
+    mixed = first + json.dumps(row, sort_keys=True) + "\n"
+    path.write_text(mixed)
+    with pytest.raises(StoreError, match=re.escape(f"{path}:2: ") + ".*stream_version "
+                       f"{STREAM_VERSION - 1} in a store of stream_version {STREAM_VERSION}"):
+        RunStore(path)
+    assert path.read_text() == mixed
+
+
 def test_store_rejects_duplicate_keys(tmp_path):
     store = RunStore(tmp_path / "x.jsonl")
     records = run_block(sim_block(seeds=(1,)), RuntimeSettings())
@@ -472,14 +486,14 @@ def _cells_alone(block, settings) -> list[RunRecord]:
 
 def test_shared_runs_give_the_record_lines_of_cells_run_alone(tmp_path, monkeypatch):
     outcomes = {"resumed": 0, "copied": 0}
-    real_first_repair = benchmark.first_repair
+    real_first_repair = scheduler.first_repair
 
     def counting(*args):
-        start = real_first_repair(*args)
-        outcomes["copied" if start is None else "resumed"] += 1
-        return start
+        at = real_first_repair(*args)
+        outcomes["copied" if at is None else "resumed"] += 1
+        return at
 
-    monkeypatch.setattr(benchmark, "first_repair", counting)
+    monkeypatch.setattr(scheduler, "first_repair", counting)
     rng = random.Random(28)
     for case in range(60):
         horizon = rng.randint(1, 12)
@@ -553,22 +567,23 @@ def test_a_run_resumed_at_its_first_repair_equals_the_full_run(hostile, monkeypa
         granted.clear()
         full_log: list = []
         full = run_trajectory(PolicyKind.APEMO, executor, 8, cap, seed, cfg, log=full_log)
-        start = first_repair(PolicyKind.APEMO, log, cap, cfg)
-        assert (len(start.before) + 1 if start else None) == (granted[0] if granted else None)
+        at = first_repair(PolicyKind.APEMO, log, cap, cfg)
+        assert (at + 1 if at is not None else None) == (granted[0] if granted else None)
         # up to its first repair the detecting run logs the twin's turns, scores included
-        shared_turns = len(start.before) if start else 8
+        shared_turns = at if at is not None else 8
         assert log[:shared_turns] == full_log[:shared_turns]
-        if start is None:
+        resumed_log: list = []
+        resumed = run_trajectory(PolicyKind.APEMO, executor, 8, cap, seed, cfg,
+                                 log=resumed_log, twin=(twin, log))
+        assert resumed == full
+        if at is None:
             assert replace(twin, policy="apemo") == full
+            assert resumed_log == []  # a copy executes no turn, so logs none
         else:
-            resumed_log: list = []
-            resumed = run_trajectory(PolicyKind.APEMO, executor, 8, cap, seed, cfg,
-                                     log=resumed_log, start=start)
-            assert resumed == full
-            # every turn from the checkpoint on starts from the full run's state
-            assert resumed_log == full_log[len(start.before):]
-        starts.append(start)
-    resumed_at = [len(start.before) + 1 for start in starts if start is not None]
+            # every turn from the resumed one on starts from the full run's state
+            assert resumed_log == full_log[at:]
+        starts.append(at)
+    resumed_at = [at + 1 for at in starts if at is not None]
     assert len(resumed_at) >= 10
     if hostile is None:  # the simulator also copies runs and resumes late ones
         assert None in starts and max(resumed_at) > 4
@@ -611,7 +626,7 @@ def test_a_twin_resumed_from_the_store_shares_no_runs(tmp_path, monkeypatch):
         if record.policy == PolicyKind.TASK_PEAK_END.value:
             store.append(record)
     asked = []
-    monkeypatch.setattr(benchmark, "first_repair", lambda *args: asked.append(args))
+    monkeypatch.setattr(scheduler, "first_repair", lambda *args: asked.append(args))
     records = run_block(block, RuntimeSettings(), store=store)
     assert _lines(records) == _lines(alone)
     assert asked == []  # apemo ran every episode in full

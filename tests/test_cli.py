@@ -636,6 +636,51 @@ def test_report_block_without_baseline_writes_no_report(config_path, tmp_path, c
     assert list(reports.iterdir()) == []
 
 
+def test_report_skips_a_block_without_the_target_and_reports_the_other(
+    config_path, tmp_path, capsys
+):
+    out = tmp_path / "runs"
+    for block in ("tiny", "tiny_trap"):
+        assert main(["simulate", "--config", config_path, "--block", block, "--out", str(out)]) == 0
+    capsys.readouterr()
+    # uniform runs in tiny only
+    assert main(["report", "--config", config_path, "--records", str(out),
+                 "--target", "uniform"]) == 0
+    printed = capsys.readouterr().out
+    assert "block tiny_trap: target 'uniform' absent; skipping deltas" in printed
+    reports = out / "reports"
+    assert sorted(p.name for p in reports.iterdir() if p.name.startswith("tiny")) == [
+        "tiny.deltas.jsonl", "tiny.report.txt"]
+    rows = (reports / "tiny.deltas.jsonl").read_text().splitlines()[1:]
+    assert {json.loads(row)["baseline"] for row in rows} == {"task_peak_end", "apemo"}
+    rows = (reports / "frontier.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["tiny (vs apemo)", "tiny (vs task_peak_end)"]
+
+
+def test_report_skips_a_frontier_point_whose_baseline_mean_is_zero(
+    config_path, tmp_path, capsys
+):
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)]) == 0
+    runs_file = out / "tiny.runs.jsonl"
+    rows = [json.loads(line) for line in runs_file.read_text().splitlines()]
+    for row in rows:
+        if row["policy"] == "uniform":
+            row["mean_quality"] = 0.0
+    runs_file.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    capsys.readouterr()
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert ("frontier: skipped tiny vs uniform: baseline mean is zero; relative gain "
+            "undefined") in printed
+    # the block's report still compares both baselines; only the frontier point is gone
+    reports = out / "reports"
+    rows = (reports / "tiny.deltas.jsonl").read_text().splitlines()[1:]
+    assert {json.loads(row)["baseline"] for row in rows} == {"task_peak_end", "uniform"}
+    rows = (reports / "frontier.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["tiny (vs task_peak_end)"]
+
+
 def test_report_leaves_other_files_alone(config_path, tmp_path):
     out = tmp_path / "runs"
     main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)])

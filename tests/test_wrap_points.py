@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+from dataclasses import replace
 
 from apemo import benchmark, scheduler, signals
 from apemo.abm import AbmConfig, AbmExecutor, TrapSpec
@@ -84,3 +85,26 @@ def test_every_wrap_point_is_called_and_records_are_unchanged(tmp_path, monkeypa
     assert (tmp_path / "wrapped.runs.jsonl").read_bytes() == (
         tmp_path / "plain.runs.jsonl"
     ).read_bytes()
+
+
+def test_run_trajectory_is_called_once_per_trajectory_copies_included(monkeypatch):
+    """The tracer's scheduler.run_trajectory.calls counts trajectories: apemo's
+    copies of task_peak_end's runs go through run_trajectory too."""
+    block = replace(trapped_block(), policies=(PolicyKind.TASK_PEAK_END, PolicyKind.APEMO),
+                    trap=TrapSpec(trap_turn=3, severity=0.2))
+    counts: dict[str, int] = {}
+    _counting(benchmark, "run_trajectory", counts, monkeypatch)
+    repairs_at = []
+    real_first_repair = scheduler.first_repair
+
+    def recording(*args):
+        at = real_first_repair(*args)
+        repairs_at.append(at)
+        return at
+
+    monkeypatch.setattr(scheduler, "first_repair", recording)
+    run_block(block, RuntimeSettings())
+    trajectories = block.runs_per_policy * len(block.policies) * block.episodes
+    assert counts["apemo.benchmark.run_trajectory"] == trajectories
+    # apemo copied some episodes and resumed the others
+    assert None in repairs_at and any(at is not None for at in repairs_at)
