@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import chain, groupby
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
 
 from .abm import STREAM_VERSION, AbmConfig, AbmExecutor, TrapSpec
 from .executor import Executor
@@ -53,6 +53,22 @@ RunKey = tuple[str, int, str, int]  # (model, seed, policy, horizon)
 class StoreError(ValueError):
     """A record store that resume or report cannot use; the message names the
     file, and the line where there is one."""
+
+
+class Stamp(NamedTuple):
+    """The record fields one block run fixes, named as on the record; a store,
+    a resume and a report never mix records of two stamps."""
+
+    block: str
+    horizon: int
+    episodes: int
+    trap_turn: Optional[int]
+    stream_version: Optional[int]  # abm.STREAM_VERSION on simulator records
+
+    def difference(self, other: "Stamp") -> tuple[str, object, object]:
+        """The first field where the stamps differ, with this value and other's."""
+        return next((name, mine, theirs) for name, mine, theirs
+                    in zip(self._fields, self, other) if mine != theirs)
 
 
 @dataclass(frozen=True)
@@ -110,6 +126,14 @@ class BlockConfig:
     def runs_per_policy(self) -> int:
         return len(self.models) * len(self.seeds)
 
+    @property
+    def stamp(self) -> Stamp:
+        """The stamp of this block's records: the one place that derives their
+        trap turn and simulator stream version."""
+        trap_turn = self.trap.trap_turn if self.trap is not None else None
+        stream_version = STREAM_VERSION if self.executor == "abm" else None
+        return Stamp(self.name, self.horizon, self.episodes, trap_turn, stream_version)
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -145,6 +169,10 @@ class RunRecord:
     @property
     def run_key(self) -> RunKey:
         return (self.model_id, self.seed, self.policy, self.horizon)
+
+    @property
+    def stamp(self) -> Stamp:
+        return Stamp(self.block, self.horizon, self.episodes, self.trap_turn, self.stream_version)
 
     def to_dict(self) -> dict:
         # every field is flat, so a shallow copy serializes exactly like asdict
@@ -279,31 +307,23 @@ def aggregate_run(
     reuse_vals = [reuse_probability(q, f, reuse) for q, f in zip(peq, frs)]
     costs = [t.cost.total for t in trajectories]
     rpc = [reuse_per_cost(r, c) for r, c in zip(reuse_vals, costs)]
-    horizon = block.horizon
-    q_by_turn = tuple(_mean([q[i] for q in qualities]) for i in range(horizon))
-    s_by_turn = tuple(_mean([s[i] for s in frustrations]) for i in range(horizon))
-    trap_fields: dict[str, Optional[float]] = {
-        "trap_turn": None,
-        "trap_quality_drop": None,
-        "trap_quality_rebound2": None,
-        "trap_frustration_drop2": None,
-    }
-    if block.trap is not None:
-        metrics = [trap_metrics(t, block.trap.trap_turn) for t in trajectories]
+    stamp = block.stamp
+    q_by_turn = tuple(_mean([q[i] for q in qualities]) for i in range(stamp.horizon))
+    s_by_turn = tuple(_mean([s[i] for s in frustrations]) for i in range(stamp.horizon))
+    trap_fields: dict[str, float] = {}
+    if stamp.trap_turn is not None:
+        metrics = [trap_metrics(t, stamp.trap_turn) for t in trajectories]
         trap_fields = {
-            "trap_turn": block.trap.trap_turn,
             "trap_quality_drop": _mean([m["quality_drop"] for m in metrics]),
             "trap_quality_rebound2": _mean([m["quality_rebound2"] for m in metrics]),
             "trap_frustration_drop2": _mean([m["frustration_drop2"] for m in metrics]),
         }
     return RunRecord(
         schema_version=SCHEMA_VERSION,
-        block=block.name,
+        **stamp._asdict(),
         model_id=model_id,
         seed=seed,
         policy=policy.value,
-        horizon=horizon,
-        episodes=len(trajectories),
         mean_quality=_mean([_mean(q) for q in qualities]),
         peak_end_quality=_mean(peq),
         endpoint_quality=_mean([q[-1] for q in qualities]),
@@ -321,7 +341,6 @@ def aggregate_run(
         quality_by_turn=q_by_turn,
         frustration_by_turn=s_by_turn,
         **trap_fields,
-        stream_version=STREAM_VERSION if block.executor == "abm" else None,
     )
 
 
@@ -329,15 +348,14 @@ _APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
 class RunStore:
-    """Append-only JSONL store of one block's run records, resumable by run key."""
+    """Append-only JSONL store of run records, resumable by run key; a store
+    holds one block, horizon, episode count, trap turn and simulator stream."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[RunKey, RunRecord] = {}
-        self.block: Optional[str] = None  # every stored record's block; None while empty
-        self.trap_turn: Optional[int] = None  # every stored record's trap turn
-        self.stream_version: Optional[int] = None  # every stored record's stream version
+        self.stamp: Optional[Stamp] = None  # every stored record's stamp; None while empty
         if self.path.exists():
             self._load()
 
@@ -381,27 +399,20 @@ class RunStore:
                 fh.write(b"\n")
 
     def _admit(self, record: RunRecord, where: str) -> None:
-        """File one record, refusing another block's (checked first, so both
-        blocks are named even when the run keys are equal), one of another
-        trap turn or simulator stream, or a stored run key."""
-        if self.block is not None and record.block != self.block:
-            raise StoreError(f"{where}: a record of block {record.block!r} in a store of "
-                             f"block {self.block!r}; a store holds one block")
-        if self.block is not None and record.trap_turn != self.trap_turn:
-            raise StoreError(f"{where}: a record with trap_turn {record.trap_turn!r} in a "
-                             f"store of trap_turn {self.trap_turn!r}; a store holds one "
-                             "trap setting")
-        if self.block is not None and record.stream_version != self.stream_version:
-            raise StoreError(f"{where}: a record with stream_version {record.stream_version!r} "
-                             f"in a store of stream_version {self.stream_version!r}; a store "
-                             "holds one simulator stream")
+        """File one record, refusing one of another stamp (checked first, so
+        both blocks are named even when the run keys are equal) or a stored
+        run key."""
+        stamp = record.stamp
+        if self.stamp is not None and stamp != self.stamp:
+            name, stored, found = self.stamp.difference(stamp)
+            raise StoreError(f"{where}: a record of {name} {found!r} in a store of {name} "
+                             f"{stored!r}; a store holds one block, horizon, episode count, "
+                             "trap turn and simulator stream")
         if record.run_key in self._records:
             raise StoreError(f"{where}: run key {record.run_key} is stored twice; a store "
                              "holds one record per run key")
         self._records[record.run_key] = record
-        self.block = record.block
-        self.trap_turn = record.trap_turn
-        self.stream_version = record.stream_version
+        self.stamp = stamp
 
     def get(self, key: RunKey) -> Optional[RunRecord]:
         return self._records.get(key)
@@ -428,29 +439,17 @@ class RunStore:
 
 
 def check_store(block: BlockConfig, store: RunStore) -> None:
-    """Refuse a store that resuming or reporting `block` would mix: records of
-    another block, of another trap turn, or of another simulator stream (a
-    model-server block's records carry none)."""
-    if store.block is None:
+    """Refuse a store that resuming or reporting `block` would mix: one whose
+    stamp is not the block's, so of another block, horizon, episode count,
+    trap turn or simulator stream (a model-server block's records carry none)."""
+    if store.stamp is None or store.stamp == block.stamp:
         return
-    if store.block != block.name:
-        raise StoreError(f"{store.path}: holds records of block {store.block!r}, "
-                         f"not {block.name!r}; move the file")
-    trap_turn = block.trap.trap_turn if block.trap is not None else None
-    if store.trap_turn != trap_turn:
-        raise StoreError(
-            f"{store.path}: holds records of trap_turn {store.trap_turn!r}, but block "
-            f"{block.name!r} has trap_turn {trap_turn!r}; resuming or reporting it would "
-            "mix them, so rerun the block afresh (--no-resume) or move the file"
-        )
-    stream_version = STREAM_VERSION if block.executor == "abm" else None
-    if store.stream_version != stream_version:
-        raise StoreError(
-            f"{store.path}: holds records of stream_version {store.stream_version!r}, but "
-            f"block {block.name!r} writes stream_version {stream_version!r}; resuming or "
-            "reporting it would mix them, so rerun the block afresh (--no-resume) or move "
-            "the file"
-        )
+    name, stored, wanted = store.stamp.difference(block.stamp)
+    raise StoreError(
+        f"{store.path}: holds records of {name} {stored!r}, but block {block.name!r} "
+        f"writes {name} {wanted!r}; resuming or reporting it would mix them, so move "
+        "the file or rerun the block afresh (--no-resume)"
+    )
 
 
 @dataclass(frozen=True)
@@ -470,8 +469,6 @@ def _make_executor(
 ) -> Executor:
     if block.executor == "abm":
         return AbmExecutor(block.abm, exec_seed, trap=block.trap)
-    if settings.endpoint is None:
-        raise ValueError(f"block {block.name!r} needs an LLM endpoint configuration")
     return LlmExecutor(
         replace(settings.endpoint, model_id=model_id),
         topology=POLICY_TRAITS[policy].topology,
@@ -549,10 +546,12 @@ def run_block(
     detecting policy's run_trajectory(twin=...) copies or resumes its plain
     twin's run (see run_cell), which relies on the simulator being a pure
     function of (context, allocation, seed); the records are those of cells
-    run alone. A twin resumed from the store shares nothing. A store of
-    another block, trap turn or simulator stream raises StoreError (see
-    check_store), and an unreachable LLM endpoint aborts, before any cell
-    runs; per-turn executor failures only mark runs.
+    run alone. A twin resumed from the store shares nothing. A store holds
+    one block, horizon, episode count, trap turn and simulator stream, so a
+    store of another stamp raises StoreError (see check_store); that, a
+    model-server block without an endpoint (ValueError) and an unreachable
+    endpoint all abort before any cell runs. Per-turn executor failures only
+    mark runs.
     """
     if store is not None:
         check_store(block, store)

@@ -1,11 +1,11 @@
 """Command-line interface: simulate, run-llm, report, validate-config.
 
 Exit codes: 0 success, 2 configuration or store error (a store holds one
-block, one record per run key, and this stream's records for a simulator
-block; report reads one store per block), 3 transport/preflight error, 4
-empty input. All artifacts carry the schema version; report outputs are
-deterministic given (config, seeds, stats seed), so reruns are
-byte-identical and safe to diff.
+block, horizon, episode count, trap turn and simulator stream, and one record
+per run key; report reads one store per block), 3 transport/preflight error,
+4 empty input. The records, the manifest and the .jsonl reports carry the
+schema version; report outputs are deterministic given (config, seeds, stats
+seed), so reruns are byte-identical and safe to diff.
 """
 
 from __future__ import annotations
@@ -156,9 +156,9 @@ def _load_records(cfg: AppConfig, records_dir: Path) -> dict[str, list[RunRecord
     stores: dict[str, RunStore] = {}
     for path in sorted(records_dir.glob("*.runs.jsonl")):
         store = RunStore(path)
-        name = store.block
-        if name is None:
+        if store.stamp is None:
             continue
+        name = store.stamp.block
         if name in stores:
             raise StoreError(
                 f"{stores[name].path} and {path} both hold records of block {name!r}; "

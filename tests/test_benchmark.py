@@ -289,6 +289,17 @@ def test_non_executor_error_propagates_and_resume_keeps_earlier_cells(tmp_path, 
     ]
 
 
+def test_an_llm_block_without_an_endpoint_raises_before_any_cell(tmp_path):
+    block = sim_block(name="no_endpoint", executor="llm")
+    path = tmp_path / "l.runs.jsonl"
+    calls = []
+    with pytest.raises(ValueError, match="block 'no_endpoint' needs an LLM endpoint"):
+        run_block(block, RuntimeSettings(), store=RunStore(path),
+                  on_record=lambda rec, resumed: calls.append(rec))
+    assert calls == []
+    assert not path.exists()
+
+
 def test_trap_block_records_carry_trap_fields():
     block = sim_block(
         name="trapblock", horizon=8, budget_cap=1600, episodes=1,
@@ -392,6 +403,20 @@ def test_store_completes_an_unterminated_final_record(tmp_path):
     assert path.read_bytes() == intact
 
 
+@pytest.mark.parametrize("field, value", [("horizon", 5), ("episodes", 1)])
+def test_store_refuses_a_line_of_another_horizon_or_episode_count_at_load(tmp_path, field, value):
+    path, other = tmp_path / "s.runs.jsonl", tmp_path / "other.runs.jsonl"
+    run_block(sim_block(seeds=(1,)), RuntimeSettings(), store=RunStore(path))
+    run_block(sim_block(seeds=(2,), **{field: value}), RuntimeSettings(), store=RunStore(other))
+    mixed = path.read_text() + other.read_text()
+    path.write_text(mixed)
+    stored = getattr(sim_block(), field)
+    with pytest.raises(StoreError, match=re.escape(f"{path}:3: a record of {field} {value} "
+                                                   f"in a store of {field} {stored};")):
+        RunStore(path)
+    assert path.read_text() == mixed
+
+
 def test_store_still_rejects_malformed_complete_line(tmp_path):
     path = tmp_path / "m.runs.jsonl"
     run_block(sim_block(seeds=(1,)), RuntimeSettings(), store=RunStore(path))
@@ -409,15 +434,15 @@ def _one_record(seed: int = 1) -> RunRecord:
 def test_store_append_refuses_a_record_of_another_block(tmp_path):
     path = tmp_path / "a.runs.jsonl"
     store = RunStore(path)
-    assert store.block is None
+    assert store.stamp is None
     store.append(_one_record(1))
-    assert store.block == "blocktest"
+    assert store.stamp.block == "blocktest"
     intact = path.read_bytes()
     other = replace(_one_record(2), block="other")
     with pytest.raises(StoreError, match=re.escape(str(path)) + ".*'other'.*'blocktest'"):
         store.append(other)
     assert path.read_bytes() == intact
-    assert store.get(other.run_key) is None and store.block == "blocktest"
+    assert store.get(other.run_key) is None and store.stamp.block == "blocktest"
     assert [r.block for r in RunStore(path).records()] == ["blocktest"]
 
 

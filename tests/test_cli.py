@@ -385,6 +385,73 @@ def test_report_refuses_a_store_that_mixes_trap_settings(tmp_path, capsys):
     assert _tree(out) == before
 
 
+RESHAPED_CONFIG = """
+blocks:
+  t: {{executor: abm, models: [abm-a], horizon: {horizon}, episodes: {episodes},
+      budget_cap: 1600, policies: [task_peak_end, apemo], seeds: [1, 2, 3],
+      trap: {{trap_turn: 4, severity: 0.4}}}}
+"""
+
+
+def _reshaped_config(tmp_path, name: str, horizon: int = 8, episodes: int = 2) -> str:
+    path = tmp_path / name
+    path.write_text(RESHAPED_CONFIG.format(horizon=horizon, episodes=episodes), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("field, stored, value", [("horizon", 8, 7), ("episodes", 2, 1)])
+def test_resuming_at_another_horizon_or_episode_count_exits_2_before_any_cell(
+    tmp_path, capsys, field, stored, value
+):
+    # resume would store records of two shapes beside each other, or call the
+    # stored records of the old shape resumed, so it is refused
+    out = tmp_path / "runs"
+    first = _reshaped_config(tmp_path, "first.yaml")
+    reshaped = _reshaped_config(tmp_path, "reshaped.yaml", **{field: value})
+    assert main(["simulate", "--config", first, "--block", "t", "--out", str(out)]) == 0
+    before = _tree(out)
+    capsys.readouterr()
+
+    assert main(["simulate", "--config", reshaped, "--block", "t", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"store error: {out / 't.runs.jsonl'}: " in captured.err
+    assert f"{field} {stored}" in captured.err and f"{field} {value}" in captured.err
+    assert "run model=" not in captured.out
+    assert _tree(out) == before
+
+
+def test_report_refuses_a_store_that_mixes_horizons(tmp_path, capsys):
+    out, short_out = tmp_path / "runs", tmp_path / "short"
+    config = _reshaped_config(tmp_path, "long.yaml")
+    short = _reshaped_config(tmp_path, "short.yaml", horizon=7)
+    assert main(["simulate", "--config", config, "--block", "t", "--out", str(out)]) == 0
+    assert main(["simulate", "--config", short, "--block", "t", "--out", str(short_out)]) == 0
+    assert main(["report", "--config", config, "--records", str(out)]) == 0
+    runs_file = out / "t.runs.jsonl"
+    runs_file.write_text(runs_file.read_text() + (short_out / "t.runs.jsonl").read_text())
+    before = _tree(out)  # the mixed store, the manifest and the earlier reports
+    assert any(path.parts[0] == "reports" for path in before)
+    capsys.readouterr()
+
+    assert main(["report", "--config", config, "--records", str(out)]) == 2
+    assert f"store error: {runs_file}:7: a record of horizon 7" in capsys.readouterr().err
+    assert _tree(out) == before
+
+
+def test_report_skips_a_store_left_empty_by_a_cut_torn_append(config_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", config_path, "--block", "tiny", "--out", str(out)]) == 0
+    torn = out / "tiny_trap.runs.jsonl"
+    torn.write_text((out / "tiny.runs.jsonl").read_text()[:40])  # a first append cut short
+    capsys.readouterr()
+
+    assert main(["report", "--config", config_path, "--records", str(out)]) == 0
+    assert torn.read_bytes() == b""  # the torn line is cut, leaving no record
+    reports = sorted(path.name for path in (out / "reports").iterdir())
+    assert "tiny.report.txt" in reports
+    assert not any(name.startswith("tiny_trap.") for name in reports)
+
+
 @pytest.mark.parametrize("repeated", ["another block's records", "its own first record"])
 def test_report_refuses_a_store_holding_a_run_key_twice(two_caps, capsys, repeated):
     config, out = two_caps
