@@ -3,8 +3,8 @@
 A block is a grid of (model, seed, policy) cells sharing a horizon, budget
 cap, episode count, executor kind, and optional trap. Each cell runs its
 episodes, aggregates episode metrics into one run record, and persists it
-as a JSON line keyed by (model, seed, policy, horizon); reruns resume from
-the persisted store without re-executing completed cells.
+as a JSON line keyed by (model, seed, policy); reruns resume from the
+persisted store without re-executing completed cells.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-RunKey = tuple[str, int, str, int]  # (model, seed, policy, horizon)
+RunKey = tuple[str, int, str]  # (model, seed, policy); a store holds one horizon
 
 
 class StoreError(ValueError):
@@ -137,7 +137,7 @@ class BlockConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Run-level aggregate of episode metrics for one (model, seed, policy, T) cell."""
+    """Run-level aggregate of episode metrics for one (model, seed, policy) cell."""
 
     schema_version: int
     block: str
@@ -168,7 +168,7 @@ class RunRecord:
 
     @property
     def run_key(self) -> RunKey:
-        return (self.model_id, self.seed, self.policy, self.horizon)
+        return (self.model_id, self.seed, self.policy)
 
     @property
     def stamp(self) -> Stamp:
@@ -299,14 +299,17 @@ def aggregate_run(
     weights: ObjectiveWeights,
     reuse: ReuseParams,
 ) -> RunRecord:
-    """Fold episode trajectories into one run-level record (means over episodes)."""
+    """Fold episode trajectories into one run-level record (means over episodes).
+
+    An episode that spent no token has no reuse per cost; it counts as 0.
+    """
     qualities = [t.qualities() for t in trajectories]
     frustrations = [t.frustrations() for t in trajectories]
     peq = [peak_end_quality(t, weights) for t in trajectories]
     frs = [average_frustration(t) for t in trajectories]
     reuse_vals = [reuse_probability(q, f, reuse) for q, f in zip(peq, frs)]
     costs = [t.cost.total for t in trajectories]
-    rpc = [reuse_per_cost(r, c) for r, c in zip(reuse_vals, costs)]
+    rpc = [reuse_per_cost(r, c) if c > 0 else 0.0 for r, c in zip(reuse_vals, costs)]
     stamp = block.stamp
     q_by_turn = tuple(_mean([q[i] for q in qualities]) for i in range(stamp.horizon))
     s_by_turn = tuple(_mean([s[i] for s in frustrations]) for i in range(stamp.horizon))
@@ -488,27 +491,25 @@ def run_cell(
     """Run all episodes of one cell and aggregate them.
 
     shared, one dict per (model, seed) task of a simulator block, passes runs
-    between that task's cells. Its keys are the policies of the block that
-    are the plain twin of another (scheduler.plain_twin); such a policy logs
-    its episodes into it. That detecting policy, run later, hands each
-    logged episode to run_trajectory(twin=...), the one place that copies
-    the twin's trajectory or resumes it at the first negative-peak repair.
-    A twin that has not run (its record was resumed from the store) leaves
-    None, and the policy runs in full. The records are those of full runs
-    because the simulator is a pure function of (context, allocation,
-    seed); a model server is not, so an llm block passes no dict.
+    between that task's cells: each cell stores its episodes' logs under its
+    policy. A detecting policy whose plain twin (scheduler.plain_twin) ran
+    earlier in the task hands each twin log to run_trajectory(twin=...),
+    which takes the twin's turns up to the first negative-peak repair and
+    executes the rest. A twin that has not run (its record was resumed from
+    the store) has no entry, and the policy runs in full. The records are
+    those of full runs because the simulator is a pure function of (context,
+    allocation, seed); a model server is not, so an llm block passes no dict.
     """
-    logged = shared.get(plain_twin(block.policies, policy)) if shared is not None else None
-    logs = shared is not None and policy in shared
-    runs = []
+    twin_logs = shared.get(plain_twin(block.policies, policy)) if shared is not None else None
+    logs = []
     trajectories = []
     for episode in range(block.episodes):
         task = TASKS[episode % len(TASKS)]
         cfg = replace(settings.scheduler, task=task)
         exec_seed = derive_seed(model_id, seed, episode)
         executor = _make_executor(block, settings, model_id, exec_seed, policy)
-        log = [] if logs else None
-        trajectory = run_trajectory(
+        log = []
+        trajectories.append(run_trajectory(
             policy,
             executor,
             block.horizon,
@@ -518,12 +519,11 @@ def run_cell(
             model_id=model_id,
             episode_id=episode,
             log=log,
-            twin=logged[episode] if logged is not None else None,
-        )
-        trajectories.append(trajectory)
-        runs.append((trajectory, log))
-    if logs:
-        shared[policy] = runs
+            twin=twin_logs[episode] if twin_logs is not None else None,
+        ))
+        logs.append(log)
+    if shared is not None:
+        shared[policy] = logs
     return aggregate_run(block, model_id, seed, policy, trajectories, settings.weights, settings.reuse)
 
 
@@ -543,15 +543,15 @@ def run_block(
     workers = 1 each record is stored as its cell completes; at workers > 1
     a task's records are stored together, so an interrupted run keeps whole
     (model, seed) groups. On a simulator block a task also shares runs: a
-    detecting policy's run_trajectory(twin=...) copies or resumes its plain
-    twin's run (see run_cell), which relies on the simulator being a pure
-    function of (context, allocation, seed); the records are those of cells
-    run alone. A twin resumed from the store shares nothing. A store holds
-    one block, horizon, episode count, trap turn and simulator stream, so a
-    store of another stamp raises StoreError (see check_store); that, a
-    model-server block without an endpoint (ValueError) and an unreachable
-    endpoint all abort before any cell runs. Per-turn executor failures only
-    mark runs.
+    detecting policy resumes each episode from its plain twin's log at its
+    first negative-peak repair, or takes the whole log when it has none (see
+    run_cell). That relies on the simulator being a pure function of
+    (context, allocation, seed); the records are those of cells run alone. A
+    twin resumed from the store shares nothing. A store holds one block,
+    horizon, episode count, trap turn and simulator stream, so a store of
+    another stamp raises StoreError (see check_store); that, a model-server
+    block without an endpoint (ValueError) and an unreachable endpoint all
+    abort before any cell runs. Per-turn executor failures only mark runs.
     """
     if store is not None:
         check_store(block, store)
@@ -569,7 +569,7 @@ def run_block(
     results: dict[RunKey, RunRecord] = {}
     pending = []
     for model, seed, policy in cells:
-        key = (model, seed, policy.value, block.horizon)
+        key = (model, seed, policy.value)
         record = store.get(key) if store is not None else None
         if record is not None:
             results[key] = record
@@ -578,11 +578,8 @@ def run_block(
         else:
             pending.append((model, seed, policy))
 
-    # the policies of the block that another one resumes from; run_cell logs their runs
-    twins = {plain_twin(block.policies, policy) for policy in block.policies} - {None}
-
     def execute(task: list[tuple[str, int, PolicyKind]]) -> Iterator[RunRecord]:
-        shared = dict.fromkeys(twins) if block.executor == "abm" else None
+        shared = {} if block.executor == "abm" else None
         for model, seed, policy in task:
             yield run_cell(block, settings, model, seed, policy, shared)
 
@@ -599,7 +596,7 @@ def run_block(
                 on_record(record, False)
 
     ordered = [
-        results[(model, seed, policy.value, block.horizon)]
+        results[(model, seed, policy.value)]
         for model, seed, policy in cells
     ]
     return ordered

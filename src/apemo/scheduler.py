@@ -266,7 +266,7 @@ def peak_repair_granted(
     ok: bool,
     prior_quality: Optional[float],
     quality: float,
-    score: Optional[float],
+    score: float,
     detection: DetectionConfig,
     repairs_used: int,
     max_repairs: int,
@@ -290,7 +290,7 @@ def peak_repair_granted(
 def request_repair(
     ledger: BudgetLedger, reason: RepairReason, want_tokens: int, trigger_turn: int
 ) -> RepairDecision:
-    """Ask the ledger to fund a repair; a zero grant means the repair is skipped."""
+    """Ask the ledger to fund a repair of want_tokens, or of what it has left."""
     if want_tokens <= 0:
         raise ValueError(f"want_tokens must be > 0, got {want_tokens}")
     granted = ledger.grant_repair(want_tokens)
@@ -345,24 +345,26 @@ def plain_twin(policies: Sequence[PolicyKind], policy: PolicyKind) -> Optional[P
 
 
 class TurnLog(NamedTuple):
-    """One turn of a logged run.
+    """One turn of a run, and the run's state at the turn's end.
 
-    ledger (policy, repair and overhead cost, then the ending reserve) and
-    fallback are the loop state at the start of the turn. ok and first are
-    the first attempt's success and outcome; score is its digest's
-    frustration score, also when a retry replaced it; spent is the ledger's
-    total after it. digest, text and record are what the turn kept.
+    ok and first are the first attempt's success and outcome; score is its
+    digest's frustration score, also when a retry replaced it; spent is the
+    ledger's total after it. record is what the turn kept. ledger (policy,
+    repair and overhead cost, then the ending reserve) and fallback are the
+    loop state at the end of the turn, and texts and digests hold the kept
+    outputs of every turn so far, so a run resumed after this turn starts
+    from this entry alone.
     """
 
-    ledger: tuple[int, int, int, int]
-    fallback: bool
     ok: bool
     first: TurnOutcome
     score: float
     spent: int
-    digest: TextDigest
-    text: str
     record: TurnRecord
+    ledger: tuple[int, int, int, int]
+    fallback: bool
+    texts: tuple[str, ...]
+    digests: tuple[TextDigest, ...]
 
 
 def first_repair(
@@ -396,7 +398,7 @@ def run_trajectory(
     model_id: str = "abm",
     episode_id: int = 0,
     log: Optional[list[TurnLog]] = None,
-    twin: Optional[tuple[Trajectory, Sequence[TurnLog]]] = None,
+    twin: Optional[Sequence[TurnLog]] = None,
 ) -> Trajectory:
     """Execute one full trajectory under a policy, returning the sealed record.
 
@@ -408,17 +410,18 @@ def run_trajectory(
     cap, and a retry is kept only if strictly better.
     An ExecutorError records a zero-quality attempt, charged the tokens the
     error reports, and marks the trajectory as fallback; any other exception
-    propagates. Signals are read once per turn from the digest of the kept
-    output, built here from its tokens at cfg.signal.ngram_order; an attempt
-    that is not kept is never digested.
+    propagates. Signals are read from digests built here from an attempt's
+    tokens at cfg.signal.ngram_order: every first attempt is digested and
+    scored once, and a retry only when it is kept.
 
-    A list passed as log receives one TurnLog per executed turn. twin is
-    the run and log of policy's plain twin (see plain_twin) on the same
-    executor and seed. The twin's run is copied when first_repair finds no
-    turn to repair on its log; otherwise the loop resumes at that turn with
-    the logged state. Either result equals the full run only if the
-    executor is a pure function of (context, allocation, seed), as
-    executor.py states.
+    The run's only history is its log, one TurnLog per turn: the caller's
+    list (empty) when given, else its own. twin is the log of policy's plain
+    twin (see plain_twin) on the same executor and seed. The run takes the
+    twin's turns before the first one that first_repair finds (every turn
+    when there is none), then executes the rest from the last taken entry's
+    state; so its log is the twin's prefix plus its own turns, and can
+    itself be resumed. The result equals the full run only if the executor
+    is a pure function of (context, allocation, seed), as executor.py states.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -427,7 +430,6 @@ def run_trajectory(
 
     traits = POLICY_TRAITS[policy]
     detection = effective_detection(traits, cfg.detection)
-    detects = traits.detect_quality or traits.detect_frustration
     overhead = cfg.monitor_overhead if traits.monitors else 0
     # the first turn that gets ending re-executions; past the horizon when none does
     ending_from = horizon - 1 if traits.peak_end and horizon >= 2 else horizon + 1
@@ -436,21 +438,14 @@ def run_trajectory(
     order = signal.ngram_order
     task_digest = _task_digest(cfg.task, order)
 
-    if twin is None:
-        before, ledger, fallback = (), BudgetLedger(budget_cap), False
+    if log is None:
+        log = []
+    if twin is not None:
+        log.extend(twin[:first_repair(policy, twin, budget_cap, cfg)])
+    if log:
+        ledger, fallback = BudgetLedger(budget_cap, *log[-1].ledger), log[-1].fallback
     else:
-        twin_run, twin_log = twin
-        at = first_repair(policy, twin_log, budget_cap, cfg)
-        if at is None:
-            return replace(twin_run, policy=policy.value)
-        before, ledger = twin_log[:at], BudgetLedger(budget_cap, *twin_log[at].ledger)
-        fallback = twin_log[at].fallback
-    turns = [entry.record for entry in before]
-    kept_texts = [entry.text for entry in before]
-    digest_history = [entry.digest for entry in before]
-    length_history = [digest.token_count for digest in digest_history]
-    prior_quality = turns[-1].quality if turns else None
-    prev_score = turns[-1].frustration if turns else None
+        ledger, fallback = BudgetLedger(budget_cap), False
     repairs_used = 0
     # the current turn: its kept outcome, tokens spent, attempts made, and
     # whether a repair attempt succeeded
@@ -461,12 +456,14 @@ def run_trajectory(
     def attempt(ctx: TurnContext, alloc: int, reason: Optional[RepairReason] = None) -> bool:
         """Run one execution attempt of the current turn; return whether it succeeded.
 
-        The first pass (no reason) is charged to policy cost. A retry
-        re-executes with a critique of the kept output for its reason,
-        spends a grant of alloc tokens and refunds its unused part.
+        The first pass (no reason) is charged to policy cost. A retry asks
+        the ledger to fund alloc tokens, which a caller asks only when the
+        ledger can grant some, re-executes with a critique of the kept output
+        for its reason, and refunds the unused part of the grant.
         """
         nonlocal kept, spent, tries, repaired, fallback
         if reason is not None:
+            alloc = request_repair(ledger, reason, alloc, ctx.turn).granted_tokens
             ctx = TurnContext(
                 task=ctx.task,
                 turn=ctx.turn,
@@ -495,23 +492,18 @@ def run_trajectory(
             kept = outcome
         return ok
 
-    def try_repair(ctx: TurnContext, reason: RepairReason, want: int) -> bool:
-        """Fund and run one repair attempt; return whether a grant was issued."""
-        decision = request_repair(ledger, reason, want, ctx.turn)
-        if decision.granted_tokens <= 0:
-            return False
-        attempt(ctx, decision.granted_tokens, reason)
-        return True
-
     def score_signal(digest: TextDigest) -> float:
-        proxies = compute_proxies(digest, digest_history, task_digest, length_history)
-        return frustration_score(proxies, signal, prev_score)
+        return frustration_score(compute_proxies(digest, digests, task_digest), signal,
+                                 prev_score)
 
-    for turn in range(len(before) + 1, horizon + 1):
-        if log is not None:
-            at_start = (ledger.policy_cost, ledger.repair_cost, ledger.overhead_cost,
-                        ledger.reserve_end)
-            fallback_at_start = fallback
+    for turn in range(len(log) + 1, horizon + 1):
+        if log:
+            last = log[-1]
+            prior_quality, prev_score = last.record.quality, last.record.frustration
+            texts, digests = last.texts, last.digests
+        else:
+            prior_quality = prev_score = None
+            texts = digests = ()
         if overhead:
             ledger.charge_overhead(min(overhead, ledger.unreserved_remaining()))
         alloc = plan_turn_budget(policy, ledger, turn, horizon, cfg)
@@ -521,35 +513,30 @@ def run_trajectory(
             horizon=horizon,
             attempt=0,
             prior_quality=prior_quality,
-            history=tuple(kept_texts),
+            history=texts,
         )
         spent = tries = 0
         repaired = False
         ok = attempt(ctx, alloc)
         first = kept
         spent_first = ledger.total_spent
+        digest = TextDigest.from_tokens(first.tokens, order)
+        first_score = score = score_signal(digest)
 
-        score: Optional[float] = None
-        if ok and detects:
-            digest = TextDigest.from_tokens(first.tokens, order)
-            score = score_signal(digest)
-            if peak_repair_granted(ok, ctx.prior_quality, first.quality, score, detection,
-                                   repairs_used, cfg.max_repairs, budget_cap - spent_first):
-                want = max(1, math.ceil(cfg.repair_factor * max(alloc, base)))
-                if try_repair(ctx, RepairReason.NEGATIVE_PEAK, want):
-                    repairs_used += 1
+        if peak_repair_granted(ok, prior_quality, first.quality, score, detection,
+                               repairs_used, cfg.max_repairs, budget_cap - spent_first):
+            attempt(ctx, max(1, math.ceil(cfg.repair_factor * max(alloc, base))),
+                    RepairReason.NEGATIVE_PEAK)
+            repairs_used += 1
 
-        if ok and turn >= ending_from:
-            if kept.quality < cfg.ending_threshold:
-                passes_left = horizon - turn + 1
-                want = ledger.reserve_end // passes_left
-                if want > 0:
-                    try_repair(ctx, RepairReason.ENDING_STABILIZATION, want)
+        if ok and turn >= ending_from and kept.quality < cfg.ending_threshold:
+            want = ledger.reserve_end // (horizon - turn + 1)
+            if want > 0:
+                attempt(ctx, want, RepairReason.ENDING_STABILIZATION)
 
         # the score depends only on the kept output and the prior turns, so the
-        # detection digest and score stand unless a retry replaced the outcome
-        first_score = score
-        if score is None or kept is not first:
+        # first attempt's stands unless a retry replaced it
+        if kept is not first:
             digest = TextDigest.from_tokens(kept.tokens, order)
             score = score_signal(digest)
         record = TurnRecord(
@@ -560,22 +547,14 @@ def run_trajectory(
             repaired=repaired,
             trapped=first.trapped,
         )
-        if log is not None:
-            if kept is first:
-                first_score = score
-            elif first_score is None:  # a detecting policy resuming this run reads it
-                first_score = score_signal(TextDigest.from_tokens(first.tokens, order))
-            log.append(TurnLog(at_start, fallback_at_start, ok, first, first_score,
-                               spent_first, digest, kept.text, record))
-        prior_quality = kept.quality
-        prev_score = score
-        kept_texts.append(kept.text)
-        digest_history.append(digest)
-        length_history.append(digest.token_count)
-        turns.append(record)
+        log.append(TurnLog(
+            ok, first, first_score, spent_first, record,
+            (ledger.policy_cost, ledger.repair_cost, ledger.overhead_cost, ledger.reserve_end),
+            fallback, texts + (kept.text,), digests + (digest,),
+        ))
 
     return Trajectory(
-        turns=tuple(turns),
+        turns=tuple(entry.record for entry in log),
         policy=policy.value,
         model_id=model_id,
         seed=seed,

@@ -172,14 +172,12 @@ def frustration_score(
 
 
 def compute_proxies(
-    current: TextDigest,
-    history: Sequence[TextDigest],
-    task: TextDigest,
-    length_history: Sequence[int],
+    current: TextDigest, history: Sequence[TextDigest], task: TextDigest
 ) -> ProxyVector:
-    """Evaluate all three proxies for the current output."""
+    """Evaluate all three proxies for the current output against the prior
+    turns' digests, whose token counts are the length history."""
     return ProxyVector(
         repetition_similarity=repetition_similarity(current, history),
         context_drift=context_drift(current, task),
-        length_anomaly=length_anomaly(current.token_count, length_history),
+        length_anomaly=length_anomaly(current.token_count, [d.token_count for d in history]),
     )

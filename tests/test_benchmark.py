@@ -599,14 +599,12 @@ def test_a_run_resumed_at_its_first_repair_equals_the_full_run(hostile, monkeypa
         assert log[:shared_turns] == full_log[:shared_turns]
         resumed_log: list = []
         resumed = run_trajectory(PolicyKind.APEMO, executor, 8, cap, seed, cfg,
-                                 log=resumed_log, twin=(twin, log))
+                                 log=resumed_log, twin=log)
         assert resumed == full
+        # the twin's prefix plus the turns run from its last entry: the full run's log
+        assert resumed_log == full_log
         if at is None:
             assert replace(twin, policy="apemo") == full
-            assert resumed_log == []  # a copy executes no turn, so logs none
-        else:
-            # every turn from the resumed one on starts from the full run's state
-            assert resumed_log == full_log[at:]
         starts.append(at)
     resumed_at = [at + 1 for at in starts if at is not None]
     assert len(resumed_at) >= 10
@@ -676,3 +674,24 @@ def test_a_model_server_block_shares_no_runs(monkeypatch):
     assert calls[0] == unshared
     # each cell sends the same requests in the same order, so each policy's do
     assert server.transcript == transcript
+
+
+def test_a_run_that_spends_no_token_records_zero_reuse_per_cost():
+    # an empty reply costs nothing and flow_plain pays no overhead, so every
+    # episode's cost is 0; its reuse per cost counts as 0 instead of failing the block
+    block = sim_block(
+        name="llmempty", executor="llm", models=("test-model",), horizon=4, episodes=2,
+        budget_cap=600, policies=(PolicyKind.FLOW_PLAIN, PolicyKind.FLOW_TEMPORAL),
+        seeds=(1, 2),
+    )
+    with MockModelServer(script=lambda body, index: "") as server:
+        settings = RuntimeSettings(endpoint=ModelEndpoint(
+            base_url=server.url, model_id="test-model", timeout=5.0, max_retries=0,
+            backoff_base=0.01))
+        records = run_block(block, settings)
+    plain = [r for r in records if r.policy == PolicyKind.FLOW_PLAIN.value]
+    assert len(plain) == 2
+    assert all(r.total_cost == 0 and r.reuse_per_cost == 0.0 for r in plain)
+    # flow_temporal pays its monitoring overhead, so its reuse per cost is defined
+    assert all(r.total_cost > 0 and r.reuse_per_cost > 0
+               for r in records if r.policy == PolicyKind.FLOW_TEMPORAL.value)

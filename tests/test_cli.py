@@ -781,6 +781,18 @@ def test_out_of_range_flags_exit_2_naming_the_flag(config_path, capsys, args, fl
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+def test_run_llm_exits_0_on_a_server_that_replies_with_nothing(tmp_path, monkeypatch):
+    # flow_plain spends no token on empty replies; its records say reuse per cost 0
+    out = tmp_path / "runs"
+    with MockModelServer(script=lambda body, index: "") as server:
+        monkeypatch.setenv("APEMO_SERVER_URL", server.url)
+        assert main(["run-llm", "--block", "llm_flow", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "llm_flow.runs.jsonl").read_text().splitlines()]
+    assert len(records) == 48
+    plain = [r for r in records if r["policy"] == "flow_plain"]
+    assert plain and all(r["total_cost"] == 0 and r["reuse_per_cost"] == 0.0 for r in plain)
+
+
 def test_default_llm_flow_block_through_the_cli(tmp_path, monkeypatch, capsys):
     # every arm's turns are scored by one instrument, and on the default mock
     # every arm's answers score alike, so apemo gains nothing over either flow arm

@@ -9,7 +9,7 @@ import pytest
 
 from apemo import scheduler
 from apemo.abm import AbmConfig, AbmExecutor, TrapSpec
-from apemo.executor import ExecutorError, TurnContext, TurnOutcome
+from apemo.executor import ExecutorError, TurnContext, TurnOutcome, fallback_outcome
 from apemo.scheduler import (
     POLICY_TRAITS,
     BudgetLedger,
@@ -173,6 +173,17 @@ class RecordingExecutor:
         return out
 
 
+class TextTaggingExecutor:
+    """Passes attempts through, naming each output text by its turn and attempt."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def execute_turn(self, ctx: TurnContext, allocated_tokens: int, seed: int) -> TurnOutcome:
+        out = self.inner.execute_turn(ctx, allocated_tokens, seed)
+        return replace(out, text=f"turn {ctx.turn} attempt {ctx.attempt}")
+
+
 def test_turn1_digest_identical_across_policies_same_seed():
     # temporal policies must not alter the generator, only allocation
     cfg = SchedulerConfig()
@@ -309,12 +320,48 @@ def test_retry_frustration_scores_the_kept_output():
             retried += bool(retries)
             kept_retries += kept is not first
             digest = TextDigest.from_tokens(kept.tokens, order)
-            proxies = compute_proxies(digest, history, task, [d.token_count for d in history])
+            proxies = compute_proxies(digest, history, task)
             assert record.quality == kept.quality
             assert record.frustration == frustration_score(proxies, cfg.signal, prev)
             history.append(digest)
             prev = record.frustration
     assert 0 < kept_retries < retried
+
+
+@pytest.mark.parametrize("hostile", (None, *HOSTILE_EXECUTORS),
+                         ids=lambda h: h.__name__ if h else "simulator")
+def test_the_log_is_the_run_history_and_its_end_state(hostile):
+    # the log's records are the trajectory's turns, its last entry holds the
+    # ledger and fallback the trajectory ends with, and entry i holds the kept
+    # outputs of turns 1..i, each the first attempt or a strictly better retry
+    cfg = SchedulerConfig()
+    order = cfg.signal.ngram_order
+    for policy in (PolicyKind.UNIFORM, PolicyKind.TASK_AFFECT, PolicyKind.TASK_PEAK_END,
+                   PolicyKind.APEMO):
+        for seed in range(1, 6):
+            inner = AbmExecutor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
+            executor = hostile(inner) if hostile is not None else inner
+            recording = RecordingExecutor(TextTaggingExecutor(executor))
+            log: list = []
+            traj = run_trajectory(policy, recording, 8, 680, seed, cfg, log=log)
+            assert tuple(entry.record for entry in log) == traj.turns
+            cost = traj.cost
+            assert log[-1].ledger[:3] == (cost.policy_cost, cost.repair_cost, cost.overhead_cost)
+            assert log[-1].fallback == traj.fallback
+            kept_outputs = []
+            for turn in range(1, 9):
+                attempts = sorted((attempt, out) for (t, attempt), out
+                                  in recording.outcomes.items() if t == turn)
+                kept = (attempts[0][1] if attempts and attempts[0][0] == 0
+                        else fallback_outcome())
+                for _, retry in attempts[1:]:
+                    kept = retry if retry.quality > kept.quality else kept
+                kept_outputs.append(kept)
+                entry = log[turn - 1]
+                assert entry.record.quality == kept.quality
+                assert entry.texts == tuple(out.text for out in kept_outputs)
+                assert entry.digests == tuple(TextDigest.from_tokens(out.tokens, order)
+                                              for out in kept_outputs)
 
 
 class FailingExecutor:

@@ -142,19 +142,17 @@ def test_all_signals_bounded_fuzz():
     cfg = SignalConfig()
     task = TextDigest.from_tokens(["plan", "route", "cost", "risk"], 2)
     history: list[TextDigest] = []
-    lengths: list[int] = []
     prev = None
     for _ in range(500):
         tokens = [rng.choice(vocab) for _ in range(rng.randint(1, 40))]
         d = TextDigest.from_tokens(tokens, 2)
-        p = compute_proxies(d, history, task, lengths)
+        p = compute_proxies(d, history, task)
         for value in (p.repetition_similarity, p.context_drift, p.length_anomaly):
             assert 0.0 <= value <= 1.0
         score = frustration_score(p, cfg, prev)
         assert 0.0 <= score <= 1.0
         prev = score
         history.append(d)
-        lengths.append(d.token_count)
 
 
 def test_signal_config_validation():
