@@ -21,8 +21,10 @@ from .llm import (
 )
 from .scheduler import (
     BudgetLedger,
+    POLICY_TRAITS,
     DetectionConfig,
     PolicyKind,
+    PolicyTraits,
     RepairDecision,
     SchedulerConfig,
     detect_negative_peak,

@@ -25,13 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, get_type_
 from .abm import STREAM_VERSION, AbmConfig, AbmExecutor, TrapSpec
 from .executor import Executor
 from .llm import DecodingParams, LlmExecutor, ModelEndpoint, ping
-from .scheduler import (
-    POLICY_TRAITS,
-    PolicyKind,
-    SchedulerConfig,
-    plain_twin,
-    run_trajectory,
-)
+from .scheduler import POLICY_TRAITS, PolicyKind, SchedulerConfig, run_trajectory
 from .tasks import TASKS
 from .trajectory import (
     ObjectiveWeights,
@@ -492,15 +486,17 @@ def run_cell(
 
     shared, one dict per (model, seed) task of a simulator block, passes runs
     between that task's cells: each cell stores its episodes' logs under its
-    policy. A detecting policy whose plain twin (scheduler.plain_twin) ran
-    earlier in the task hands each twin log to run_trajectory(twin=...),
-    which takes the twin's turns up to the first negative-peak repair and
-    executes the rest. A twin that has not run (its record was resumed from
-    the store) has no entry, and the policy runs in full. The records are
-    those of full runs because the simulator is a pure function of (context,
-    allocation, seed); a model server is not, so an llm block passes no dict.
+    policy's trait row. A detecting policy whose twin row
+    (scheduler.PolicyTraits.twin) ran earlier in the task hands each twin
+    log to run_trajectory(twin=...), which takes the twin's turns up to the
+    first negative-peak repair and executes the rest. A twin that has not
+    run (listed later, or its record was resumed from the store) has no
+    entry, and the policy runs in full. The records are those of full runs
+    because the simulator is a pure function of (context, allocation, seed);
+    a model server is not, so an llm block passes no dict.
     """
-    twin_logs = shared.get(plain_twin(block.policies, policy)) if shared is not None else None
+    traits = POLICY_TRAITS[policy]
+    twin_logs = shared.get(traits.twin) if shared is not None else None
     logs = []
     trajectories = []
     for episode in range(block.episodes):
@@ -510,20 +506,18 @@ def run_cell(
         executor = _make_executor(block, settings, model_id, exec_seed, policy)
         log = []
         trajectories.append(run_trajectory(
-            policy,
+            traits,
             executor,
             block.horizon,
             block.budget_cap,
             seed=exec_seed,
             cfg=cfg,
-            model_id=model_id,
-            episode_id=episode,
             log=log,
             twin=twin_logs[episode] if twin_logs is not None else None,
         ))
         logs.append(log)
     if shared is not None:
-        shared[policy] = logs
+        shared[traits] = logs
     return aggregate_run(block, model_id, seed, policy, trajectories, settings.weights, settings.reuse)
 
 
@@ -542,16 +536,17 @@ def run_block(
     policies share one thread's draw cache on a simulator block. At
     workers = 1 each record is stored as its cell completes; at workers > 1
     a task's records are stored together, so an interrupted run keeps whole
-    (model, seed) groups. On a simulator block a task also shares runs: a
-    detecting policy resumes each episode from its plain twin's log at its
-    first negative-peak repair, or takes the whole log when it has none (see
-    run_cell). That relies on the simulator being a pure function of
-    (context, allocation, seed); the records are those of cells run alone. A
-    twin resumed from the store shares nothing. A store holds one block,
-    horizon, episode count, trap turn and simulator stream, so a store of
-    another stamp raises StoreError (see check_store); that, a model-server
-    block without an endpoint (ValueError) and an unreachable endpoint all
-    abort before any cell runs. Per-turn executor failures only mark runs.
+    (model, seed) groups. On a simulator block a task also shares runs, keyed
+    by trait row: a detecting policy resumes each episode from the log of
+    its twin row (scheduler.PolicyTraits.twin) at its first negative-peak
+    repair, or takes the whole log when it has none, if that row ran earlier
+    in the task (see run_cell). That relies on the simulator being a pure
+    function of (context, allocation, seed); the records are those of cells
+    run alone. A twin resumed from the store shares nothing. A store holds
+    one block, horizon, episode count, trap turn and simulator stream, so a
+    store of another stamp raises StoreError (see check_store); that, a
+    model-server block without an endpoint (ValueError) and an unreachable
+    endpoint all abort before any cell runs. Per-turn executor failures only mark runs.
     """
     if store is not None:
         check_store(block, store)

@@ -4,13 +4,14 @@ An executor is a pure function of (context, allocated tokens, seed): the
 scheduler owns all cross-turn state and passes the kept history forward
 through the context. This keeps replays exact and lets many trajectories
 run concurrently. The block runner relies on it: on a simulator block, a
-detecting policy's scheduler.run_trajectory(twin=...) takes its plain
-twin's logged turns up to its first negative-peak repair, all of them when
-there is none, and executes only the rest. A model server's replies are not
-such a function, so model-server blocks share no runs. What an executor
-keeps between calls only saves work: the simulator keeps, per thread, a
-Philox generator built at the thread's first draw and the uniform vectors
-it has drawn, each a pure function of its key. Executors return the output's tokens; the scheduler reads the
+detecting policy's scheduler.run_trajectory(twin=...) takes the logged
+turns of its twin trait row (scheduler.PolicyTraits.twin) up to its first
+negative-peak repair, all of them when there is none, and executes only the
+rest. A model server's replies are not such a function, so model-server
+blocks share no runs. What an executor keeps between calls only saves work:
+the simulator keeps, per thread, a Philox generator built at the thread's
+first draw and the uniform vectors it has drawn, each a pure function of
+its key. Executors return the output's tokens; the scheduler reads the
 behavioral proxies from them.
 """
 

@@ -58,6 +58,21 @@ class PolicyTraits:
     def monitors(self) -> bool:
         return self.detect_quality or self.detect_frustration or self.peak_end
 
+    @property
+    def twin(self) -> Optional[PolicyTraits]:
+        """The row whose logged run this row's run resumes from, or None.
+
+        The twin has this row's traits with both detect flags off, and it
+        monitors, so both pay the same overhead and get the same allocations.
+        Their runs on one executor and seed are then the same, turn for turn,
+        until this row is first granted a negative-peak repair (see
+        first_repair).
+        """
+        if not (self.detect_quality or self.detect_frustration):
+            return None
+        plain = replace(self, detect_quality=False, detect_frustration=False)
+        return plain if plain.monitors else None
+
 
 POLICY_TRAITS: dict[PolicyKind, PolicyTraits] = {
     PolicyKind.UNIFORM: PolicyTraits(),
@@ -90,9 +105,9 @@ class DetectionConfig:
 
     The quality clause fires when the current quality is below quality_floor
     AND the one-turn drop is at least drop_threshold; the frustration clause
-    fires when the score reaches frustration_threshold. Either clause
-    triggers. Setting quality_floor to 0 or frustration_threshold above 1
-    makes the respective clause unreachable.
+    fires when the score reaches frustration_threshold. Either clause that a
+    policy's traits switch on triggers. Setting quality_floor to 0 or
+    frustration_threshold above 1 makes the respective clause unreachable.
     """
 
     quality_floor: float = 0.5
@@ -207,14 +222,14 @@ class BudgetLedger:
         )
 
 
-def turn_base_budget(policy: PolicyKind, cap: int, horizon: int, cfg: SchedulerConfig) -> int:
+def turn_base_budget(traits: PolicyTraits, cap: int, horizon: int, cfg: SchedulerConfig) -> int:
     """Even per-turn base after setting aside monitoring overhead."""
-    overhead_total = cfg.monitor_overhead * horizon if POLICY_TRAITS[policy].monitors else 0
+    overhead_total = cfg.monitor_overhead * horizon if traits.monitors else 0
     return max((cap - overhead_total) // horizon, 0)
 
 
 def plan_turn_budget(
-    policy: PolicyKind,
+    traits: PolicyTraits,
     ledger: BudgetLedger,
     turn: int,
     horizon: int,
@@ -227,8 +242,7 @@ def plan_turn_budget(
     """
     if not 1 <= turn <= horizon:
         raise ValueError(f"turn {turn} outside horizon 1..{horizon}")
-    traits = POLICY_TRAITS[policy]
-    base = turn_base_budget(policy, ledger.cap, horizon, cfg)
+    base = turn_base_budget(traits, ledger.cap, horizon, cfg)
     alloc = base
     skim_amount = 0
     if traits.peak_end and horizon >= 3 and turn <= horizon - 2:
@@ -244,25 +258,32 @@ def plan_turn_budget(
 
 
 def detect_negative_peak(
-    prior_quality: Optional[float], quality: float, score: float, cfg: DetectionConfig
+    traits: PolicyTraits,
+    prior_quality: Optional[float],
+    quality: float,
+    score: float,
+    cfg: DetectionConfig,
 ) -> bool:
-    """Whether the current turn is a negative peak.
+    """Whether the current turn is a negative peak for a policy of these traits.
 
-    Quality clause: quality below the floor AND a drop of at least
-    drop_threshold from the prior turn's (so never on the first turn).
-    Frustration clause: the score at or above the threshold. Sustained-low
-    quality without a drop is not a peak.
+    Quality clause, when traits.detect_quality: quality below the floor AND
+    a drop of at least drop_threshold from the prior turn's (so never on the
+    first turn). Frustration clause, when traits.detect_frustration: the
+    score at or above the threshold. Sustained-low quality without a drop is
+    not a peak.
     """
     if (
-        prior_quality is not None
+        traits.detect_quality
+        and prior_quality is not None
         and quality < cfg.quality_floor
         and prior_quality - quality >= cfg.drop_threshold
     ):
         return True
-    return score >= cfg.frustration_threshold
+    return traits.detect_frustration and score >= cfg.frustration_threshold
 
 
 def peak_repair_granted(
+    traits: PolicyTraits,
     ok: bool,
     prior_quality: Optional[float],
     quality: float,
@@ -274,14 +295,14 @@ def peak_repair_granted(
 ) -> bool:
     """Whether a turn's first attempt is granted a negative-peak repair.
 
-    It is when the attempt succeeded, detection fires on it, a repair is
-    left, and the cap leaves headroom (cap minus spent): the ledger grants
-    min(want, headroom) and want is at least one token. run_trajectory and
-    first_repair both decide by this test.
+    It is when the attempt succeeded, traits' detection fires on it, a
+    repair is left, and the cap leaves headroom (cap minus spent): the ledger
+    grants min(want, headroom) and want is at least one token. run_trajectory
+    and first_repair both decide by this test.
     """
     return (
         ok
-        and detect_negative_peak(prior_quality, quality, score, detection)
+        and detect_negative_peak(traits, prior_quality, quality, score, detection)
         and repairs_used < max_repairs
         and headroom > 0
     )
@@ -295,17 +316,6 @@ def request_repair(
         raise ValueError(f"want_tokens must be > 0, got {want_tokens}")
     granted = ledger.grant_repair(want_tokens)
     return RepairDecision(trigger_turn=trigger_turn, reason=reason, granted_tokens=granted)
-
-
-def effective_detection(traits: PolicyTraits, cfg: DetectionConfig) -> DetectionConfig:
-    """Disable clauses a policy does not use by making them unreachable."""
-    quality_floor = cfg.quality_floor if traits.detect_quality else 0.0
-    frustration = cfg.frustration_threshold if traits.detect_frustration else 2.0
-    return DetectionConfig(
-        quality_floor=quality_floor,
-        drop_threshold=cfg.drop_threshold,
-        frustration_threshold=frustration,
-    )
 
 
 def _critique_note(reason: RepairReason, quality: float) -> str:
@@ -324,24 +334,6 @@ def _critique_note(reason: RepairReason, quality: float) -> str:
 def _task_digest(task: str, order: int) -> TextDigest:
     """Digest of the task wording, built once per (task, order); digests are immutable."""
     return TextDigest.from_text(task, order)
-
-
-def plain_twin(policies: Sequence[PolicyKind], policy: PolicyKind) -> Optional[PolicyKind]:
-    """The earlier policy of `policies` whose run `policy` can resume from, or None.
-
-    The twin has policy's traits with both detect flags off, and it monitors,
-    so both pay the same overhead and get the same allocations. Their runs on
-    one executor and seed are then the same, turn for turn, until policy is
-    first granted a negative-peak repair (see first_repair).
-    """
-    traits = POLICY_TRAITS[policy]
-    if not (traits.detect_quality or traits.detect_frustration):
-        return None
-    plain = replace(traits, detect_quality=False, detect_frustration=False)
-    if not plain.monitors or policy not in policies:
-        return None
-    earlier = policies[: policies.index(policy)]
-    return next((p for p in earlier if POLICY_TRAITS[p] == plain), None)
 
 
 class TurnLog(NamedTuple):
@@ -368,39 +360,36 @@ class TurnLog(NamedTuple):
 
 
 def first_repair(
-    policy: PolicyKind, log: Sequence[TurnLog], budget_cap: int, cfg: SchedulerConfig
+    traits: PolicyTraits, log: Sequence[TurnLog], budget_cap: int, cfg: SchedulerConfig
 ) -> Optional[int]:
-    """The index in `log` of the first turn at which `policy` would be granted
-    a negative-peak repair, or None when there is no such turn.
+    """The index in `log` of the first turn at which a policy of `traits`
+    would be granted a negative-peak repair, or None when there is no such turn.
 
-    The log must come from a run of policy's plain twin (see plain_twin) with
-    the same executor, horizon, cap, seed and cfg. Up to that turn, policy
-    makes the same attempts and ledger moves as the twin, so its run resumed
-    there equals its full run; with no such turn, its run is the twin's.
+    The log must come from a run of traits.twin with the same executor,
+    horizon, cap, seed and cfg. Up to that turn, the policy makes the same
+    attempts and ledger moves as the twin, so its run resumed there equals
+    its full run; with no such turn, its run is the twin's.
     """
-    detection = effective_detection(POLICY_TRAITS[policy], cfg.detection)
     prior_quality: Optional[float] = None
     for turn, entry in enumerate(log):
-        if peak_repair_granted(entry.ok, prior_quality, entry.first.quality, entry.score,
-                               detection, 0, cfg.max_repairs, budget_cap - entry.spent):
+        if peak_repair_granted(traits, entry.ok, prior_quality, entry.first.quality, entry.score,
+                               cfg.detection, 0, cfg.max_repairs, budget_cap - entry.spent):
             return turn
         prior_quality = entry.record.quality
     return None
 
 
 def run_trajectory(
-    policy: PolicyKind,
+    traits: PolicyTraits,
     executor: Executor,
     horizon: int,
     budget_cap: int,
     seed: int,
     cfg: SchedulerConfig,
-    model_id: str = "abm",
-    episode_id: int = 0,
     log: Optional[list[TurnLog]] = None,
     twin: Optional[Sequence[TurnLog]] = None,
 ) -> Trajectory:
-    """Execute one full trajectory under a policy, returning the sealed record.
+    """Execute one full trajectory of a policy's traits, returning the sealed record.
 
     Per turn: allocate, execute, score affect signals, optionally detect a
     negative peak and re-execute once with banked tokens, and on the final
@@ -415,10 +404,10 @@ def run_trajectory(
     scored once, and a retry only when it is kept.
 
     The run's only history is its log, one TurnLog per turn: the caller's
-    list (empty) when given, else its own. twin is the log of policy's plain
-    twin (see plain_twin) on the same executor and seed. The run takes the
-    twin's turns before the first one that first_repair finds (every turn
-    when there is none), then executes the rest from the last taken entry's
+    list (empty) when given, else its own. twin is the log of a run of
+    traits.twin on the same executor and seed. The run takes the twin's
+    turns before the first one that first_repair finds (every turn when
+    there is none), then executes the rest from the last taken entry's
     state; so its log is the twin's prefix plus its own turns, and can
     itself be resumed. The result equals the full run only if the executor
     is a pure function of (context, allocation, seed), as executor.py states.
@@ -428,12 +417,10 @@ def run_trajectory(
     if budget_cap < horizon:
         raise ValueError(f"budget cap {budget_cap} below one token per turn for T={horizon}")
 
-    traits = POLICY_TRAITS[policy]
-    detection = effective_detection(traits, cfg.detection)
     overhead = cfg.monitor_overhead if traits.monitors else 0
     # the first turn that gets ending re-executions; past the horizon when none does
     ending_from = horizon - 1 if traits.peak_end and horizon >= 2 else horizon + 1
-    base = turn_base_budget(policy, budget_cap, horizon, cfg)
+    base = turn_base_budget(traits, budget_cap, horizon, cfg)
     signal = cfg.signal
     order = signal.ngram_order
     task_digest = _task_digest(cfg.task, order)
@@ -441,7 +428,7 @@ def run_trajectory(
     if log is None:
         log = []
     if twin is not None:
-        log.extend(twin[:first_repair(policy, twin, budget_cap, cfg)])
+        log.extend(twin[:first_repair(traits, twin, budget_cap, cfg)])
     if log:
         ledger, fallback = BudgetLedger(budget_cap, *log[-1].ledger), log[-1].fallback
     else:
@@ -506,7 +493,7 @@ def run_trajectory(
             texts = digests = ()
         if overhead:
             ledger.charge_overhead(min(overhead, ledger.unreserved_remaining()))
-        alloc = plan_turn_budget(policy, ledger, turn, horizon, cfg)
+        alloc = plan_turn_budget(traits, ledger, turn, horizon, cfg)
         ctx = TurnContext(
             task=cfg.task,
             turn=turn,
@@ -523,7 +510,7 @@ def run_trajectory(
         digest = TextDigest.from_tokens(first.tokens, order)
         first_score = score = score_signal(digest)
 
-        if peak_repair_granted(ok, prior_quality, first.quality, score, detection,
+        if peak_repair_granted(traits, ok, prior_quality, first.quality, score, cfg.detection,
                                repairs_used, cfg.max_repairs, budget_cap - spent_first):
             attempt(ctx, max(1, math.ceil(cfg.repair_factor * max(alloc, base))),
                     RepairReason.NEGATIVE_PEAK)
@@ -555,10 +542,6 @@ def run_trajectory(
 
     return Trajectory(
         turns=tuple(entry.record for entry in log),
-        policy=policy.value,
-        model_id=model_id,
-        seed=seed,
-        episode_id=episode_id,
         budget_cap=budget_cap,
         cost=ledger.breakdown(),
         fallback=fallback,

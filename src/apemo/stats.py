@@ -4,8 +4,9 @@ Everything here consumes run-level records only; episode rows never reach
 the statistics, which keeps runs the unit of analysis. Resampling is seeded
 and chunked so results replay exactly regardless of machine. A report draws
 its resample indices once per pair count, for every block it compares,
-while the draws it keeps fit in one chunk, and resample means are summed in numpy's pairwise order, so each interval
-equals the one a separate call on its row alone returns. The interval ends
+while the draws it keeps fit in one chunk, and resample means are summed in
+numpy's pairwise order, so each interval equals the one a separate call on
+its row alone returns. The interval ends
 are read from one sort of the resample means at the ranks of numpy's
 "linear" quantile, with its interpolation, so they equal ``np.quantile``'s
 bits. numpy loads at the first ``bootstrap_ci`` or ``block_report`` call,

@@ -93,13 +93,13 @@ class TurnRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered turn sequence plus policy/model/seed/budget provenance."""
+    """Ordered turn sequence, the cap it ran under, and its realized cost.
+
+    Which policy, model and seed ran it is the caller's to keep: a block's
+    run record names them.
+    """
 
     turns: tuple[TurnRecord, ...]
-    policy: str
-    model_id: str
-    seed: int
-    episode_id: int
     budget_cap: int
     cost: CostBreakdown = field(default_factory=CostBreakdown)
     fallback: bool = False

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from apemo.frontier import FrontierPoint, dominates, frontier_table, pareto_fron
 from apemo.llm import DecodingParams, LlmExecutor, ModelEndpoint
 from apemo.mock_server import MockModelServer
 from apemo.scheduler import (
+    POLICY_TRAITS,
     DetectionConfig,
     PolicyKind,
     SchedulerConfig,
@@ -85,7 +85,7 @@ def test_criterion_01_budget_safety_fuzz():
             digest_tokens=12,
         )
         executor = AbmExecutor(abm, trial, trap=trap)
-        traj = run_trajectory(policy, executor, horizon, cap, trial, cfg)
+        traj = run_trajectory(POLICY_TRAITS[policy], executor, horizon, cap, trial, cfg)
         if traj.cost.total > cap:
             violations += 1
     elapsed = time.monotonic() - start
@@ -129,7 +129,7 @@ def test_criterion_01b_hostile_executor_budget_fuzz():
                     digest_tokens=12,
                 )
                 executor = hostile(AbmExecutor(abm, trials, trap=trap))
-                traj = run_trajectory(policy, executor, horizon, cap, trials, cfg)
+                traj = run_trajectory(POLICY_TRAITS[policy], executor, horizon, cap, trials, cfg)
                 spent = sum(t.tokens_spent for t in traj.turns)
                 if (traj.cost.total > cap
                         or spent != traj.cost.policy_cost + traj.cost.repair_cost
@@ -157,9 +157,7 @@ def test_criterion_02_peak_end_oracle():
             TurnRecord(index=i + 1, quality=q, frustration=0.0, tokens_spent=1)
             for i, q in enumerate(qs)
         )
-        traj = Trajectory(turns=turns, policy="uniform", model_id="m", seed=0,
-                          episode_id=0, budget_cap=n,
-                          cost=CostBreakdown(policy_cost=n))
+        traj = Trajectory(turns=turns, budget_cap=n, cost=CostBreakdown(policy_cost=n))
         peak = qs[0]
         for q in qs[1:]:
             if q > peak:
@@ -182,9 +180,9 @@ def test_criterion_03_policy_reduction():
     abm = AbmConfig()
     mismatches = 0
     for seed in range(100):
-        a = run_trajectory(PolicyKind.APEMO, AbmExecutor(abm, seed), 8, 1600, seed, cfg)
-        u = run_trajectory(PolicyKind.UNIFORM, AbmExecutor(abm, seed), 8, 1600, seed, cfg)
-        if replace(a, policy=u.policy) != u:
+        a = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], AbmExecutor(abm, seed), 8, 1600, seed, cfg)
+        u = run_trajectory(POLICY_TRAITS[PolicyKind.UNIFORM], AbmExecutor(abm, seed), 8, 1600, seed, cfg)
+        if a != u:
             mismatches += 1
     _report(mismatches == 0, "criterion 3 policy reduction (100/100 seeds bit-identical)")
 
@@ -231,9 +229,9 @@ def test_criterion_05_horizon_ordering():
     def gain(horizon: int) -> float:
         gains = []
         for seed in range(1, 51):
-            a = run_trajectory(PolicyKind.APEMO, AbmExecutor(abm, seed),
+            a = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], AbmExecutor(abm, seed),
                                horizon, 680, seed, cfg)
-            u = run_trajectory(PolicyKind.UNIFORM, AbmExecutor(abm, seed),
+            u = run_trajectory(POLICY_TRAITS[PolicyKind.UNIFORM], AbmExecutor(abm, seed),
                                horizon, 680, seed, cfg)
             gains.append(sum(a.qualities()) / horizon - sum(u.qualities()) / horizon)
         return float(np.mean(gains))
@@ -354,7 +352,7 @@ def test_criterion_10_wire_protocol_conformance():
                                      timeout=5.0, max_retries=0, backoff_base=0.01)
             executor = LlmExecutor(endpoint, topology="single",
                                    decoding=DecodingParams(temperature=0.2, top_p=0.9))
-            trajectories[policy] = run_trajectory(policy, executor, horizon, cap, 5, cfg)
+            trajectories[policy] = run_trajectory(POLICY_TRAITS[policy], executor, horizon, cap, 5, cfg)
             transcripts[policy] = list(server.transcript)
 
     caps_ok = all(
@@ -391,7 +389,7 @@ def test_criterion_10_wire_protocol_conformance():
             endpoint = ModelEndpoint(base_url=server.url, model_id="test-model",
                                      timeout=5.0, max_retries=0, backoff_base=0.01)
             executor = LlmExecutor(endpoint, topology="flow")
-            run_trajectory(policy, executor, 2, 1200, 5, cfg)
+            run_trajectory(POLICY_TRAITS[policy], executor, 2, 1200, 5, cfg)
             flow_transcripts[policy] = list(server.transcript)
     a, b = flow_transcripts[PolicyKind.FLOW_PLAIN], flow_transcripts[PolicyKind.FLOW_TEMPORAL]
 
@@ -416,13 +414,11 @@ def test_criterion_11_trap_metric_definitions():
         TurnRecord(index=i + 1, quality=q, frustration=f, tokens_spent=10)
         for i, (q, f) in enumerate(zip(qualities, frustrations))
     )
-    traj = Trajectory(turns=turns, policy="apemo", model_id="m", seed=0, episode_id=0,
-                      budget_cap=60, cost=CostBreakdown(policy_cost=60))
+    traj = Trajectory(turns=turns, budget_cap=60, cost=CostBreakdown(policy_cost=60))
     m = trap_metrics(traj, 3)
     flat = Trajectory(
         turns=tuple(TurnRecord(index=i + 1, quality=0.6, frustration=0.1, tokens_spent=10)
                     for i in range(6)),
-        policy="apemo", model_id="m", seed=0, episode_id=0,
         budget_cap=60, cost=CostBreakdown(policy_cost=60),
     )
     fm = trap_metrics(flat, 3)

@@ -26,6 +26,7 @@ from apemo.benchmark import (
 from apemo.llm import LlmExecutor, ModelEndpoint
 from apemo.mock_server import MockModelServer
 from apemo.scheduler import (
+    POLICY_TRAITS,
     DetectionConfig,
     PolicyKind,
     RepairReason,
@@ -60,8 +61,7 @@ def make_traj(qualities, frustrations=None):
         for i, (q, f) in enumerate(zip(qualities, frustrations))
     )
     return Trajectory(
-        turns=turns, policy="apemo", model_id="m", seed=1, episode_id=0,
-        budget_cap=50 * len(qualities),
+        turns=turns, budget_cap=50 * len(qualities),
         cost=CostBreakdown(policy_cost=50 * len(qualities)),
     )
 
@@ -586,25 +586,25 @@ def test_a_run_resumed_at_its_first_repair_equals_the_full_run(hostile, monkeypa
         if hostile is not None:
             executor = hostile(executor)
         log: list = []
-        twin = run_trajectory(PolicyKind.TASK_PEAK_END, executor, 8, cap, seed, cfg, log=log)
-        assert twin == run_trajectory(PolicyKind.TASK_PEAK_END, executor, 8, cap, seed, cfg)
+        twin = run_trajectory(POLICY_TRAITS[PolicyKind.TASK_PEAK_END], executor, 8, cap, seed, cfg, log=log)
+        assert twin == run_trajectory(POLICY_TRAITS[PolicyKind.TASK_PEAK_END], executor, 8, cap, seed, cfg)
         assert len(log) == 8
         granted.clear()
         full_log: list = []
-        full = run_trajectory(PolicyKind.APEMO, executor, 8, cap, seed, cfg, log=full_log)
-        at = first_repair(PolicyKind.APEMO, log, cap, cfg)
+        full = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], executor, 8, cap, seed, cfg, log=full_log)
+        at = first_repair(POLICY_TRAITS[PolicyKind.APEMO], log, cap, cfg)
         assert (at + 1 if at is not None else None) == (granted[0] if granted else None)
         # up to its first repair the detecting run logs the twin's turns, scores included
         shared_turns = at if at is not None else 8
         assert log[:shared_turns] == full_log[:shared_turns]
         resumed_log: list = []
-        resumed = run_trajectory(PolicyKind.APEMO, executor, 8, cap, seed, cfg,
+        resumed = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], executor, 8, cap, seed, cfg,
                                  log=resumed_log, twin=log)
         assert resumed == full
         # the twin's prefix plus the turns run from its last entry: the full run's log
         assert resumed_log == full_log
         if at is None:
-            assert replace(twin, policy="apemo") == full
+            assert twin == full
         starts.append(at)
     resumed_at = [at + 1 for at in starts if at is not None]
     assert len(resumed_at) >= 10

@@ -3,7 +3,8 @@
 Each check runs a seeded stdlib fuzz against a plain reference: the proxy
 loops against max/jaccard and statistics.median, the ledger against the
 two invariant checks in their original order, negative-peak detection on
-the current turn against the definition over whole histories, the
+the current turn against the definition over whole histories (and its
+detect flags against thresholds that no quality or score reaches), the
 simulator's cached draws against a fresh Philox per attempt, and the
 slotted record types against the frozen-dataclass behaviour callers rely on.
 """
@@ -26,7 +27,13 @@ from apemo import abm
 from apemo.abm import AbmConfig, AbmExecutor, abm_step, uniform_count
 from apemo.benchmark import SCHEMA_VERSION, RunRecord
 from apemo.executor import TurnContext, TurnOutcome
-from apemo.scheduler import BudgetError, BudgetLedger, DetectionConfig, detect_negative_peak
+from apemo.scheduler import (
+    BudgetError,
+    BudgetLedger,
+    DetectionConfig,
+    PolicyTraits,
+    detect_negative_peak,
+)
 from apemo.signals import (
     ProxyVector,
     SignalConfig,
@@ -142,6 +149,21 @@ def _reference_detect(q_history: list, s_history: list, cfg: DetectionConfig):
     return None
 
 
+def _sentinel_detection(traits: PolicyTraits, cfg: DetectionConfig) -> DetectionConfig:
+    """The clauses of traits as thresholds: an unused clause gets a floor of 0
+    or a threshold of 2, which no quality or score in [0, 1] reaches."""
+    return DetectionConfig(
+        quality_floor=cfg.quality_floor if traits.detect_quality else 0.0,
+        drop_threshold=cfg.drop_threshold,
+        frustration_threshold=cfg.frustration_threshold if traits.detect_frustration else 2.0,
+    )
+
+
+# every combination of the two detect flags; the last row detects by both clauses
+DETECT_ROWS = tuple(PolicyTraits(detect_quality=q, detect_frustration=f)
+                    for q in (False, True) for f in (False, True))
+
+
 def _near(rng: random.Random, value: float) -> float:
     """The value itself, a float next to it, or a point up to 0.05 away."""
     pick = rng.randrange(4)
@@ -157,6 +179,7 @@ def _near(rng: random.Random, value: float) -> float:
 def test_detection_on_the_current_turn_equals_the_history_definition_fuzz():
     rng = random.Random(1919)
     fired = 0
+    fired_by_row = dict.fromkeys(DETECT_ROWS, 0)
     for _ in range(20000):
         cfg = DetectionConfig(
             quality_floor=rng.choice((0.0, 0.5, rng.random())),
@@ -173,9 +196,20 @@ def test_detection_on_the_current_turn_equals_the_history_definition_fuzz():
         q_history = earlier + ([prior] if prior is not None else []) + [quality]
         s_history = [rng.random() for _ in q_history[:-1]] + [score]
         expected = _reference_detect(q_history, s_history, cfg) is not None
-        assert detect_negative_peak(prior, quality, score, cfg) is expected
+        assert detect_negative_peak(DETECT_ROWS[-1], prior, quality, score, cfg) is expected
         fired += expected
+        # a row's flags gate its clauses as the sentinel thresholds did, on the
+        # qualities and scores a trajectory has; with both flags off none fires
+        in_unit_range = 0.0 <= quality <= 1.0 and 0.0 <= score <= 1.0
+        for traits in DETECT_ROWS:
+            gated = detect_negative_peak(traits, prior, quality, score, cfg)
+            if in_unit_range:
+                sentinel = _sentinel_detection(traits, cfg)
+                assert gated is (_reference_detect(q_history, s_history, sentinel) is not None)
+            fired_by_row[traits] += gated
     assert 4000 < fired < 16000  # both outcomes are well represented
+    assert fired_by_row[DETECT_ROWS[0]] == 0
+    assert all(count > 2000 for count in list(fired_by_row.values())[1:]), fired_by_row
 
 
 def _philox_uniforms(exec_seed, seed, turn, attempt, n):

@@ -26,7 +26,7 @@ from apemo.llm import (
     ping,
 )
 from apemo.mock_server import MockModelServer, default_script
-from apemo.scheduler import PolicyKind, SchedulerConfig, run_trajectory
+from apemo.scheduler import POLICY_TRAITS, PolicyKind, SchedulerConfig, run_trajectory
 
 DECODING = DecodingParams(temperature=0.2, top_p=0.9)
 
@@ -227,7 +227,7 @@ def test_trapped_turn_scores_alike_under_apemo_and_flow_temporal():
             executor = RecordingExecutor(
                 LlmExecutor(endpoint_for(server), topology=topology, trap=trap)
             )
-            traj = run_trajectory(policy, executor, 4, 2400, seed=3, cfg=cfg)
+            traj = run_trajectory(POLICY_TRAITS[policy], executor, 4, 2400, seed=3, cfg=cfg)
         (trapped,) = [out for out in executor.outcomes if out.trapped]
         assert trapped.text == loop
         assert trapped.quality == heuristic_quality(FLOW_TASK, loop)
@@ -242,7 +242,7 @@ def test_plan_execute_wire_roles():
     horizon, cap = 3, 400
     with MockModelServer() as server:
         executor = LlmExecutor(endpoint_for(server), topology="plan_execute")
-        traj = run_trajectory(PolicyKind.PLAN_EXECUTE, executor, horizon, cap, seed=5,
+        traj = run_trajectory(POLICY_TRAITS[PolicyKind.PLAN_EXECUTE], executor, horizon, cap, seed=5,
                               cfg=SchedulerConfig(task="plan the route", monitor_overhead=0))
         planner, *others = server.transcript
     base = cap // horizon
@@ -298,7 +298,7 @@ def test_over_reported_turn_falls_back_within_cap(policy):
     budget_cap = 400
     with OverReportingServer({1}) as server:
         executor = LlmExecutor(endpoint_for(server))
-        traj = run_trajectory(policy, executor, 4, budget_cap, seed=3,
+        traj = run_trajectory(POLICY_TRAITS[policy], executor, 4, budget_cap, seed=3,
                               cfg=SchedulerConfig(task="plan the route"))
     assert traj.fallback
     assert traj.cost.total <= budget_cap
@@ -312,7 +312,7 @@ def test_over_reported_flow_call_charges_the_planner_and_its_share():
     budget_cap = 400
     with OverReportingServer({1}) as server:  # turn 1's executor call
         executor = LlmExecutor(endpoint_for(server), topology="flow")
-        traj = run_trajectory(PolicyKind.FLOW_PLAIN, executor, 4, budget_cap, seed=3,
+        traj = run_trajectory(POLICY_TRAITS[PolicyKind.FLOW_PLAIN], executor, 4, budget_cap, seed=3,
                               cfg=SchedulerConfig(task="plan the route"))
         planner, over = server.transcript[:2]
         planner_eval = server.reply(planner, 0)["eval_count"]
@@ -343,7 +343,7 @@ def test_critic_tokens_are_on_the_ledger(policy):
     budget_cap = 400
     with FillingServer() as server:
         executor = LlmExecutor(endpoint_for(server), topology="flow")
-        traj = run_trajectory(policy, executor, 4, budget_cap, seed=3,
+        traj = run_trajectory(POLICY_TRAITS[policy], executor, 4, budget_cap, seed=3,
                               cfg=SchedulerConfig(task="plan the route"))
     assert [is_planner(b) for b in server.transcript] == [True, False] * (
         len(server.transcript) // 2
@@ -362,7 +362,7 @@ def test_failed_call_charges_the_calls_before_it():
     def run(fail: set[int]):
         with FillingServer(fail_requests=fail) as server:
             executor = LlmExecutor(endpoint_for(server), topology="flow")
-            traj = run_trajectory(PolicyKind.FLOW_TEMPORAL, executor, 4, budget_cap, seed=3,
+            traj = run_trajectory(POLICY_TRAITS[PolicyKind.FLOW_TEMPORAL], executor, 4, budget_cap, seed=3,
                                   cfg=cfg)
         return traj, server
 

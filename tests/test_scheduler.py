@@ -15,6 +15,7 @@ from apemo.scheduler import (
     BudgetLedger,
     DetectionConfig,
     PolicyKind,
+    PolicyTraits,
     RepairReason,
     SchedulerConfig,
     detect_negative_peak,
@@ -39,7 +40,7 @@ def test_uniform_even_division():
     cfg = no_overhead_cfg()
     ledger = BudgetLedger(cap=8000)
     for t in range(1, 9):
-        assert plan_turn_budget(PolicyKind.UNIFORM, ledger, t, 8, cfg) == 1000
+        assert plan_turn_budget(POLICY_TRAITS[PolicyKind.UNIFORM], ledger, t, 8, cfg) == 1000
         ledger.charge_policy(1000)
 
 
@@ -48,7 +49,7 @@ def test_apemo_banks_skimmed_early_turns_in_reserve():
     ledger = BudgetLedger(cap=8000)
     allocs = []
     for t in range(1, 9):
-        alloc = plan_turn_budget(PolicyKind.APEMO, ledger, t, 8, cfg)
+        alloc = plan_turn_budget(POLICY_TRAITS[PolicyKind.APEMO], ledger, t, 8, cfg)
         allocs.append(alloc)
         ledger.charge_policy(alloc)
     assert allocs[2] == 800  # skimmed turn: 1000 - 200
@@ -61,39 +62,57 @@ def test_allocation_zero_when_exhausted():
     cfg = no_overhead_cfg()
     ledger = BudgetLedger(cap=100)
     ledger.charge_policy(100)
-    assert plan_turn_budget(PolicyKind.UNIFORM, ledger, 1, 4, cfg) == 0
+    assert plan_turn_budget(POLICY_TRAITS[PolicyKind.UNIFORM], ledger, 1, 4, cfg) == 0
 
 
 def test_monitor_overhead_prorated_out_of_base():
     cfg = SchedulerConfig(monitor_overhead=15)
     ledger = BudgetLedger(cap=8000)
     # (8000 - 120) // 8 = 985 base for monitoring policies
-    assert plan_turn_budget(PolicyKind.TASK_AFFECT, ledger, 7, 8, cfg) == 985
+    assert plan_turn_budget(POLICY_TRAITS[PolicyKind.TASK_AFFECT], ledger, 7, 8, cfg) == 985
 
 
 # ----------------------------------------------------------------- detection
 
+BOTH_CLAUSES = POLICY_TRAITS[PolicyKind.APEMO]
+
 
 def test_detection_stable_trajectory_none():
     cfg = DetectionConfig()
-    assert detect_negative_peak(0.8, 0.8, 0.1, cfg) is False
+    assert detect_negative_peak(BOTH_CLAUSES, 0.8, 0.8, 0.1, cfg) is False
 
 
 def test_detection_fires_on_drop_into_low_regime():
     cfg = DetectionConfig(quality_floor=0.5, drop_threshold=0.2)
-    assert detect_negative_peak(0.75, 0.35, 0.1, cfg) is True
-    assert detect_negative_peak(None, 0.0, 0.1, cfg) is False  # the first turn has no drop
+    assert detect_negative_peak(BOTH_CLAUSES, 0.75, 0.35, 0.1, cfg) is True
+    # the first turn has no drop
+    assert detect_negative_peak(BOTH_CLAUSES, None, 0.0, 0.1, cfg) is False
 
 
 def test_detection_sustained_low_is_not_a_peak():
     cfg = DetectionConfig(quality_floor=0.5, drop_threshold=0.2)
-    assert detect_negative_peak(0.45, 0.44, 0.1, cfg) is False
+    assert detect_negative_peak(BOTH_CLAUSES, 0.45, 0.44, 0.1, cfg) is False
 
 
 def test_detection_frustration_clause():
     cfg = DetectionConfig(frustration_threshold=0.7)
-    assert detect_negative_peak(0.9, 0.9, 0.75, cfg) is True
-    assert detect_negative_peak(None, 0.9, 0.75, cfg) is True
+    assert detect_negative_peak(BOTH_CLAUSES, 0.9, 0.9, 0.75, cfg) is True
+    assert detect_negative_peak(BOTH_CLAUSES, None, 0.9, 0.75, cfg) is True
+
+
+def test_twin_is_the_monitoring_row_with_detection_off():
+    # a detecting row resumes from its row with both detect flags off, but
+    # only when that row monitors: task_affect's plain row is uniform's, whose
+    # allocations differ, so keying runs by trait row never shares with uniform
+    twins = {policy: traits.twin for policy, traits in POLICY_TRAITS.items()}
+    assert twins[PolicyKind.APEMO] == POLICY_TRAITS[PolicyKind.TASK_PEAK_END]
+    flow_twin = twins[PolicyKind.FLOW_TEMPORAL]
+    assert flow_twin == PolicyTraits(topology="flow", peak_end=True)
+    assert flow_twin not in POLICY_TRAITS.values()  # so flow_temporal never shares
+    for policy in (PolicyKind.TASK_AFFECT, PolicyKind.UNIFORM, PolicyKind.TASK_PEAK_END,
+                   PolicyKind.PLAN_EXECUTE, PolicyKind.FLOW_PLAIN):
+        assert twins[policy] is None, policy
+    assert len(twins) == 7
 
 
 # ------------------------------------------------------------------- repairs
@@ -144,7 +163,7 @@ def test_ledger_never_exceeds_cap():
 def test_single_turn_trajectory():
     cfg = no_overhead_cfg()
     executor = AbmExecutor(AbmConfig(), seed=1)
-    traj = run_trajectory(PolicyKind.UNIFORM, executor, 1, 1000, 1, cfg)
+    traj = run_trajectory(POLICY_TRAITS[PolicyKind.UNIFORM], executor, 1, 1000, 1, cfg)
     assert traj.horizon == 1
     assert traj.cost.total <= 1000
     assert not any(t.repaired for t in traj.turns)
@@ -154,7 +173,7 @@ def test_scripted_trap_repaired_and_endpoint_recovers():
     cfg = SchedulerConfig()
     trap = TrapSpec(4, 0.4)
     executor = AbmExecutor(AbmConfig(), seed=9, trap=trap)
-    traj = run_trajectory(PolicyKind.APEMO, executor, 8, 1600, 9, cfg)
+    traj = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], executor, 8, 1600, 9, cfg)
     assert traj.turns[3].trapped
     assert traj.turns[3].repaired or traj.turns[4].repaired
     assert traj.qualities()[-1] > traj.qualities()[3] or traj.turns[3].repaired
@@ -191,7 +210,7 @@ def test_turn1_digest_identical_across_policies_same_seed():
         turn1 = []
         for policy in (PolicyKind.APEMO, PolicyKind.UNIFORM):
             executor = RecordingExecutor(AbmExecutor(AbmConfig(), seed))
-            traj = run_trajectory(policy, executor, 8, 1600, seed, cfg)
+            traj = run_trajectory(POLICY_TRAITS[policy], executor, 8, 1600, seed, cfg)
             turn1.append((traj.turns[0].frustration, executor.outcomes[(1, 0)].tokens))
         assert turn1[0] == turn1[1]
 
@@ -203,7 +222,7 @@ def test_ngram_order_changes_frustration():
     for order in (1, 3):
         cfg = SchedulerConfig(signal=SignalConfig(ngram_order=order))
         executor = AbmExecutor(AbmConfig(noise_sd=0.12), 5)
-        series.append(run_trajectory(PolicyKind.APEMO, executor, 8, 1600, 5, cfg).frustrations())
+        series.append(run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], executor, 8, 1600, 5, cfg).frustrations())
     assert series[0] != series[1]
 
 
@@ -213,7 +232,7 @@ def test_non_temporal_policies_never_repair():
     for policy in (PolicyKind.UNIFORM, PolicyKind.FLOW_PLAIN, PolicyKind.PLAN_EXECUTE):
         for seed in range(10):
             executor = AbmExecutor(AbmConfig(), seed, trap=trap)
-            traj = run_trajectory(policy, executor, 6, 1200, seed, cfg)
+            traj = run_trajectory(POLICY_TRAITS[policy], executor, 6, 1200, seed, cfg)
             assert not any(t.repaired for t in traj.turns)
             assert traj.cost.repair_cost == 0
 
@@ -223,7 +242,7 @@ def test_repair_count_bounded():
     trap = TrapSpec(3, 0.6)
     for seed in range(30):
         executor = AbmExecutor(AbmConfig(noise_sd=0.15), seed, trap=trap)
-        traj = run_trajectory(PolicyKind.APEMO, executor, 8, 1600, seed, cfg)
+        traj = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], executor, 8, 1600, seed, cfg)
         assert sum(1 for t in traj.turns if t.repaired) <= 2 + 2
 
 
@@ -235,9 +254,9 @@ def test_reduction_to_uniform_bit_identical():
         monitor_overhead=0,
     )
     for seed in range(25):
-        a = run_trajectory(PolicyKind.APEMO, AbmExecutor(AbmConfig(), seed), 8, 1600, seed, cfg)
-        u = run_trajectory(PolicyKind.UNIFORM, AbmExecutor(AbmConfig(), seed), 8, 1600, seed, cfg)
-        assert replace(a, policy=u.policy) == u
+        a = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], AbmExecutor(AbmConfig(), seed), 8, 1600, seed, cfg)
+        u = run_trajectory(POLICY_TRAITS[PolicyKind.UNIFORM], AbmExecutor(AbmConfig(), seed), 8, 1600, seed, cfg)
+        assert a == u
 
 
 ABM_ALIASES = {
@@ -256,9 +275,9 @@ def test_simulator_runs_topology_policies_as_their_single_aliases(trap):
     abm = AbmConfig(noise_sd=0.12)
     for policy, alias in ABM_ALIASES.items():
         for seed in range(1, 9):
-            ran = run_trajectory(policy, AbmExecutor(abm, seed, trap=trap), 8, 680, seed, cfg)
-            ref = run_trajectory(alias, AbmExecutor(abm, seed, trap=trap), 8, 680, seed, cfg)
-            assert replace(ran, policy=ref.policy) == ref
+            ran = run_trajectory(POLICY_TRAITS[policy], AbmExecutor(abm, seed, trap=trap), 8, 680, seed, cfg)
+            ref = run_trajectory(POLICY_TRAITS[alias], AbmExecutor(abm, seed, trap=trap), 8, 680, seed, cfg)
+            assert ran == ref
 
 
 def test_thresholds_unreachable_gives_uniform_plus_reserve():
@@ -268,7 +287,7 @@ def test_thresholds_unreachable_gives_uniform_plus_reserve():
         ending_threshold=0.0,  # endings never re-executed either
     )
     seed = 3
-    traj = run_trajectory(PolicyKind.APEMO, AbmExecutor(AbmConfig(), seed), 8, 8000, seed, cfg)
+    traj = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], AbmExecutor(AbmConfig(), seed), 8, 8000, seed, cfg)
     assert [t.tokens_spent for t in traj.turns] == [800] * 6 + [1000, 1000]
     assert traj.cost.repair_cost == 0
 
@@ -279,14 +298,14 @@ def test_determinism_same_inputs_same_serialization():
     runs = []
     for _ in range(2):
         executor = AbmExecutor(AbmConfig(), 17, trap=trap)
-        runs.append(run_trajectory(PolicyKind.APEMO, executor, 8, 1600, 17, cfg))
+        runs.append(run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], executor, 8, 1600, 17, cfg))
     assert runs[0] == runs[1]
 
 
 def test_budget_cap_precondition():
     cfg = SchedulerConfig()
     with pytest.raises(ValueError):
-        run_trajectory(PolicyKind.UNIFORM, AbmExecutor(AbmConfig(), 1), 8, 7, 1, cfg)
+        run_trajectory(POLICY_TRAITS[PolicyKind.UNIFORM], AbmExecutor(AbmConfig(), 1), 8, 7, 1, cfg)
 
 
 def test_policy_serialized_names_exact():
@@ -308,7 +327,7 @@ def test_retry_frustration_scores_the_kept_output():
         executor = RecordingExecutor(
             AbmExecutor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
         )
-        traj = run_trajectory(PolicyKind.APEMO, executor, 8, 1600, seed, cfg)
+        traj = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], executor, 8, 1600, seed, cfg)
         history: list[TextDigest] = []
         prev = None
         for record in traj.turns:
@@ -343,7 +362,7 @@ def test_the_log_is_the_run_history_and_its_end_state(hostile):
             executor = hostile(inner) if hostile is not None else inner
             recording = RecordingExecutor(TextTaggingExecutor(executor))
             log: list = []
-            traj = run_trajectory(policy, recording, 8, 680, seed, cfg, log=log)
+            traj = run_trajectory(POLICY_TRAITS[policy], recording, 8, 680, seed, cfg, log=log)
             assert tuple(entry.record for entry in log) == traj.turns
             cost = traj.cost
             assert log[-1].ledger[:3] == (cost.policy_cost, cost.repair_cost, cost.overhead_cost)
@@ -383,7 +402,7 @@ class FailingExecutor:
 
 def test_executor_failure_marks_fallback_with_zero_quality_turn():
     cfg = no_overhead_cfg()
-    traj = run_trajectory(PolicyKind.UNIFORM, FailingExecutor(3), 4, 800, 1, cfg)
+    traj = run_trajectory(POLICY_TRAITS[PolicyKind.UNIFORM], FailingExecutor(3), 4, 800, 1, cfg)
     assert traj.fallback
     assert traj.turns[2].quality == 0.0
     assert traj.turns[2].tokens_spent == 0
@@ -420,7 +439,7 @@ def test_budget_safety_fuzz():
             noise_sd=rng.uniform(0.0, 0.25),
         )
         executor = AbmExecutor(abm, trial, trap=trap)
-        traj = run_trajectory(policy, executor, horizon, cap, trial, cfg)
+        traj = run_trajectory(POLICY_TRAITS[policy], executor, horizon, cap, trial, cfg)
         assert traj.cost.total <= cap
         spent = sum(t.tokens_spent for t in traj.turns)
         assert spent == traj.cost.policy_cost + traj.cost.repair_cost
@@ -439,7 +458,7 @@ def test_over_reported_tokens_never_overdraw(policy):
         for seed in range(1, 6):
             inner = AbmExecutor(AbmConfig(noise_sd=0.12), seed, trap=TrapSpec(4, 0.4, 0.3))
             executor = hostile(inner)
-            traj = run_trajectory(policy, executor, 8, cap, seed, cfg)
+            traj = run_trajectory(traits, executor, 8, cap, seed, cfg)
             assert traj.cost.total <= cap
             assert sum(t.tokens_spent for t in traj.turns) == (
                 traj.cost.policy_cost + traj.cost.repair_cost
@@ -467,6 +486,6 @@ def test_detection_score_reused_when_no_repair(monkeypatch):
 
     monkeypatch.setattr(scheduler, "compute_proxies", counting)
     cfg = no_overhead_cfg(max_repairs=0, ending_threshold=0.0)
-    traj = run_trajectory(PolicyKind.APEMO, AbmExecutor(AbmConfig(), 3), 8, 4000, 3, cfg)
+    traj = run_trajectory(POLICY_TRAITS[PolicyKind.APEMO], AbmExecutor(AbmConfig(), 3), 8, 4000, 3, cfg)
     assert not any(t.repaired for t in traj.turns)
     assert len(calls) == 8

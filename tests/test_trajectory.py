@@ -28,10 +28,6 @@ def make_traj(qualities, frustrations=None, tokens=100) -> Trajectory:
     total = tokens * len(qualities)
     return Trajectory(
         turns=turns,
-        policy="uniform",
-        model_id="abm",
-        seed=0,
-        episode_id=0,
         budget_cap=total,
         cost=CostBreakdown(policy_cost=total),
     )
@@ -152,21 +148,18 @@ def test_trajectory_requires_contiguous_indices():
         TurnRecord(index=3, quality=0.5, frustration=0.0, tokens_spent=10),
     )
     with pytest.raises(ValueError):
-        Trajectory(turns=turns, policy="uniform", model_id="m", seed=0,
-                   episode_id=0, budget_cap=100, cost=CostBreakdown(policy_cost=20))
+        Trajectory(turns=turns, budget_cap=100, cost=CostBreakdown(policy_cost=20))
 
 
 def test_trajectory_rejects_empty():
     with pytest.raises(ValueError):
-        Trajectory(turns=(), policy="uniform", model_id="m", seed=0,
-                   episode_id=0, budget_cap=100)
+        Trajectory(turns=(), budget_cap=100)
 
 
 def test_trajectory_rejects_cost_over_cap():
     turns = (TurnRecord(index=1, quality=0.5, frustration=0.0, tokens_spent=200),)
     with pytest.raises(ValueError):
-        Trajectory(turns=turns, policy="uniform", model_id="m", seed=0,
-                   episode_id=0, budget_cap=100, cost=CostBreakdown(policy_cost=200))
+        Trajectory(turns=turns, budget_cap=100, cost=CostBreakdown(policy_cost=200))
 
 
 def test_turn_record_validation():
