@@ -130,11 +130,13 @@ class AppConfig:
     def config_hash(self) -> str:
         """Hash of the resolved values, so a value hashes the same however it is written.
 
-        Where the server is and how patiently it is called (_DEPLOYMENT_KEYS)
-        are left out: they do not change what a run computes.
+        Where the server is and how patiently it is called (_DEPLOYMENT_KEYS),
+        where records are written (``output_dir``) and how many run at once
+        (``workers``) are left out: they do not change what a run computes.
         """
         resolved = asdict(self)
-        del resolved["source_path"]
+        for key in ("source_path", "output_dir", "workers"):
+            del resolved[key]
         endpoint = resolved["settings"]["endpoint"]
         if endpoint is not None:
             for key in _DEPLOYMENT_KEYS:

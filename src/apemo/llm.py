@@ -40,7 +40,7 @@ from urllib.parse import urlsplit
 
 from .abm import TrapSpec
 from .executor import ExecutorError, TurnContext, TurnOutcome, fallback_outcome
-from .signals import tokenize
+from .signals import ngram_set, tokenize
 
 
 class TransportError(ExecutorError):
@@ -425,10 +425,8 @@ def heuristic_quality(
     ends_clean = answer.rstrip().endswith((".", "!", "?"))
     completeness = (0.6 if ends_clean else 0.0) + 0.4 * min(1.0, len(answer_tokens) / 8.0)
 
-    bigrams = [
-        " ".join(answer_tokens[i : i + 2]) for i in range(len(answer_tokens) - 1)
-    ]
-    non_repetition = len(set(bigrams)) / len(bigrams) if len(bigrams) >= 2 else 1.0
+    pairs = len(answer_tokens) - 1
+    non_repetition = len(ngram_set(answer_tokens, 2)) / pairs if pairs >= 2 else 1.0
 
     return 0.5 * coverage + 0.3 * completeness + 0.2 * non_repetition
 

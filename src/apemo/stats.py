@@ -7,10 +7,14 @@ its resample indices once per pair count, for every block it compares,
 while the draws it keeps fit in one chunk, and resample means are summed in
 numpy's pairwise order, so each interval equals the one a separate call on
 its row alone returns. The interval ends
-are read from one sort of the resample means at the ranks of numpy's
-"linear" quantile, with its interpolation, so they equal ``np.quantile``'s
-bits. numpy loads at the first ``bootstrap_ci`` or ``block_report`` call,
-not at import.
+are read at the ranks of numpy's "linear" quantile, with its interpolation,
+so they equal ``np.quantile``'s bits. Only the means near those ranks are
+summed exactly: a float32 screen sums every resample of a row scaled by a
+power of two, and a proven bound on its error (``_screen_bounds``) picks
+the resamples whose exact means can sit at the ranks. Rows the bound does
+not cover (a non-finite value, float64 sums that could overflow, a bound
+too wide to help) are summed exactly at every resample. numpy loads at the
+first ``bootstrap_ci`` or ``block_report`` call, not at import.
 """
 
 from __future__ import annotations
@@ -120,8 +124,11 @@ def metric_deltas(pairing: Pairing, metric: str) -> list[float]:
 
 # Largest resample-index matrix drawn at once (elements); bounds draw memory.
 _DRAW_ELEMENTS = 10_000_000
-# Largest gathered block, n samples x resamples x rows (elements); bounds its copy.
+# Largest gathered float64 block, n samples x resamples x rows (elements); bounds its copy.
 _GATHER_ELEMENTS = 65_536
+# Largest screen error per scaled mean (``_screen_bounds``) worth screening with:
+# past it, about n > 8,000, the band holds a large share of the resamples.
+_SCREEN_LIMIT = 2.0**-10
 
 
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
@@ -165,6 +172,86 @@ def _index_chunks(n: int, resamples: int, seed: int) -> Iterator[np.ndarray]:
         yield rng.integers(0, n, size=(min(chunk, resamples - done), n)).T
 
 
+def _screen_bounds(n: int, exponents: np.ndarray) -> np.ndarray:
+    """Per row, a bound ``B`` on ``|screen sum - n * 2**-e * exact mean|``.
+
+    The screen sum is the float32 sum of ``fl32(x * 2**-e)`` over one
+    resample, in any order; the exact mean is the float64 one
+    ``bootstrap_ci`` reads; ``e`` is the row's exponent, which puts
+    ``max|x| * 2**-e`` in [1, 2). With ``g(k) = k*u / (1 - k*u)`` and
+    ``u = 2**-24``, the error per scaled mean is at most
+
+        2*g(n-1) + 2**-23 + (n+8) * 2**-52 + 2**-149 + 2**(-1074-e)
+
+    - ``2*g(n-1)``: float32 summation of n scaled values, each at most 2 in
+      magnitude, in any order (``g(n-1) * sum|y| <= 2n * g(n-1)``);
+    - ``2**-23``: the float32 conversion of each value, ``u * |y| < 2u``;
+    - ``(n+8) * 2**-52``: float64 rounding. The exact pairwise sum errs by
+      at most ``g64(n-1) * sum|x|`` and its division by n by ``2**-53`` of
+      the quotient, together about ``n * 2**-52`` per scaled mean; the rest
+      covers the float64 arithmetic of the band ends and of this bound;
+    - ``2**-149 + 2**(-1074-e)``, the underflow slack, each twice its cause:
+      a scaled value rounded below float64's or float32's normal range, and
+      a float64 mean below float64's (a quotient there errs by ``2**-1075``,
+      ``2**(-1075-e)`` once scaled; a sum of floats there is exact).
+
+    A row whose n makes ``g`` meaningless gets an infinite bound.
+    """
+    import numpy as np
+
+    k = (n - 1) * 2.0**-24
+    if k >= 0.5:
+        return np.full(exponents.shape, np.inf)
+    per_mean = 2 * k / (1 - k) + 2.0**-23 + (n + 8) * 2.0**-52
+    # twice the larger of the two underflow terms covers their sum
+    return n * (per_mean + np.ldexp(1.0, np.maximum(-148, -1073 - exponents)))
+
+
+def _float32_toward(values: np.ndarray, direction: float) -> np.ndarray:
+    """``values`` in float32, each rounded toward ``direction`` (an infinity)."""
+    import numpy as np
+
+    rounded = values.astype(np.float32)
+    past = rounded > values if direction < 0 else rounded < values
+    rounded[past] = np.nextafter(rounded[past], np.float32(direction))
+    return rounded
+
+
+def _screen(
+    table32: np.ndarray,
+    chunks: Iterator[tuple[int, np.ndarray]],
+    resamples: int,
+    ranks: np.ndarray,
+    margin: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 screen of ``bootstrap_ci`` over one draw.
+
+    ``table32`` holds the scaled rows as columns, ``(n, rows)``; ``chunks``
+    yields ``(first resample, indices)``; ``ranks`` is ``(low/high, end)``;
+    ``margin`` is twice each row's ``_screen_bounds``. Returns ``member``,
+    ``(rows, resamples)``, true where a resample lies in a band, and
+    ``under``, ``(rows, end)``, the non-members below each end's band.
+    """
+    import numpy as np
+
+    step = max(1, 2 * _GATHER_ELEMENTS // table32.size)  # the same bytes as a float64 block
+    approx = np.empty((table32.shape[1], resamples), dtype=np.float32)
+    for done, cols in chunks:
+        for lo in range(0, cols.shape[1], step):
+            block = np.take(table32, cols[:, lo : lo + step], axis=0)
+            approx[:, done + lo : done + lo + block.shape[1]] = np.add.reduce(block, axis=0).T
+    order_stats = np.sort(approx, axis=1)[:, ranks].astype(float)  # (row, low/high, end)
+    band_lo = _float32_toward(order_stats[:, 0] - margin[:, None], -np.inf)
+    band_hi = _float32_toward(order_stats[:, 1] + margin[:, None], np.inf)
+    member = (approx >= band_lo[:, :1]) & (approx <= band_hi[:, :1])
+    member |= (approx >= band_lo[:, 1:]) & (approx <= band_hi[:, 1:])
+    under = np.stack([
+        (approx < band_lo[:, :1]).sum(axis=1),
+        ((approx < band_lo[:, 1:]) & ~member).sum(axis=1),
+    ], axis=1)
+    return member, under
+
+
 def bootstrap_ci(
     samples: Sequence[float] | Sequence[Sequence[float]],
     resamples: int = 10_000,
@@ -176,22 +263,42 @@ def bootstrap_ci(
 
     ``samples`` is one vector ``(n,)`` or a stack of equal-length rows
     ``(k, n)``. Resample indices are drawn in fixed-size chunks from a single
-    seeded generator, and every row is gathered from the same draw. Each
-    resample mean is summed in numpy's pairwise order (``_pairwise_sum``),
-    so each row's interval equals the one a 1-D call on that row returns, bit
-    for bit, and neither depends on parallelism. Every row's means are sorted
-    in place at once, and both ends are interpolated between the order
-    statistics numpy's "linear" quantile picks, with its arithmetic: a mean
-    is never -0.0, so the sort holds the same values at those ranks as the
-    partition inside ``np.quantile``, and the ends equal its bits (a row whose
-    means hold a NaN gives NaN). A vector gives ``(low, high)``; a stack gives
+    seeded generator, and every row is gathered from the same draw. An
+    interval end is numpy's "linear" quantile of the resample means, with
+    its arithmetic, interpolated between the order statistics it picks;
+    each mean is the float64 one ``x[idx].mean(axis=1)`` gives, summed in
+    numpy's pairwise order (``_pairwise_sum``). A mean is never -0.0, so a
+    sort holds the same values at those ranks as the partition inside
+    ``np.quantile``, and the ends equal its bits (a row whose means hold a
+    NaN gives NaN). Each row's interval equals the one a 1-D call on that
+    row returns, bit for bit. A vector gives ``(low, high)``; a stack gives
     one ``(low, high)`` per row.
+
+    Only the means near the four ranks read are summed exactly. A screen
+    first sums every resample of a row in float32, after scaling the row by
+    a power of two so its largest magnitude lies in [1, 2), and sorts those
+    sums. ``_screen_bounds`` gives ``B``, a bound on how far a screen sum
+    lies from its exact mean (scaled by ``n * 2**-e``), so each exact order
+    statistic lies within ``B`` of the screen's at the same rank. For each
+    interval end, the band is the screen sums within ``2B`` of the screen's
+    order statistics at that end's two ranks: it holds every resample whose
+    exact mean can fall between those exact order statistics, and every
+    resample below it has an exact mean below them. The members of both
+    bands are summed exactly and sorted; the exact mean at rank k is the
+    member at rank k minus the number of non-members below that end's band.
+    Rows the screen cannot bound go through the same exact pass with every
+    resample a member: a row holding a non-finite value, a row whose float64
+    sums could overflow (``n * 2**(e+1)`` past ``2**1023``), and a row whose
+    bound passes ``_SCREEN_LIMIT`` per scaled mean (a large n, or a row of
+    subnormals).
 
     ``draws`` is a dict the caller owns for the span of one report: a draw
     is kept there under ``(n, resamples, seed)`` while the indices kept in it
     total at most one chunk, ``_DRAW_ELEMENTS``, and a later call with that
     key gathers from it instead of drawing the same indices again. A draw
-    that would pass that total is streamed chunk by chunk and not kept.
+    that would pass that total is streamed chunk by chunk and not kept; a
+    draw of more than one chunk is streamed twice, for the screen and the
+    exact pass, from its seed.
     """
     import numpy as np
 
@@ -214,42 +321,72 @@ def bootstrap_ci(
             intervals[i] = (float(row[0]), float(row[0]))
         else:
             live.append(i)
-    if live:
-        key = (n, resamples, seed)
-        chunks = draws.get(key) if draws is not None else None
-        if chunks is None:
-            chunks = _index_chunks(n, resamples, seed)
-            kept = sum(size * count for size, count, _ in draws) if draws is not None else 0
-            if draws is not None and kept + resamples * n <= _DRAW_ELEMENTS:
-                chunks = draws[key] = list(chunks)  # the whole draw is one chunk
-        # one resample index picks one row of this table: every live sample at it
-        table = np.ascontiguousarray(rows[live].T)
-        step = max(1, _GATHER_ELEMENTS // table.size)
-        means = np.empty((len(live), resamples), dtype=float)
+    if not live:
+        return intervals[0] if arr.ndim == 1 else intervals
+    key = (n, resamples, seed)
+    chunks = draws.get(key) if draws is not None else None
+    if chunks is None and resamples * n <= _DRAW_ELEMENTS:
+        chunks = list(_index_chunks(n, resamples, seed))  # the whole draw is one chunk
+        kept = sum(size * count for size, count, _ in draws) if draws is not None else 0
+        if draws is not None and kept + resamples * n <= _DRAW_ELEMENTS:
+            draws[key] = chunks
+
+    def draw() -> Iterator[tuple[int, np.ndarray]]:
         done = 0
-        for cols in chunks:
-            take = cols.shape[1]
-            for lo in range(0, take, step):
-                hi = min(lo + step, take)
-                block = np.take(table, cols[:, lo:hi], axis=0)  # (n, hi - lo, live)
-                # + 0.0 is the reduction's start: numpy's sum of zeros is +0.0
-                means[:, done + lo : done + hi] = ((_pairwise_sum(block) + 0.0) / n).T
-            done += take
-        alpha = (1.0 - coverage) / 2.0
-        means.sort(axis=1)
-        # numpy's "linear" quantile (Hyndman & Fan type 7), step for step, at both ends
-        virtual = (resamples - 1) * np.array([alpha, 1.0 - alpha])
-        below = np.floor(virtual)
-        above = below + 1
-        top = virtual >= resamples - 1
-        below[top] = above[top] = -1
-        gamma = virtual - below
-        low, high = means[:, below.astype(np.intp)], means[:, above.astype(np.intp)]
-        diff = high - low
-        ends = np.where(gamma >= 0.5, high - diff * (1 - gamma), low + diff * gamma)
-        ends[np.isnan(means[:, -1])] = np.nan  # NaN sorts last; a row holding one gives NaN
-        for j, i in enumerate(live):
-            intervals[i] = (float(ends[j, 0]), float(ends[j, 1]))
+        for cols in chunks if chunks is not None else _index_chunks(n, resamples, seed):
+            yield done, cols
+            done += cols.shape[1]
+
+    # numpy's "linear" quantile (Hyndman & Fan type 7), step for step, at both ends
+    alpha = (1.0 - coverage) / 2.0
+    virtual = (resamples - 1) * np.array([alpha, 1.0 - alpha])
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= resamples - 1
+    below[top] = above[top] = -1
+    gamma = virtual - below
+    ranks = np.stack([below, above]).astype(np.intp) % resamples  # (low/high, end); -1 is last
+
+    live_rows = rows[live]
+    peak = np.abs(live_rows).max(axis=1)
+    finite = np.isfinite(live_rows).all(axis=1)
+    exponents = np.frexp(np.where(finite, peak, 1.0))[1] - 1  # peak * 2**-e in [1, 2)
+    bounds = _screen_bounds(n, exponents)
+    # n <= 2**(1022-e): sum|x| < n * 2**(e+1) <= 2**1023 keeps every float64 partial sum finite
+    no_overflow = exponents + (n - 1).bit_length() <= 1022
+    screened = np.flatnonzero(finite & no_overflow & (bounds <= n * _SCREEN_LIMIT))
+    # a member is a (row, resample) whose exact mean is computed; under counts,
+    # per row and end, the non-members whose means lie below that end's ranks
+    member = np.ones((len(live), resamples), dtype=bool)
+    under = np.zeros((len(live), 2), dtype=np.intp)
+    if len(screened):
+        scaled = np.ldexp(live_rows[screened], -exponents[screened, None])
+        member[screened], under[screened] = _screen(
+            np.ascontiguousarray(scaled.T, dtype=np.float32), draw(), resamples, ranks,
+            2 * bounds[screened],
+        )
+
+    # the exact pass sums every live row at each resample some row needs
+    needed = np.flatnonzero(member.any(axis=0))
+    table = np.ascontiguousarray(live_rows.T)
+    step = max(1, _GATHER_ELEMENTS // table.size)
+    means = np.empty((len(live), len(needed)))
+    for done, cols in draw():
+        first, last = np.searchsorted(needed, [done, done + cols.shape[1]])
+        for lo in range(first, last, step):
+            hi = min(lo + step, last)
+            block = np.take(table, cols[:, needed[lo:hi] - done], axis=0)  # (n, hi - lo, live)
+            # + 0.0 is the reduction's start: numpy's sum of zeros is +0.0
+            means[:, lo:hi] = ((_pairwise_sum(block) + 0.0) / n).T
+    means[~member[:, needed]] = np.inf
+    means.sort(axis=1)  # members first: the +inf of a non-member sorts after all but NaN
+    low = np.take_along_axis(means, ranks[0] - under, axis=1)
+    high = np.take_along_axis(means, ranks[1] - under, axis=1)
+    diff = high - low
+    ends = np.where(gamma >= 0.5, high - diff * (1 - gamma), low + diff * gamma)
+    ends[np.isnan(means[:, -1])] = np.nan  # NaN sorts last; a row holding one gives NaN
+    for j, i in enumerate(live):
+        intervals[i] = (float(ends[j, 0]), float(ends[j, 1]))
     return intervals[0] if arr.ndim == 1 else intervals
 
 

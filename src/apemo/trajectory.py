@@ -143,8 +143,6 @@ def peak_end_quality(traj: Trajectory, weights: ObjectiveWeights) -> float:
     single-turn trajectory the ending mean collapses to q_1.
     """
     qualities = traj.qualities()
-    if not qualities:
-        raise ValueError("cannot score an empty trajectory")
     peak = max(qualities)
     if len(qualities) == 1:
         ending = qualities[0]
@@ -156,8 +154,6 @@ def peak_end_quality(traj: Trajectory, weights: ObjectiveWeights) -> float:
 def average_frustration(traj: Trajectory) -> float:
     """Arithmetic mean of the per-turn frustration series."""
     series = traj.frustrations()
-    if not series:
-        raise ValueError("cannot average an empty trajectory")
     return sum(series) / len(series)
 
 

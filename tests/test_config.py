@@ -33,9 +33,9 @@ def _write(tmp_path, data) -> str:
 
 
 def test_config_hashes_are_pinned(tmp_path):
-    assert load_config(None).config_hash() == "52acebf1f76b72df"
-    assert load_config(None, include_default_blocks=False).config_hash() == "3886d1b9a4de48c8"
-    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "3342e25b3d402c6b"
+    assert load_config(None).config_hash() == "d5bb24aecabcbfbb"
+    assert load_config(None, include_default_blocks=False).config_hash() == "4d13dd1e3f3c7069"
+    assert load_config(_write(tmp_path, TINY_CONFIG)).config_hash() == "bb4236f4895c8a45"
 
 
 def test_config_hash_leaves_out_deployment_settings(tmp_path, monkeypatch):
@@ -52,6 +52,14 @@ def test_config_hash_leaves_out_deployment_settings(tmp_path, monkeypatch):
                   "backoff_base": 1.0}
     assert hash_of({"endpoint": deployment}) == base
     assert hash_of({"decoding": {"temperature": 0.7}}) != base
+
+
+def test_config_hash_leaves_out_where_and_how_many_at_once(tmp_path):
+    # neither the output directory nor the worker count changes a record
+    moved = load_config(_write(tmp_path, {"output_dir": "elsewhere", "workers": 3}))
+    assert (moved.output_dir, moved.workers) == ("elsewhere", 3)
+    assert moved.config_hash() == load_config(None).config_hash()
+    assert load_config(_write(tmp_path, {"stats_seed": 7})).config_hash() != moved.config_hash()
 
 
 def test_config_hash_is_of_resolved_values(tmp_path):

@@ -117,25 +117,29 @@ def test_bootstrap_validation():
         bootstrap_ci([1.0], coverage=1.0)
 
 
-def reference_bootstrap_ci(samples, resamples=10_000, coverage=0.95, seed=0,
-                           draw_elements=10_000_000):
-    """The one-vector loop the stacked bootstrap must reproduce bit for bit."""
-    arr = np.asarray(samples, dtype=float)
-    n = arr.shape[0]
-    if np.all(arr == arr[0]):
-        return float(arr[0]), float(arr[0])
+def definition_ci(row, resamples, coverages, seed, draw_elements=10_000_000):
+    """bootstrap_ci by its definition: ``x[idx].sum(axis=1) / n`` on a fresh
+    seeded draw, chunked as ``_index_chunks`` draws it, then np.quantile."""
+    x = np.asarray(row, dtype=float)
+    n = len(x)
+    if np.all(x == x[0]):
+        return [(float(x[0]), float(x[0]))] * len(coverages)
     rng = np.random.default_rng(seed)
-    chunk = max(1, min(resamples, draw_elements // max(n, 1)))
-    means = np.empty(resamples, dtype=float)
-    done = 0
-    while done < resamples:
-        take = min(chunk, resamples - done)
-        idx = rng.integers(0, n, size=(take, n))
-        means[done : done + take] = arr[idx].mean(axis=1)
-        done += take
-    alpha = (1.0 - coverage) / 2.0
-    low, high = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(low), float(high)
+    chunk = max(1, min(resamples, draw_elements // n))
+    means = np.concatenate([
+        x[rng.integers(0, n, size=(min(chunk, resamples - done), n))].sum(axis=1) / n
+        for done in range(0, resamples, chunk)
+    ])
+    return [tuple(np.quantile(means, [(1 - c) / 2, 1 - (1 - c) / 2], method="linear"))
+            for c in coverages]
+
+
+def assert_same_interval(got, expected, where):
+    got, expected = np.array(got), np.array(expected)
+    # a NaN's sign bit depends on sort versus partition, so NaN is only required to be NaN
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan), where
+    assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64)), where
 
 
 def stacked_rows(n, seed):
@@ -153,7 +157,7 @@ def test_bootstrap_stack_rows_equal_one_vector_calls(n, resamples):
     got = bootstrap_ci(rows, resamples=resamples, seed=1234)
     assert isinstance(got, list) and len(got) == len(rows)
     for row, interval in zip(rows, got):
-        expected = reference_bootstrap_ci(row, resamples=resamples, seed=1234)
+        (expected,) = definition_ci(row, resamples, [0.95], 1234)
         assert interval == expected  # exact, not approx
         assert bootstrap_ci(row, resamples=resamples, seed=1234) == expected
     assert got[2] == (0.125, 0.125)
@@ -161,13 +165,14 @@ def test_bootstrap_stack_rows_equal_one_vector_calls(n, resamples):
 
 def test_bootstrap_stack_multi_chunk_path(monkeypatch):
     # 50 elements per draw gives n=7 a 7-resample chunk: 143 draws for 1001 resamples;
-    # 4 live rows of 7 samples in 100 elements gather 3 resamples a block: 3, 3, then 1
+    # 4 live rows of 7 samples in 100 elements: the exact pass gathers at most 3
+    # resamples a block, the float32 screen 7
     monkeypatch.setattr(stats, "_DRAW_ELEMENTS", 50)
     monkeypatch.setattr(stats, "_GATHER_ELEMENTS", 100)
     rows = stacked_rows(7, seed=3)
     got = bootstrap_ci(rows, resamples=1001, seed=9)
     for row, interval in zip(rows, got):
-        assert interval == reference_bootstrap_ci(row, resamples=1001, seed=9, draw_elements=50)
+        assert [interval] == definition_ci(row, 1001, [0.95], 9, draw_elements=50)
 
 
 def fuzz_rows(n, rng):
@@ -228,16 +233,100 @@ def test_bootstrap_interval_ends_match_numpy_quantile_bit_for_bit(resamples, cov
     named = percentile_rows(30, np.random.default_rng(resamples))
     with np.errstate(invalid="ignore"):  # +inf + -inf in a resample sum is NaN, as meant
         got = bootstrap_ci(list(named.values()), resamples=resamples, coverage=coverage, seed=5)
-        expected_ends = [reference_bootstrap_ci(row, resamples, coverage, seed=5)
-                         for row in named.values()]
-    for kind, interval, expected in zip(named, got, map(np.array, expected_ends)):
-        ends = np.array(interval)
-        where = (f"{kind} row, resamples={resamples}, coverage={coverage}: interval {interval} "
-                 f"is not np.quantile's {tuple(expected)} in numpy {np.__version__}")
-        # a NaN's sign bit depends on sort versus partition, so NaN is only required to be NaN
-        nan = np.isnan(expected)
-        assert np.array_equal(np.isnan(ends), nan), where
-        assert np.array_equal(ends[~nan].view(np.int64), expected[~nan].view(np.int64)), where
+        expected_ends = [definition_ci(row, resamples, [coverage], 5)[0] for row in named.values()]
+    for kind, interval, expected in zip(named, got, expected_ends):
+        assert_same_interval(interval, expected, (
+            f"{kind} row, resamples={resamples}, coverage={coverage}: interval {interval} "
+            f"is not np.quantile's {tuple(expected)} in numpy {np.__version__}"))
+
+
+def adversarial_rows(n, rng):
+    """Named rows that stress the float32 screen: its scaling, its error
+    bound, ties at the ranks read, and the rows it must leave to the exact pass."""
+    normal = rng.normal(size=n)
+    peak = np.abs(normal).max()
+
+    def planted(*values):
+        row = normal.copy()
+        row[rng.choice(n, size=len(values), replace=False)] = values
+        return row
+
+    return {
+        "scaled 1e-300": normal * 1e-300,
+        "scaled 1e300": normal * 1e300,
+        "subnormal": rng.integers(-40, 41, n) * 5e-324,
+        "subnormal and 1e-307": np.where(rng.random(n) < 0.5, rng.integers(-9, 10, n) * 5e-324,
+                                         normal * 1e-307),
+        "scales 1e-300 to 1e300": normal * 10.0 ** rng.uniform(-300, 300, n),
+        "scales 1e-6 to 1e6": normal * 10.0 ** rng.integers(-6, 7, n),
+        "cost-like halves": rng.integers(-80, 81, n) * 0.5,
+        "-1, 0, 1": rng.integers(-1, 2, n).astype(float),
+        "90% zeros": np.where(rng.random(n) < 0.9, 0.0, normal),
+        "one NaN": planted(np.nan),
+        "one +inf": planted(np.inf),
+        "+inf and -inf": planted(np.inf, -np.inf),
+        "float64 sums overflow": np.sign(normal) * rng.uniform(0.5, 1.0, n) * np.finfo(float).max,
+        # a pairwise partial sum can overflow where the whole sum would not
+        "float64 partial sums overflow": (np.where(rng.random(n) < 0.5, 0.6, -0.05)
+                                          * rng.uniform(0.5, 1.0, n) * np.finfo(float).max),
+        # peak = 1.9 * 2**e at the edge of the overflow check n * 2**(e+1) <= 2**1023
+        "n * 2**(e+1) below 2**1023": normal / peak * 1.9 * 2.0 ** (1022 - n.bit_length()),
+        "n * 2**(e+1) past 2**1023": normal / peak * 1.9 * 2.0 ** (1023 - (n - 1).bit_length()),
+    }
+
+
+FUZZ_COVERAGES = (0.5, 0.95, 0.999)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 30, 129, 300])
+def test_bootstrap_equals_its_definition_on_adversarial_rows_fuzz(n):
+    named = adversarial_rows(n, np.random.default_rng(n))
+    rows = list(named.values())
+    for resamples in (1, 7, 1000, 10_000):
+        seed = 31 * n + resamples
+        shared: dict = {}
+        with np.errstate(all="ignore"):  # overflow, inf - inf and NaN are meant here
+            expected = [definition_ci(row, resamples, FUZZ_COVERAGES, seed) for row in rows]
+            for c, coverage in enumerate(FUZZ_COVERAGES):
+                stacked = bootstrap_ci(rows, resamples=resamples, coverage=coverage, seed=seed)
+                reused = bootstrap_ci(rows, resamples=resamples, coverage=coverage, seed=seed,
+                                      draws=shared)
+                for r, kind in enumerate(named):
+                    where = (f"{kind} row, n={n}, resamples={resamples}, coverage={coverage}, "
+                             f"numpy {np.__version__}")
+                    alone = bootstrap_ci(rows[r], resamples=resamples, coverage=coverage,
+                                         seed=seed, draws=shared)
+                    for got in (stacked[r], reused[r], alone):
+                        assert_same_interval(got, expected[r][c], where)
+                    if c == 0:
+                        fresh = bootstrap_ci(rows[r], resamples=resamples, coverage=coverage,
+                                             seed=seed)
+                        assert_same_interval(fresh, expected[r][c], where)
+
+
+def test_bootstrap_streamed_draw_equals_its_definition(monkeypatch):
+    # 1,000 indices a chunk give n=30 a 33-resample chunk: 31 chunks, streamed twice
+    monkeypatch.setattr(stats, "_DRAW_ELEMENTS", 1000)
+    named = adversarial_rows(30, np.random.default_rng(77))
+    rows = list(named.values())
+    shared: dict = {}
+    with np.errstate(all="ignore"):
+        expected = [definition_ci(row, 1000, FUZZ_COVERAGES, 8, draw_elements=1000)
+                    for row in rows]
+        for c, coverage in enumerate(FUZZ_COVERAGES):
+            got = bootstrap_ci(rows, resamples=1000, coverage=coverage, seed=8, draws=shared)
+            for r, kind in enumerate(named):
+                assert_same_interval(got[r], expected[r][c], f"{kind} row, coverage={coverage}")
+    assert shared == {}  # a streamed draw is not kept
+
+
+def test_bootstrap_rows_past_the_screen_limit_equal_their_definition():
+    # at n = 9,000 the screen's bound passes its limit, so the row is summed exactly throughout
+    n = 9000
+    assert stats._screen_bounds(n, np.zeros(1, dtype=int))[0] > n * stats._SCREEN_LIMIT
+    row = np.random.default_rng(3).normal(size=n)
+    (expected,) = definition_ci(row, 40, [0.9], seed=2)
+    assert_same_interval(bootstrap_ci(row, resamples=40, coverage=0.9, seed=2), expected, "n=9000")
 
 
 def test_bootstrap_stack_rejects_ragged_and_empty_rows():
