@@ -30,7 +30,7 @@ from .config import AppConfig, ConfigError, load_config
 from .frontier import format_frontier_table, frontier_csv, frontier_table, viability
 from .llm import TransportError
 from .scheduler import PolicyKind
-from .stats import REPORT_METRICS, TRAP_METRICS, block_report, format_block_table, pair_key
+from .stats import PAIR_METRICS, REPORT_METRICS, block_report, format_block_table, pair_runs
 from .tasks import TASKS_VERSION
 
 EXIT_OK = 0
@@ -189,42 +189,38 @@ def cmd_report(args: argparse.Namespace) -> int:
             path.unlink()
     stats_seed = args.stats_seed if args.stats_seed is not None else cfg.stats_seed
 
-    # each compared block, narrowed to the target and its chosen baselines
-    compared: dict[str, list[RunRecord]] = {}
+    # each compared block's runs by policy: the target's and its compared baselines'
+    compared: dict[str, dict[str, list[RunRecord]]] = {}
     draws: dict = {}  # resample indices by (pairs, resamples, seed), for this report only
     for name in sorted(blocks):
         records = blocks[name]
-        runs: dict[str, set[tuple]] = {}  # policy -> the pair keys of its runs
+        by_policy: dict[str, list[RunRecord]] = {}
         for r in records:
-            runs.setdefault(r.policy, set()).add(pair_key(r))
-        if args.target not in runs:
+            by_policy.setdefault(r.policy, []).append(r)
+        if args.target not in by_policy:
             print(f"block {name}: target {args.target!r} absent; skipping deltas")
             continue
-        baselines = []
-        candidates = args.baselines or [p for p in sorted(runs) if p != args.target]
+        pairings = {}  # baseline -> its pairing with the target, in report order
+        candidates = args.baselines or [p for p in sorted(by_policy) if p != args.target]
         for baseline in dict.fromkeys(candidates):  # a baseline named twice is compared once
             if baseline == args.target:
                 print(f"block {name}: baseline {baseline!r} is the target; skipping it")
-            elif baseline not in runs:
+            elif baseline not in by_policy:
                 print(f"block {name}: baseline {baseline!r} absent; skipping it")
-            elif runs[baseline].isdisjoint(runs[args.target]):
+            elif (pairing := pair_runs(by_policy[args.target], by_policy[baseline])).n:
+                pairings[baseline] = pairing
+            else:
                 print(f"block {name}: baseline {baseline!r} shares no (model, seed, horizon, "
                       "episodes) run with the target; skipping it")
-            else:
-                baselines.append(baseline)
-        if not baselines:
+        if not pairings:
             print(f"block {name}: no baseline to compare {args.target!r} with; skipping its report")
             continue
-        kept = {args.target, *baselines}
-        compared[name] = [r for r in records if r.policy in kept]
-        metrics = list(REPORT_METRICS)
-        is_trap = any(r.trap_turn is not None for r in records)
-        if is_trap:
-            metrics.extend(TRAP_METRICS)
+        compared[name] = {p: by_policy[p] for p in (args.target, *pairings)}
+        is_trap = records[0].trap_turn is not None  # a store holds one trap turn
         report = block_report(
             records,
-            baselines=baselines,
-            metrics=metrics,
+            pairings,
+            PAIR_METRICS if is_trap else REPORT_METRICS,
             target=args.target,
             resamples=cfg.resamples,
             stats_seed=stats_seed,
@@ -246,7 +242,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             for row in report.rows:
                 fh.write(json.dumps(row.to_dict(), sort_keys=True) + "\n")
         if is_trap:
-            _write_trap_series(report_dir / f"{name}.trap_series.csv", records)
+            _write_trap_series(report_dir / f"{name}.trap_series.csv", by_policy)
 
     if not compared:
         requested = args.baselines or "any other policy"
@@ -260,11 +256,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_trap_series(path: Path, records: Sequence[RunRecord]) -> None:
+def _write_trap_series(path: Path, by_policy: dict[str, list[RunRecord]]) -> None:
     """Per-turn mean quality/frustration by policy, for trap-dynamics plots."""
-    by_policy: dict[str, list[RunRecord]] = {}
-    for r in records:
-        by_policy.setdefault(r.policy, []).append(r)
     lines = ["policy,turn,mean_quality,mean_frustration"]
     for policy in sorted(by_policy):
         rows = by_policy[policy]
@@ -277,7 +270,7 @@ def _write_trap_series(path: Path, records: Sequence[RunRecord]) -> None:
 
 
 def _emit_frontier(
-    blocks: dict[str, list[RunRecord]], report_dir: Path, target: str
+    blocks: dict[str, dict[str, list[RunRecord]]], report_dir: Path, target: str
 ) -> None:
     points, skipped = frontier_table(blocks, target=target)
     for note in skipped:

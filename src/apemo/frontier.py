@@ -65,42 +65,37 @@ def relative_gain_pct(target_mean: float, baseline_mean: float) -> float:
     return (target_mean - baseline_mean) / baseline_mean * 100.0
 
 
-def _policy_mean(records: Sequence[RunRecord], policy: str, metric: str) -> float:
-    values = [getattr(r, metric) for r in records if r.policy == policy]
-    return sum(values) / len(values)
-
-
 def frontier_table(
-    blocks: Mapping[str, Sequence[RunRecord]],
+    blocks: Mapping[str, Mapping[str, Sequence[RunRecord]]],
     target: str = "apemo",
 ) -> tuple[list[FrontierPoint], list[str]]:
     """One point per (block, baseline): quality gain vs realized cost increase.
 
-    Trap blocks use endpoint-quality gain; every other block uses
-    mean-quality gain. Comparisons that cannot be formed are skipped with a
-    diagnostic instead of aborting the table.
+    ``blocks`` maps each compared block to its runs by policy: the target's
+    and each compared baseline's. Every mean covers all of a policy's runs,
+    paired or not. Trap blocks use endpoint-quality gain; every other block
+    uses mean-quality gain. A baseline whose mean is zero has no relative
+    gain, so its point is skipped with a diagnostic instead of aborting the
+    table.
     """
     points: list[FrontierPoint] = []
     skipped: list[str] = []
     for block_name in sorted(blocks):
-        records = blocks[block_name]
-        if not records:
-            skipped.append(f"{block_name}: no records")
-            continue
-        is_trap = any(r.trap_turn is not None for r in records)
-        metric = "endpoint_quality" if is_trap else "mean_quality"
-        policies = sorted({r.policy for r in records})
-        if target not in policies:
-            skipped.append(f"{block_name}: target {target!r} absent")
-            continue
-        for baseline in policies:
+        runs = blocks[block_name]
+        metric = "endpoint_quality" if runs[target][0].trap_turn is not None else "mean_quality"
+        means = {
+            policy: (
+                sum(getattr(r, metric) for r in rows) / len(rows),
+                sum(r.total_cost for r in rows) / len(rows),
+            )
+            for policy, rows in runs.items()
+        }
+        target_q, target_c = means[target]
+        for baseline in sorted(runs):
             if baseline == target:
                 continue
+            base_q, base_c = means[baseline]
             try:
-                target_q = _policy_mean(records, target, metric)
-                base_q = _policy_mean(records, baseline, metric)
-                target_c = _policy_mean(records, target, "total_cost")
-                base_c = _policy_mean(records, baseline, "total_cost")
                 gain = relative_gain_pct(target_q, base_q)
                 cost = relative_gain_pct(target_c, base_c)
             except ValueError as exc:

@@ -312,8 +312,6 @@ def request_repair(
     ledger: BudgetLedger, reason: RepairReason, want_tokens: int, trigger_turn: int
 ) -> RepairDecision:
     """Ask the ledger to fund a repair of want_tokens, or of what it has left."""
-    if want_tokens <= 0:
-        raise ValueError(f"want_tokens must be > 0, got {want_tokens}")
     granted = ledger.grant_repair(want_tokens)
     return RepairDecision(trigger_turn=trigger_turn, reason=reason, granted_tokens=granted)
 

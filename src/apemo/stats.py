@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from .benchmark import RunRecord, no_fallback_rate
 
@@ -83,10 +83,10 @@ def pair_key(record: RunRecord) -> tuple:
 def pair_runs(
     target_records: Sequence[RunRecord], baseline_records: Sequence[RunRecord]
 ) -> Pairing:
-    """Match runs exactly on (model, seed, horizon, episode count).
+    """Match one policy's runs with another's on (model, seed, horizon, episode count).
 
     Unmatched records on either side are returned as orphans, never dropped
-    silently. Zero matches is an error.
+    silently; with no match, every record is an orphan and ``n`` is 0.
     """
     baseline_by_key = {pair_key(r): r for r in baseline_records}
     pairs = []
@@ -103,8 +103,6 @@ def pair_runs(
     orphans.extend(
         r for r in sorted(baseline_records, key=pair_key) if pair_key(r) not in matched_keys
     )
-    if not pairs:
-        raise ValueError("no matched run pairs between target and baseline records")
     return Pairing(pairs=tuple(pairs), orphans=tuple(orphans))
 
 
@@ -438,7 +436,7 @@ class BlockReport:
 
 def block_report(
     records: Sequence[RunRecord],
-    baselines: Sequence[str],
+    pairings: Mapping[str, Pairing],
     metrics: Sequence[str],
     target: str = "apemo",
     *,
@@ -446,34 +444,28 @@ def block_report(
     stats_seed: int,
     draws: Optional[dict] = None,
 ) -> BlockReport:
-    """Per-metric delta rows for every (target, baseline) pair in a block.
+    """Per-metric delta rows for each baseline's pairing with the target.
 
-    Comparisons with equal pair counts share one ``bootstrap_ci`` call. A
-    report passes the same ``draws`` dict to every block it compares, so
-    resample indices are drawn once per distinct pair count per report
-    while the kept draws fit in one chunk (``bootstrap_ci``), and each
-    block's rows equal those of a call without it.
+    ``pairings`` maps each compared baseline, in row order, to its
+    ``pair_runs`` pairing with the target; ``records`` is the whole block,
+    which the no-fallback gate covers. Comparisons with equal pair counts
+    share one ``bootstrap_ci`` call. A report passes the same ``draws`` dict
+    to every block it compares, so resample indices are drawn once per
+    distinct pair count per report while the kept draws fit in one chunk
+    (``bootstrap_ci``), and each block's rows equal those of a call without
+    it.
     """
     import numpy as np
 
-    if not records:
-        raise ValueError("block_report needs at least one record")
-    gate = no_fallback_rate(records)
-    block_name = records[0].block
-    target_records = [r for r in records if r.policy == target]
-    if not target_records:
-        raise ValueError(f"no records for target policy {target!r} in block {block_name!r}")
-    comparisons = []
-    orphan_keys: list[str] = []
-    for baseline in baselines:
-        base_records = [r for r in records if r.policy == baseline]
-        if not base_records:
-            raise ValueError(f"no records for baseline {baseline!r} in block {block_name!r}")
-        pairing = pair_runs(target_records, base_records)
-        orphan_keys.extend(
-            f"{r.policy}:{r.model_id}/seed={r.seed}/T={r.horizon}" for r in pairing.orphans
-        )
-        comparisons.append((baseline, pairing.n, [metric_deltas(pairing, m) for m in metrics]))
+    comparisons = [
+        (baseline, pairing.n, [metric_deltas(pairing, m) for m in metrics])
+        for baseline, pairing in pairings.items()
+    ]
+    orphan_keys = [
+        f"{r.policy}:{r.model_id}/seed={r.seed}/T={r.horizon}"
+        for pairing in pairings.values()
+        for r in pairing.orphans
+    ]
     # one resample draw per pair count, shared by every metric row of every
     # comparison with that many pairs; the intervals come back in stacking order
     stacks: dict[int, list[list[float]]] = {}
@@ -502,9 +494,9 @@ def block_report(
                 )
             )
     return BlockReport(
-        block=block_name,
+        block=records[0].block,
         target=target,
-        gate=gate,
+        gate=no_fallback_rate(records),
         stats_seed=stats_seed,
         rows=tuple(rows),
         orphan_keys=tuple(orphan_keys),

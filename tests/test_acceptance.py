@@ -302,13 +302,13 @@ def test_criterion_09_frontier_table_reference_arithmetic():
     # reference long-horizon row: +14.49% quality gain, +6.28% cost increase,
     # viable; formula check against matching raw means, tolerance 0.01pp
     baseline_mean, delta = 0.5459, 0.0791
-    records = []
+    runs = {"apemo": [], "task_peak_end": []}
     for seed in range(10):
         for policy, quality, cost in (
             ("apemo", baseline_mean + delta, 5314.0),
             ("task_peak_end", baseline_mean, 5000.0),
         ):
-            records.append(RunRecord(
+            runs[policy].append(RunRecord(
                 schema_version=SCHEMA_VERSION, block="long_horizon", model_id="m",
                 seed=seed, policy=policy, horizon=8, episodes=2,
                 mean_quality=quality, peak_end_quality=quality,
@@ -319,7 +319,7 @@ def test_criterion_09_frontier_table_reference_arithmetic():
                 quality_by_turn=tuple([quality] * 8),
                 frustration_by_turn=tuple([0.2] * 8),
             ))
-    points, skipped = frontier_table({"long_horizon": records})
+    points, skipped = frontier_table({"long_horizon": runs})
     (row,) = points
     ok = (
         not skipped

@@ -530,6 +530,53 @@ def test_report_skips_a_baseline_that_shares_no_run_with_the_target(
     assert list((out / "reports").iterdir()) == []
 
 
+def test_report_pairs_the_deltas_and_averages_every_run_in_the_frontier(tmp_path, capsys):
+    config = tmp_path / "trap3.yaml"
+    config.write_text(
+        "blocks:\n  trap3:\n    executor: abm\n    models: [abm-a]\n    horizon: 6\n"
+        "    episodes: 1\n    budget_cap: 900\n    policies: [uniform, task_peak_end, apemo]\n"
+        "    seeds: [1, 2, 3]\n    trap: {trap_turn: 3, severity: 0.4}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--block", "trap3", "--out", str(out)]) == 0
+    runs_file = out / "trap3.runs.jsonl"
+    rows = [json.loads(line) for line in runs_file.read_text().splitlines()]
+    # task_peak_end loses seed 3, so apemo's seed-3 run has no partner: an orphan
+    rows = [row for row in rows if (row["policy"], row["seed"]) != ("task_peak_end", 3)]
+    runs_file.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    capsys.readouterr()
+    assert main(["report", "--config", str(config), "--records", str(out),
+                 "--baselines", "task_peak_end"]) == 0
+    reports = out / "reports"
+
+    deltas = [json.loads(row) for row in (reports / "trap3.deltas.jsonl").read_text().splitlines()[1:]]
+    assert deltas and all((row["baseline"], row["n"]) == ("task_peak_end", 2) for row in deltas)
+    assert "unmatched runs: apemo:abm-a/seed=3/T=6\n" in (reports / "trap3.report.txt").read_text()
+
+    # the frontier's means cover every run of each compared policy, the orphan included
+    def mean(policy, field):
+        values = [row[field] for row in rows if row["policy"] == policy]
+        return sum(values) / len(values)
+
+    (point,) = [json.loads(line) for line in (reports / "frontier.jsonl").read_text().splitlines()]
+    assert point["label"] == "trap3 (vs task_peak_end)"
+    assert point["raw"] == pytest.approx({
+        "metric": "endpoint_quality",
+        "target_mean": mean("apemo", "endpoint_quality"),
+        "baseline_mean": mean("task_peak_end", "endpoint_quality"),
+        "target_cost": mean("apemo", "total_cost"),
+        "baseline_cost": mean("task_peak_end", "total_cost"),
+    }, rel=1e-12, abs=0)
+    paired = [row["endpoint_quality"] for row in rows if row["policy"] == "apemo" and row["seed"] < 3]
+    assert point["raw"]["target_mean"] != pytest.approx(sum(paired) / 2, rel=1e-12, abs=0)
+
+    # the trap series plots every policy in the store, compared or not
+    series = (reports / "trap3.trap_series.csv").read_text().splitlines()[1:]
+    assert sorted({line.split(",")[0] for line in series}) == ["apemo", "task_peak_end", "uniform"]
+    assert len(series) == 3 * 6
+
+
 @pytest.mark.parametrize("url", ["http://127.0.0.1:abc", "http://", "http://:8080",
                                  "http://127.0.0.1:99999", "http://127.0.0.1:0",
                                  "http://127.0.0.1 :8080", "ftp://127.0.0.1"])

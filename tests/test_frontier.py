@@ -133,11 +133,12 @@ def _record(block, policy, seed, mean_quality, endpoint_quality, total_cost, tra
 
 def test_frontier_table_uses_mean_quality_and_cost_means():
     blocks = {
-        "long": [
-            _record("long", "apemo", s, 0.6250, 0.7, 5314.0) for s in range(5)
-        ] + [
-            _record("long", "task_peak_end", s, 0.5459, 0.6, 5000.0) for s in range(5)
-        ]
+        "long": {
+            "apemo": [_record("long", "apemo", s, 0.6250, 0.7, 5314.0) for s in range(5)],
+            "task_peak_end": [
+                _record("long", "task_peak_end", s, 0.5459, 0.6, 5000.0) for s in range(5)
+            ],
+        }
     }
     points, skipped = frontier_table(blocks)
     assert not skipped
@@ -149,11 +150,12 @@ def test_frontier_table_uses_mean_quality_and_cost_means():
 
 def test_frontier_table_trap_block_uses_endpoint_quality():
     blocks = {
-        "trap": [
-            _record("trap", "apemo", s, 0.5, 0.6497, 5266.5, trap=4) for s in range(5)
-        ] + [
-            _record("trap", "task_peak_end", s, 0.5, 0.5002, 5000.0, trap=4) for s in range(5)
-        ]
+        "trap": {
+            "apemo": [_record("trap", "apemo", s, 0.5, 0.6497, 5266.5, trap=4) for s in range(5)],
+            "task_peak_end": [
+                _record("trap", "task_peak_end", s, 0.5, 0.5002, 5000.0, trap=4) for s in range(5)
+            ],
+        }
     }
     points, skipped = frontier_table(blocks)
     (point,) = points
@@ -163,20 +165,13 @@ def test_frontier_table_trap_block_uses_endpoint_quality():
 
 
 def test_frontier_table_identical_policies_zero_row():
-    recs = [_record("b", "apemo", s, 0.5, 0.5, 1000.0) for s in range(3)]
-    recs += [_record("b", "uniform", s, 0.5, 0.5, 1000.0) for s in range(3)]
-    points, _ = frontier_table({"b": recs})
+    runs = {policy: [_record("b", policy, s, 0.5, 0.5, 1000.0) for s in range(3)]
+            for policy in ("apemo", "uniform")}
+    points, _ = frontier_table({"b": runs})
     (point,) = points
     assert point.gain == pytest.approx(0.0)
     assert point.cost_increase == pytest.approx(0.0)
     assert not viability(point).viable
-
-
-def test_frontier_table_missing_target_is_skipped_with_note():
-    recs = [_record("b", "uniform", s, 0.5, 0.5, 1000.0) for s in range(3)]
-    points, skipped = frontier_table({"b": recs})
-    assert points == []
-    assert skipped and "target" in skipped[0]
 
 
 def test_frontier_csv_schema():

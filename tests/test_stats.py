@@ -37,6 +37,14 @@ def records_for(policies, seeds=range(1, 6), name="statsblock"):
     return run_block(block, RuntimeSettings())
 
 
+def pairings_for(records, baselines, target="apemo"):
+    """Each baseline's pairing with the target, as the report builds them."""
+    def runs(policy):
+        return [r for r in records if r.policy == policy]
+
+    return {baseline: pair_runs(runs(target), runs(baseline)) for baseline in baselines}
+
+
 # ------------------------------------------------------------------ pairing
 
 
@@ -66,11 +74,12 @@ def test_pair_runs_reports_orphans():
     assert len(pairing.orphans) == 1
 
 
-def test_pair_runs_zero_matches_is_error():
+def test_pair_runs_without_a_match_holds_every_run_as_an_orphan():
     a = records_for([PolicyKind.APEMO], seeds=(1, 2))
     b = records_for([PolicyKind.UNIFORM], seeds=(7, 8))
-    with pytest.raises(ValueError):
-        pair_runs(a, b)
+    pairing = pair_runs(a, b)
+    assert pairing.n == 0
+    assert pairing.orphans == (*a, *b)
 
 
 # ----------------------------------------------------------------- bootstrap
@@ -397,7 +406,7 @@ def test_sign_test_empty_is_error():
 def test_block_report_self_comparison_is_null():
     records = records_for([PolicyKind.APEMO])
     report = block_report(
-        records, baselines=["apemo"], metrics=["mean_quality", "reuse_probability"],
+        records, pairings_for(records, ["apemo"]), metrics=["mean_quality", "reuse_probability"],
         target="apemo", resamples=2000, stats_seed=3,
     )
     for row in report.rows:
@@ -413,7 +422,7 @@ def test_block_report_rows_and_ci_ordering():
     )
     report = block_report(
         records,
-        baselines=["task_peak_end", "task_affect"],
+        pairings_for(records, ["task_peak_end", "task_affect"]),
         metrics=["mean_quality", "reuse_probability", "avg_frustration"],
         resamples=2000,
         stats_seed=11,
@@ -440,14 +449,14 @@ def test_block_report_draws_once_per_pair_count(monkeypatch):
         return bootstrap_ci(samples, **kwargs)
 
     monkeypatch.setattr(stats, "bootstrap_ci", counting)
-    full = block_report(records, ["task_peak_end", "uniform"], metrics,
+    full = block_report(records, pairings_for(records, ["task_peak_end", "uniform"]), metrics,
                         resamples=1000, stats_seed=4)
     assert calls == [2 * len(metrics)]
     # uniform without seed 6 leaves an orphan: 5 pairs against 6, so two draws
     calls.clear()
     orphaned = [r for r in records if (r.policy, r.seed) != ("uniform", 6)]
-    partial = block_report(orphaned, ["task_peak_end", "uniform"], metrics,
-                           resamples=1000, stats_seed=4)
+    partial = block_report(orphaned, pairings_for(orphaned, ["task_peak_end", "uniform"]),
+                           metrics, resamples=1000, stats_seed=4)
     assert calls == [len(metrics), len(metrics)]
     assert [row.n for row in partial.rows] == [6] * len(metrics) + [5] * len(metrics)
     for report, block_records in ((full, records), (partial, orphaned)):
@@ -474,13 +483,14 @@ def test_report_draws_kept_total_at_most_one_chunk(monkeypatch):
 
     monkeypatch.setattr(stats, "_index_chunks", counted)
     draws: dict = {}
-    shared = [block_report(records, ["uniform"], ["mean_quality", "total_cost"],
-                           resamples=1000, stats_seed=4, draws=draws) for records in blocks]
+    shared = [block_report(records, pairings_for(records, ["uniform"]),
+                           ["mean_quality", "total_cost"], resamples=1000, stats_seed=4,
+                           draws=draws) for records in blocks]
     assert list(draws) == [(6, 1000, 4)]  # the 5-pair draw would pass one chunk in total
     assert drawn == [6, 5, 5]
     for records, report in zip(blocks, shared):
-        alone = block_report(records, ["uniform"], ["mean_quality", "total_cost"],
-                             resamples=1000, stats_seed=4)
+        alone = block_report(records, pairings_for(records, ["uniform"]),
+                             ["mean_quality", "total_cost"], resamples=1000, stats_seed=4)
         assert [row.to_dict() for row in report.rows] == [row.to_dict() for row in alone.rows]
 
 
@@ -494,7 +504,7 @@ def test_block_report_gate_annotation():
 
         flipped.append(RunRecord.from_dict(d))
     report = block_report(
-        flipped, baselines=["uniform"], metrics=["mean_quality"],
+        flipped, pairings_for(flipped, ["uniform"]), metrics=["mean_quality"],
         resamples=1000, stats_seed=1,
     )
     assert report.gate < 1.0
@@ -504,9 +514,11 @@ def test_block_report_gate_annotation():
 
 def test_block_report_order_invariant_to_input_order():
     records = records_for([PolicyKind.APEMO, PolicyKind.UNIFORM], seeds=range(1, 7))
-    report_a = block_report(records, ["uniform"], ["mean_quality"], resamples=2000, stats_seed=5)
-    report_b = block_report(list(reversed(records)), ["uniform"], ["mean_quality"],
+    report_a = block_report(records, pairings_for(records, ["uniform"]), ["mean_quality"],
                             resamples=2000, stats_seed=5)
+    reversed_records = list(reversed(records))
+    report_b = block_report(reversed_records, pairings_for(reversed_records, ["uniform"]),
+                            ["mean_quality"], resamples=2000, stats_seed=5)
     assert [r.to_dict() for r in report_a.rows] == [r.to_dict() for r in report_b.rows]
 
 
