@@ -16,8 +16,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import __version__
 from .abm import STREAM_VERSION
 from .benchmark import (
+    BlockConfig,
     RunRecord,
     RunStore,
     SCHEMA_VERSION,
@@ -91,8 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(cfg: AppConfig, out_dir: Path, workers: int) -> None:
+def _write_manifest(cfg: AppConfig, block: BlockConfig, out_dir: Path, workers: int) -> None:
+    """The code and config behind a block run: versions, config hash and the
+    block's stamp. NumPy's version is read from its metadata, not by importing it."""
+    import platform
+    from importlib.metadata import version
+
     manifest = {
+        "apemo_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": version("numpy"),
+        "stamp": block.stamp._asdict(),
         "schema_version": SCHEMA_VERSION,
         "stream_version": STREAM_VERSION,
         "config_path": cfg.source_path or "<defaults>",
@@ -130,7 +141,7 @@ def _run_block_command(args: argparse.Namespace, executor_kind: str) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     store = RunStore(runs_path)
     check_store(block, store)  # before the manifest names this build's stream
-    _write_manifest(cfg, out_dir, workers)
+    _write_manifest(cfg, block, out_dir, workers)
 
     def on_record(record: RunRecord, resumed: bool) -> None:
         tag = " (resumed)" if resumed else ""

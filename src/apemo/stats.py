@@ -4,17 +4,17 @@ Everything here consumes run-level records only; episode rows never reach
 the statistics, which keeps runs the unit of analysis. Resampling is seeded
 and chunked so results replay exactly regardless of machine. A report draws
 its resample indices once per pair count, for every block it compares,
-while the draws it keeps fit in one chunk, and resample means are summed in
-numpy's pairwise order, so each interval equals the one a separate call on
-its row alone returns. The interval ends
-are read at the ranks of numpy's "linear" quantile, with its interpolation,
-so they equal ``np.quantile``'s bits. Only the means near those ranks are
-summed exactly: a float32 screen sums every resample of a row scaled by a
-power of two, and a proven bound on its error (``_screen_bounds``) picks
-the resamples whose exact means can sit at the ranks. Rows the bound does
-not cover (a non-finite value, float64 sums that could overflow, a bound
-too wide to help) are summed exactly at every resample. numpy loads at the
-first ``bootstrap_ci`` or ``block_report`` call, not at import.
+while the draws it keeps fit in one chunk, and each resample mean comes from
+the reduction ``x[idx].mean(axis=1)`` runs, so each interval equals the one a
+separate call on its row alone returns. The interval ends are read at the
+ranks of numpy's "linear" quantile, with its interpolation, so they equal
+``np.quantile``'s bits. Only the means near those ranks are summed exactly:
+a float32 screen sums every resample of a row scaled by a power of two, and
+a proven bound on its error (``_screen_bounds``) picks the resamples whose
+exact means can sit at the ranks. Rows the bound does not cover (a
+non-finite value, float64 sums that could overflow, a bound too wide to
+help) are summed exactly at every resample. numpy loads at the first
+``bootstrap_ci`` or ``block_report`` call, not at import.
 """
 
 from __future__ import annotations
@@ -129,36 +129,6 @@ _GATHER_ELEMENTS = 65_536
 _SCREEN_LIMIT = 2.0**-10
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order numpy's pairwise summation adds one row.
-
-    ``x[idx].sum(axis=1)`` sums each resample along a contiguous axis with
-    numpy's pairwise loop: 8 partial sums over spans of at most 128, combined
-    as ``((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))`` with the rest added after,
-    and a split at ``n//2`` rounded down to a multiple of 8 above that. Doing
-    the same adds on whole slices of ``x[idx.T]`` gives the same bits for
-    every resample at once. The caller adds the reduction's ``+0.0`` start.
-    """
-    n = x.shape[0]
-    if n < 8:
-        res = x[0].copy()
-        for i in range(1, n):
-            res += x[i]
-        return res
-    if n <= 128:
-        r = x[:8].copy()
-        whole = n - n % 8
-        for i in range(8, whole, 8):
-            r += x[i : i + 8]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(whole, n):
-            res += x[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-
-
 def _index_chunks(n: int, resamples: int, seed: int) -> Iterator[np.ndarray]:
     """The resample indices of one seeded draw, as transposed ``(n, take)``
     chunks of at most ``_DRAW_ELEMENTS`` indices, in draw order."""
@@ -184,10 +154,10 @@ def _screen_bounds(n: int, exponents: np.ndarray) -> np.ndarray:
     - ``2*g(n-1)``: float32 summation of n scaled values, each at most 2 in
       magnitude, in any order (``g(n-1) * sum|y| <= 2n * g(n-1)``);
     - ``2**-23``: the float32 conversion of each value, ``u * |y| < 2u``;
-    - ``(n+8) * 2**-52``: float64 rounding. The exact pairwise sum errs by
-      at most ``g64(n-1) * sum|x|`` and its division by n by ``2**-53`` of
-      the quotient, together about ``n * 2**-52`` per scaled mean; the rest
-      covers the float64 arithmetic of the band ends and of this bound;
+    - ``(n+8) * 2**-52``: float64 rounding. The exact sum errs by at most
+      ``g64(n-1) * sum|x|`` in any order, and its division by n by ``2**-53``
+      of the quotient, together about ``n * 2**-52`` per scaled mean; the
+      rest covers the float64 arithmetic of the band ends and of this bound;
     - ``2**-149 + 2**(-1074-e)``, the underflow slack, each twice its cause:
       a scaled value rounded below float64's or float32's normal range, and
       a float64 mean below float64's (a quotient there errs by ``2**-1075``,
@@ -263,14 +233,15 @@ def bootstrap_ci(
     ``(k, n)``. Resample indices are drawn in fixed-size chunks from a single
     seeded generator, and every row is gathered from the same draw. An
     interval end is numpy's "linear" quantile of the resample means, with
-    its arithmetic, interpolated between the order statistics it picks;
-    each mean is the float64 one ``x[idx].mean(axis=1)`` gives, summed in
-    numpy's pairwise order (``_pairwise_sum``). A mean is never -0.0, so a
-    sort holds the same values at those ranks as the partition inside
-    ``np.quantile``, and the ends equal its bits (a row whose means hold a
-    NaN gives NaN). Each row's interval equals the one a 1-D call on that
-    row returns, bit for bit. A vector gives ``(low, high)``; a stack gives
-    one ``(low, high)`` per row.
+    its arithmetic, interpolated between the order statistics it picks.
+    Each mean is the float64 one ``x[idx].mean(axis=1)`` gives: the exact
+    pass sums a C-contiguous ``(rows, resamples, n)`` gather along its last
+    axis, the reduction that call runs, whatever order numpy sums in. A mean
+    is never -0.0 (numpy's sum starts from +0.0), so a sort holds the same
+    values at those ranks as the partition inside ``np.quantile``, and the
+    ends equal its bits (a row whose means hold a NaN gives NaN). Each row's
+    interval equals the one a 1-D call on that row returns, bit for bit. A
+    vector gives ``(low, high)``; a stack gives one ``(low, high)`` per row.
 
     Only the means near the four ranks read are summed exactly. A screen
     first sums every resample of a row in float32, after scaling the row by
@@ -366,16 +337,15 @@ def bootstrap_ci(
 
     # the exact pass sums every live row at each resample some row needs
     needed = np.flatnonzero(member.any(axis=0))
-    table = np.ascontiguousarray(live_rows.T)
-    step = max(1, _GATHER_ELEMENTS // table.size)
+    step = max(1, _GATHER_ELEMENTS // live_rows.size)
     means = np.empty((len(live), len(needed)))
     for done, cols in draw():
         first, last = np.searchsorted(needed, [done, done + cols.shape[1]])
         for lo in range(first, last, step):
             hi = min(lo + step, last)
-            block = np.take(table, cols[:, needed[lo:hi] - done], axis=0)  # (n, hi - lo, live)
-            # + 0.0 is the reduction's start: numpy's sum of zeros is +0.0
-            means[:, lo:hi] = ((_pairwise_sum(block) + 0.0) / n).T
+            # (live, hi - lo, n), C-contiguous: per row, x[idx] at these resamples
+            block = np.take(live_rows, cols[:, needed[lo:hi] - done].T, axis=1)
+            means[:, lo:hi] = block.sum(axis=2) / n
     means[~member[:, needed]] = np.inf
     means.sort(axis=1)  # members first: the +inf of a non-member sorts after all but NaN
     low = np.take_along_axis(means, ranks[0] - under, axis=1)

@@ -23,8 +23,8 @@ from apemo.benchmark import (
     run_block,
     trap_metrics,
 )
-from apemo.llm import LlmExecutor, ModelEndpoint
-from apemo.mock_server import MockModelServer
+from apemo.llm import _TRAP_NOTE, LlmExecutor, ModelEndpoint
+from apemo.mock_server import MockModelServer, default_script
 from apemo.scheduler import (
     POLICY_TRAITS,
     DetectionConfig,
@@ -162,6 +162,37 @@ def test_workers_produce_same_records(tmp_path):
     serial = run_block(block, RuntimeSettings(), workers=1)
     threaded = run_block(block, RuntimeSettings(), workers=4)
     assert [r.to_dict() for r in serial] == [r.to_dict() for r in threaded]
+
+
+_PROMPT_TURN = re.compile(r"This is turn (\d+) of \d+\.")
+
+
+def turn_keyed_script(body: dict, index: int) -> str:
+    """A repeated word for a trapped prompt, else default_script's reply for the
+    turn the prompt names: thread workers interleave their requests, so the
+    server's request index is not the turn."""
+    user = next(m["content"] for m in reversed(body["messages"]) if m["role"] == "user")
+    if _TRAP_NOTE in user:
+        return " ".join(["loop"] * 48)
+    match = _PROMPT_TURN.search(user)
+    return default_script(body, int(match.group(1)) - 1 if match else 0)
+
+
+def test_llm_workers_produce_same_records():
+    block = sim_block(
+        name="llmworkers", executor="llm", models=("mock-a", "mock-b"), horizon=6, episodes=1,
+        budget_cap=2400, seeds=(1, 2, 3),
+        policies=(PolicyKind.UNIFORM, PolicyKind.APEMO, PolicyKind.FLOW_TEMPORAL),
+        trap=TrapSpec(trap_turn=3, severity=0.4, recovery_rate=0.3),
+    )
+    with MockModelServer(script=turn_keyed_script) as server:
+        settings = RuntimeSettings(endpoint=ModelEndpoint(
+            base_url=server.url, model_id="test-model", timeout=5.0, max_retries=0,
+            backoff_base=0.01))
+        serial = run_block(block, settings, workers=1)
+        threaded = run_block(block, settings, workers=2)
+    assert [r.to_dict() for r in serial] == [r.to_dict() for r in threaded]
+    assert any(r.repair_cost > 0 for r in serial)  # the trapped turns were repaired
 
 
 def test_derived_seed_shared_across_policies():

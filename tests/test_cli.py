@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import platform
 
+import numpy as np
 import pytest
 
+import apemo
 from apemo.abm import STREAM_VERSION
 from apemo import stats
 from apemo.cli import main
@@ -181,6 +184,25 @@ def test_model_server_records_carry_no_stream_version_and_resume(
         capsys.readouterr()
         assert main(args) == 0
     assert capsys.readouterr().out.count("(resumed)") == len(runs)
+
+
+def test_manifest_names_the_versions_and_the_block_stamp(config_path, tmp_path, monkeypatch):
+    versions = {"apemo_version": apemo.__version__, "python_version": platform.python_version(),
+                "numpy_version": np.__version__}
+    assert main(["simulate", "--config", config_path, "--block", "tiny_trap",
+                 "--out", str(tmp_path / "sim")]) == 0
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert {key: manifest[key] for key in versions} == versions
+    assert manifest["stamp"] == {"block": "tiny_trap", "horizon": 6, "episodes": 1,
+                                 "trap_turn": 3, "stream_version": STREAM_VERSION}
+    with MockModelServer() as server:
+        monkeypatch.setenv("APEMO_SERVER_URL", server.url)
+        assert main(["run-llm", "--config", config_path, "--block", "tiny_llm",
+                     "--out", str(tmp_path / "llm")]) == 0
+    manifest = json.loads((tmp_path / "llm" / "manifest.json").read_text())
+    assert {key: manifest[key] for key in versions} == versions
+    assert manifest["stamp"] == {"block": "tiny_llm", "horizon": 2, "episodes": 1,
+                                 "trap_turn": None, "stream_version": None}
 
 
 def test_report_refuses_a_config_block_store_of_another_stream(config_path, tmp_path, capsys):

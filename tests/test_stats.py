@@ -204,15 +204,21 @@ def fuzz_rows(n, rng):
 @pytest.mark.parametrize(
     "n", [*range(1, 41), 64, 127, 128, 129, 136, 255, 256, 257, 1000, 1031]
 )
-def test_pairwise_sum_matches_numpy_mean_bit_for_bit(n):
-    rng = np.random.default_rng(n)
-    idx = rng.integers(0, n, size=(64, n))
-    for kind, x in fuzz_rows(n, rng).items():
-        expected = x[idx].mean(axis=1)
-        got = (stats._pairwise_sum(x[idx.T]) + 0.0) / n
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (
-            f"{kind} row, n={n}: summation order differs from numpy {np.__version__}"
-        )
+def test_pairwise_sum_matches_numpy_mean_bit_for_bit(n, monkeypatch):
+    # with no row screened, every resample mean is summed by the exact pass; the
+    # coverages read each of the 64 order statistics at one end or the other
+    monkeypatch.setattr(stats, "_SCREEN_LIMIT", 0.0)
+    named = fuzz_rows(n, np.random.default_rng(n))
+    coverages = [1 - (2 * k + 1) / 63 for k in range(31)]
+    with np.errstate(invalid="ignore"):  # inf - inf between two +inf ends is NaN, as meant
+        expected = [definition_ci(row, 64, coverages, seed=n) for row in named.values()]
+        got_by_coverage = [bootstrap_ci(list(named.values()), resamples=64, coverage=coverage,
+                                        seed=n) for coverage in coverages]
+    for c, (coverage, got) in enumerate(zip(coverages, got_by_coverage)):
+        for r, kind in enumerate(named):
+            assert_same_interval(got[r], expected[r][c], (
+                f"{kind} row, n={n}, coverage={coverage}: a resample mean differs "
+                f"from numpy {np.__version__}'s"))
 
 
 def percentile_rows(n, rng):
@@ -275,7 +281,7 @@ def adversarial_rows(n, rng):
         "one +inf": planted(np.inf),
         "+inf and -inf": planted(np.inf, -np.inf),
         "float64 sums overflow": np.sign(normal) * rng.uniform(0.5, 1.0, n) * np.finfo(float).max,
-        # a pairwise partial sum can overflow where the whole sum would not
+        # a partial sum can overflow where the whole sum would not
         "float64 partial sums overflow": (np.where(rng.random(n) < 0.5, 0.6, -0.05)
                                           * rng.uniform(0.5, 1.0, n) * np.finfo(float).max),
         # peak = 1.9 * 2**e at the edge of the overflow check n * 2**(e+1) <= 2**1023
